@@ -1,19 +1,9 @@
 """Key-value run configuration files.
 
 Format: one ``key = value`` pair per line, ``#`` comments, lists as
-comma-separated values.  Documented keys:
-
-  grid.dim, grid.half_length, grid.n
-  model.beta = linear | power        model.gamma, model.eta
-  model.g = volume_filling | linear
-  chem.xi, chem.d (list), chem.a (list)
-  kernel.type = none | greens | adhesion | gaussian
-  kernel.d (greens), kernel.omega = const | hump, kernel.sigma, kernel.scale
-  init.type = constant | bump | two_bumps | noise
-  init.amplitude, init.width, init.center, init.background
-  run.t_end, run.dt (number or "auto"), run.snapshot_every, run.cfl_safety
-  study.xi (list), study.M (integer list), study.d_star, study.regularization
-  seed
+comma-separated values.  ``_DEFAULTS`` holds every key with its default and
+``_CHOICES`` the values of the enumerated keys; the README's key table
+documents both.
 """
 
 from __future__ import annotations
@@ -52,7 +42,7 @@ _DEFAULTS = {
     "init.background": "0.0",
     "run.t_end": "0.25",
     "run.dt": "auto",
-    "run.snapshot_every": "0.05",
+    "run.snapshot_every": "auto",
     "run.cfl_safety": "0.4",
     "study.xi": "1e-1, 1e-2, 1e-3, 1e-4",
     "study.M": "1, 2, 4, 8, 16",
@@ -62,8 +52,24 @@ _DEFAULTS = {
 }
 
 
+# the values each enumerated key accepts
+_CHOICES = {
+    "model.beta": ("power", "linear"),
+    "model.g": ("volume_filling", "linear"),
+    "kernel.type": ("none", "greens", "adhesion", "gaussian"),
+    "kernel.omega": ("const", "hump"),
+    "init.type": ("bump", "two_bumps", "constant", "noise"),
+}
+
+
 class ConfigError(ValueError):
     pass
+
+
+def _choice(cfg: dict, key: str) -> str:
+    if cfg[key] not in _CHOICES[key]:
+        raise ConfigError(f"unknown {key} {cfg[key]!r}")
+    return cfg[key]
 
 
 def parse_config_text(text: str) -> dict:
@@ -94,6 +100,11 @@ def _ints(value: str) -> list:
     return [int(p) for p in value.split(",") if p.strip()]
 
 
+def _number_or_auto(value: str) -> Optional[float]:
+    value = value.strip().lower()
+    return None if value in ("auto", "") else float(value)
+
+
 def build_grid(cfg: dict) -> Grid:
     return Grid(dim=int(cfg["grid.dim"]),
                 half_length=float(cfg["grid.half_length"]),
@@ -102,16 +113,12 @@ def build_grid(cfg: dict) -> Grid:
 
 def build_model(cfg: dict) -> ModelFunctions:
     eta = float(cfg["model.eta"])
-    if cfg["model.beta"] == "linear":
+    if _choice(cfg, "model.beta") == "linear":
         model = linear_model(eta=eta)
-    elif cfg["model.beta"] == "power":
-        model = porous_medium_model(float(cfg["model.gamma"]), eta=eta)
     else:
-        raise ConfigError(f"unknown model.beta {cfg['model.beta']!r}")
-    if cfg["model.g"] == "linear":
+        model = porous_medium_model(float(cfg["model.gamma"]), eta=eta)
+    if _choice(cfg, "model.g") == "linear":
         model.g = linear_saturating_g
-    elif cfg["model.g"] != "volume_filling":
-        raise ConfigError(f"unknown model.g {cfg['model.g']!r}")
     return model
 
 
@@ -130,18 +137,18 @@ def omega_profile(name: str):
 
 
 def build_kernel(cfg: dict, grid: Grid) -> Optional[PeriodizedKernel]:
-    kind = cfg["kernel.type"]
+    kind = _choice(cfg, "kernel.type")
     if kind == "none":
         return None
     scale = float(cfg["kernel.scale"])
+    if not math.isfinite(scale):
+        raise ConfigError("kernel.scale must be finite")
     if kind == "greens":
         base = greens_free_space(float(cfg["kernel.d"]), grid.dim)
     elif kind == "adhesion":
-        base = adhesion_potential(omega_profile(cfg["kernel.omega"]), grid.dim)
-    elif kind == "gaussian":
-        base = gaussian_kernel(float(cfg["kernel.sigma"]), grid.dim)
+        base = adhesion_potential(omega_profile(_choice(cfg, "kernel.omega")), grid.dim)
     else:
-        raise ConfigError(f"unknown kernel.type {kind!r}")
+        base = gaussian_kernel(float(cfg["kernel.sigma"]), grid.dim)
     pk = periodize(base, grid)
     if scale != 1.0:
         pk.field = scale * pk.field
@@ -150,7 +157,7 @@ def build_kernel(cfg: dict, grid: Grid) -> Optional[PeriodizedKernel]:
 
 
 def build_initial_datum(cfg: dict, grid: Grid) -> Field:
-    kind = cfg["init.type"]
+    kind = _choice(cfg, "init.type")
     amp = float(cfg["init.amplitude"])
     width = float(cfg["init.width"])
     center = float(cfg["init.center"])
@@ -168,11 +175,9 @@ def build_initial_datum(cfg: dict, grid: Grid) -> Field:
         if kind == "two_bumps":
             vals = background + 0.5 * amp * (bump_at(center - 2 * width)
                                              + bump_at(center + 2 * width))
-    elif kind == "noise":
+    else:
         rng = np.random.default_rng(int(cfg["seed"]))
         vals = np.clip(background + amp * rng.random(grid.shape), 0.0, 1.0)
-    else:
-        raise ConfigError(f"unknown init.type {kind!r}")
 
     if vals.min() < 0.0 or vals.max() > 1.0:
         raise InputValidationError("initial density must satisfy 0 <= u_0 <= 1")
@@ -180,12 +185,10 @@ def build_initial_datum(cfg: dict, grid: Grid) -> Field:
 
 
 def build_run_config(cfg: dict, grid: Grid) -> RunConfig:
-    dt_raw = cfg["run.dt"].strip().lower()
-    dt = None if dt_raw in ("auto", "") else float(dt_raw)
     return RunConfig(grid=grid,
                      t_end=float(cfg["run.t_end"]),
-                     dt=dt,
-                     snapshot_every=float(cfg["run.snapshot_every"]),
+                     dt=_number_or_auto(cfg["run.dt"]),
+                     snapshot_every=_number_or_auto(cfg["run.snapshot_every"]),
                      cfl_safety=float(cfg["run.cfl_safety"]))
 
 

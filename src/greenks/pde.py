@@ -5,7 +5,8 @@ fluxes with the saturation factor evaluated at the upwind cell, and a
 centered two-point flux for the nonlinear diffusion.  Chemical fields are
 either in instantaneous equilibrium (spectral elliptic solve each step) or
 relaxed with a backward-Euler spectral step, unconditionally stable in the
-relaxation parameter.
+relaxation parameter.  ``run`` builds a :class:`StepPlan` once, then steps
+on plain arrays; ``Field`` objects are made for snapshots and the end state.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+# inner_l2 is unused here but stays importable from this module, like the
+# other domain and greens names: perfbench/tracer.py wraps them by attribute.
 from .domain import (Field, Grid, GridMismatchError, SpaceTimeSeries, gradient,
                      inner_l2, norm_l1, norm_l2, periodic_convolve)
 from .greens import _multiplier, elliptic_solve
@@ -24,6 +27,9 @@ from .kernel import PeriodizedKernel
 _BOUND_SLACK = 1e-6        # allowed excursion outside [0, 1]
 _MASS_TOL = 1e-10          # relative mass drift treated as a solver failure
 _MAX_DT_HALVINGS = 20
+_MIN_DT_FRACTION = 1e-10   # a step below this fraction of t_end is a stall
+_MAX_STEPS = 50_000_000
+_UNIT_SPAN = np.linspace(0.0, 1.0, 64)   # stable_dt samples beta' at max(u) * these
 
 
 class InputValidationError(ValueError):
@@ -31,7 +37,7 @@ class InputValidationError(ValueError):
 
 
 class NumericalAbortError(RuntimeError):
-    """The time loop could not continue (repeated step rejections)."""
+    """The time loop could not continue (rejected steps, non-finite values, a stall)."""
 
 
 @dataclass
@@ -52,6 +58,8 @@ class ModelFunctions:
     name: str = "custom"
 
     def __post_init__(self):
+        if not math.isfinite(self.eta):
+            raise ValueError("eta must be finite")
         s = np.linspace(0.0, 1.0, 1001)
         b = np.asarray(self.beta(s), dtype=float)
         if abs(b[0]) > 1e-14:
@@ -83,7 +91,7 @@ class ModelFunctions:
 
 def porous_medium_model(gamma: float, eta: float = 0.0) -> ModelFunctions:
     """beta(u) = u^gamma with the volume-filling g(u) = u(1-u)."""
-    if gamma < 1:
+    if not gamma >= 1:
         raise ValueError("gamma must be >= 1")
     if gamma == 1:
         return linear_model(eta=eta)
@@ -91,11 +99,7 @@ def porous_medium_model(gamma: float, eta: float = 0.0) -> ModelFunctions:
         beta=lambda u: np.abs(u) ** gamma * np.sign(u),
         beta_prime=lambda u: gamma * np.abs(u) ** (gamma - 1.0),
         phi=lambda u: np.abs(u) ** (gamma + 1.0) / (gamma + 1.0),
-        g=volume_filling_g,
-        L_g=1.0,
-        eta=eta,
-        name=f"power(gamma={gamma})",
-    )
+        g=volume_filling_g, eta=eta, name=f"power(gamma={gamma})")
 
 
 def linear_model(eta: float = 0.0) -> ModelFunctions:
@@ -103,16 +107,13 @@ def linear_model(eta: float = 0.0) -> ModelFunctions:
         beta=lambda u: np.asarray(u, dtype=float),
         beta_prime=lambda u: np.ones_like(np.asarray(u, dtype=float)),
         phi=lambda u: 0.5 * np.asarray(u, dtype=float) ** 2,
-        g=volume_filling_g,
-        L_g=1.0,
-        eta=eta,
-        name="linear",
-    )
+        g=volume_filling_g, eta=eta, name="linear")
 
 
 def volume_filling_g(s: np.ndarray) -> np.ndarray:
+    # s(1 - s) is positive exactly on (0, 1)
     s = np.asarray(s, dtype=float)
-    return np.where((s > 0.0) & (s < 1.0), s * (1.0 - s), 0.0)
+    return np.maximum(s * (1.0 - s), 0.0)
 
 
 def linear_saturating_g(s: np.ndarray) -> np.ndarray:
@@ -138,9 +139,13 @@ class ChemicalSpec:
         a = np.asarray(self.sensitivities, dtype=float)
         if d.shape != a.shape:
             raise ValueError("diffusivities and sensitivities length mismatch")
+        if d.size == 0:
+            raise ValueError("need at least one chemical")
+        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(a))):
+            raise ValueError("diffusivities and sensitivities must be finite")
         if np.any(d <= 0):
             raise ValueError("diffusivities must be positive")
-        if not (self.xi == 0.0 or 0.0 < self.xi <= 1.0):
+        if not (self.xi == 0.0 or 0.0 < self.xi <= 1.0):   # also rejects NaN
             raise ValueError("xi must be 0 or in (0, 1]")
 
 
@@ -148,13 +153,16 @@ class ChemicalSpec:
 class RunConfig:
     grid: Grid
     t_end: float
-    dt: Optional[float] = None        # None = automatic CFL step
-    snapshot_every: float = 0.05
+    dt: Optional[float] = None              # None = automatic CFL step
+    snapshot_every: Optional[float] = None  # None = min(0.05, t_end)
     cfl_safety: float = 0.4
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        if not (math.isfinite(self.t_end) and self.t_end > 0):
+            raise ValueError("t_end must be positive and finite")
+        if self.snapshot_every is None:
+            self.snapshot_every = min(0.05, self.t_end)
+        # the range checks below also reject NaN and infinity
         if self.dt is not None and not (0 < self.dt <= self.t_end):
             raise ValueError("dt must lie in (0, t_end]")
         if not (0 < self.snapshot_every <= self.t_end):
@@ -173,12 +181,14 @@ class Diagnostics:
     grad_beta_accum: list = dc_field(default_factory=list)
     drift_accum: list = dc_field(default_factory=list)
 
+    def append(self, *row):
+        """Add one row, values in column order."""
+        for column, value in zip(vars(self).values(), row):
+            column.append(value)
+
     def to_csv(self) -> str:
-        lines = ["time,mass,min_u,max_u,phi,grad_beta_accum,drift_accum"]
-        for row in zip(self.times, self.mass, self.min_u, self.max_u,
-                       self.phi, self.grad_beta_accum, self.drift_accum):
-            lines.append(",".join(f"{v:.17g}" for v in row))
-        return "\n".join(lines) + "\n"
+        rows = [",".join(f"{v:.17g}" for v in row) for row in zip(*vars(self).values())]
+        return "\n".join(["time,mass,min_u,max_u,phi,grad_beta_accum,drift_accum"] + rows) + "\n"
 
 
 @dataclass
@@ -189,97 +199,127 @@ class SolverState:
     diagnostics: Diagnostics
 
 
-# --- drift velocities ----------------------------------------------------
+# --- the plan -------------------------------------------------------------
 
-def drift_velocity_nonlocal(u: Field, W: PeriodizedKernel) -> list:
-    """grad(W*u) on the grid.
+@dataclass
+class StepPlan:
+    """What every step of a run reuses, built once per run by :meth:`build`.
 
-    Differentiating the convolution and convolving the differentiated kernel
-    are the same discrete linear operation; both are computed and compared
-    to guard against kernel/grid mixups.
+    ``symbols`` are real-FFT multipliers: h^N rfft(W) (nonlocal), the combined
+    sum_j a_j / (1 + d_j|k|^2) (parabolic-elliptic), or one 1 / (1 + d_j|k|^2)
+    per chemical (parabolic-parabolic, whose chemicals stay in Fourier space).
     """
-    conv = periodic_convolve(W.field, u)
-    vel = gradient(conv)
-    for i, gw in enumerate(gradient(W.field)):
-        alt = periodic_convolve(gw, u)
-        scale = max(float(np.abs(vel[i].values).max()), 1.0)
-        if float(np.abs(alt.values - vel[i].values).max()) > 1e-10 * scale:
-            raise AssertionError("convolution/differentiation routes disagree")
-    return vel
+
+    grid: Grid
+    model: ModelFunctions
+    symbols: list
+    sensitivities: list    # a_j of the relaxed chemicals, empty otherwise
+    xi: float              # relaxation time, 0 unless relaxed
+    ahead: np.ndarray      # index i + 1 (mod n) along one axis
+    behind: np.ndarray     # index i - 1 (mod n)
+
+    @classmethod
+    def build(cls, model: ModelFunctions, chem, grid: Grid) -> "StepPlan":
+        """``chem`` is a PeriodizedKernel or a ChemicalSpec, as for :func:`run`."""
+        sensitivities, xi = [], 0.0
+        if isinstance(chem, PeriodizedKernel):
+            if chem.field.grid != grid:
+                raise GridMismatchError("kernel and initial datum on different grids")
+            symbols = [grid.cell_volume * np.fft.rfftn(chem.field.values)]
+        else:
+            half = (Ellipsis, slice(0, grid.n // 2 + 1))   # rfft half of the lattice
+            symbols = [_multiplier(float(d), grid)[half] for d in chem.diffusivities]
+            if chem.xi > 0:
+                sensitivities, xi = [float(a) for a in chem.sensitivities], float(chem.xi)
+            else:
+                symbols = [sum(float(a) * s for a, s in zip(chem.sensitivities, symbols))]
+        idx = np.arange(grid.n)
+        return cls(grid, model, symbols, sensitivities, xi, np.roll(idx, -1), np.roll(idx, 1))
+
+    @property
+    def relaxed(self) -> bool:
+        return self.xi > 0.0
+
+    # in 1D the plain transforms skip the n-dimensional wrappers' overhead
+    def rfft(self, a: np.ndarray) -> np.ndarray:
+        return np.fft.rfft(a) if self.grid.dim == 1 else np.fft.rfftn(a)
+
+    def irfft(self, a_hat: np.ndarray) -> np.ndarray:
+        if self.grid.dim == 1:
+            return np.fft.irfft(a_hat, self.grid.n)
+        return np.fft.irfftn(a_hat, self.grid.shape, tuple(range(self.grid.dim)))
+
+    def shift(self, a: np.ndarray, ax: int, step: int) -> np.ndarray:
+        """a[i + step] along axis ``ax`` with periodic wrap, step = 1 or -1."""
+        if ax == 0:   # a gather is the cheapest copy along the leading axis only
+            return a.take(self.ahead if step == 1 else self.behind, axis=0)
+        k, lead = step % self.grid.n, (slice(None),) * ax
+        return np.concatenate((a[lead + (slice(k, None),)], a[lead + (slice(0, k),)]), axis=ax)
+
+    def gradient(self, a: np.ndarray) -> list:
+        """Centered second-order periodic differences, one array per axis."""
+        two_h = 2.0 * self.grid.h
+        return [(self.shift(a, ax, 1) - self.shift(a, ax, -1)) / two_h for ax in range(a.ndim)]
 
 
-def drift_velocity_chemo(v: list, a: list) -> list:
-    if not v:
-        raise ValueError("need at least one chemical field")
-    if len(v) != len(a):
-        raise ValueError("chemical fields and sensitivities length mismatch")
-    total = np.zeros(v[0].grid.shape)
-    for vj, aj in zip(v, a):
-        if vj.grid != v[0].grid:
-            raise GridMismatchError("chemical fields on different grids")
-        total += float(aj) * vj.values
-    return gradient(Field(v[0].grid, total))
+# --- drift and single updates ---------------------------------------------
+
+def drift_velocity_chemo(plan: StepPlan, u_hat: np.ndarray, v_hat: Optional[list] = None) -> list:
+    """Drift velocity grad c, one array per axis, in all three systems.
+
+    c is W*u or sum_j a_j w_j*u, from ``u_hat`` = rfft(u), or in the relaxed
+    system sum_j a_j v_j, from the chemicals ``v_hat``.
+    """
+    if plan.relaxed:
+        c_hat = sum(a * vh for a, vh in zip(plan.sensitivities, v_hat))
+    else:
+        c_hat = plan.symbols[0] * u_hat
+    return plan.gradient(plan.irfft(c_hat))
 
 
-# --- single updates ------------------------------------------------------
-
-def step_u(u: Field, velocity: list, model: ModelFunctions, dt: float) -> Field:
-    """One conservative explicit update of the density field."""
-    grid = u.grid
-    h = grid.h
-    vals = u.values
-    beta_vals = model.beta_eff(vals)
-    flux_div = np.zeros(grid.shape)
-    for ax in range(grid.dim):
-        v_face = 0.5 * (velocity[ax].values + np.roll(velocity[ax].values, -1, axis=ax))
-        u_right = np.roll(vals, -1, axis=ax)
-        u_up = np.where(v_face > 0.0, vals, u_right)
+def step_u(plan: StepPlan, u: np.ndarray, velocity: list, dt: float) -> np.ndarray:
+    """One conservative explicit update of the density values."""
+    model, h = plan.model, plan.grid.h
+    beta_vals = model.beta_eff(u)
+    flux_div = 0.0
+    for ax, vel in enumerate(velocity):
+        v_face = 0.5 * (vel + plan.shift(vel, ax, 1))
+        u_up = np.where(v_face > 0.0, u, plan.shift(u, ax, 1))
         flux = model.g(u_up) * v_face
-        flux -= (np.roll(beta_vals, -1, axis=ax) - beta_vals) / h
-        flux_div += (flux - np.roll(flux, 1, axis=ax)) / h
-    return Field(grid, vals - dt * flux_div)
+        flux -= (plan.shift(beta_vals, ax, 1) - beta_vals) / h
+        flux_div = flux_div + (flux - plan.shift(flux, ax, -1)) / h
+    return u - dt * flux_div
 
 
-def step_v_parabolic(v_old: Field, u: Field, d: float, xi: float, dt: float) -> Field:
-    """Backward-Euler spectral update of one chemical field."""
-    if xi <= 0:
+def step_v_parabolic(plan: StepPlan, v_hat: list, u_hat: np.ndarray, dt: float) -> list:
+    """Backward-Euler step of the relaxed chemicals in real-FFT space:
+    (I + lam(-d_j Lap + I)) v_new = v_old + lam u with lam = dt/xi."""
+    if not plan.relaxed:
         raise ValueError("xi must be positive for the relaxed chemical step")
-    lam = dt / xi
-    sym = _multiplier(d, u.grid)          # 1/(1 + d|xi_k|^2)
-    # (I + lam(-d Lap + I)) v_new = v_old + lam u  ->  divide by 1 + lam/sym
-    rhs = np.fft.fftn(v_old.values) + lam * np.fft.fftn(u.values)
-    v_new = np.fft.ifftn(rhs / (1.0 + lam / sym)).real
-    return Field(u.grid, v_new)
+    lam = dt / plan.xi
+    source = lam * u_hat
+    return [(vh + source) / (1.0 + lam / s) for vh, s in zip(v_hat, plan.symbols)]
 
 
-def stable_dt(u: Field, velocity: list, model: ModelFunctions, cfl_safety: float) -> float:
-    grid = u.grid
-    h = grid.h
-    N = grid.dim
-    tiny = 1e-300
-    span = np.clip(u.values, 0.0, 1.0)
-    max_bp = float(model.beta_prime_eff(np.linspace(0.0, float(span.max()) or 1.0, 64)).max())
-    max_vel = max(float(np.abs(v.values).max()) for v in velocity)
-    dt_diff = h * h / (2.0 * N * max_bp + tiny)
-    dt_adv = h / (2.0 * N * max_vel + tiny)
+def stable_dt(plan: StepPlan, u: np.ndarray, velocity: list, cfl_safety: float) -> float:
+    h, N = plan.grid.h, plan.grid.dim
+    top = min(max(float(u.max()), 0.0), 1.0) or 1.0
+    max_bp = float(plan.model.beta_prime_eff(top * _UNIT_SPAN).max())
+    speeds = [float(np.abs(v).max()) for v in velocity]
+    if not math.isfinite(sum(speeds)):   # the sum keeps a NaN that max() may drop
+        raise NumericalAbortError("non-finite drift velocity")
+    dt_diff = h * h / (2.0 * N * max_bp + 1e-300)
+    dt_adv = h / (2.0 * N * max(speeds) + 1e-300)
     return cfl_safety * min(dt_diff, dt_adv)
 
 
 # --- the time loop -------------------------------------------------------
 
-def _validate_u0(u0: Field):
-    if float(u0.values.min()) < 0.0 or float(u0.values.max()) > 1.0:
-        raise InputValidationError("initial density must satisfy 0 <= u_0 <= 1")
-
-
 def _snapshot_times(config: RunConfig) -> np.ndarray:
-    k = int(math.floor(config.t_end / config.snapshot_every + 1e-12))
-    times = [i * config.snapshot_every for i in range(k + 1)]
-    if times[-1] < config.t_end - 1e-12 * config.t_end:
-        times.append(config.t_end)
-    else:
-        times[-1] = config.t_end
-    return np.array(times)
+    every, t_end = config.snapshot_every, config.t_end
+    k = int(math.floor(t_end / every + 1e-12))
+    return np.array([i * every for i in range(k + 1) if i * every < t_end - 1e-12 * t_end]
+                    + [t_end])
 
 
 def run(model: ModelFunctions, chem, u0: Field, config: RunConfig,
@@ -287,133 +327,90 @@ def run(model: ModelFunctions, chem, u0: Field, config: RunConfig,
     """Advance one of the three systems and collect snapshots + diagnostics.
 
     ``chem`` is either a PeriodizedKernel (nonlocal drift) or a ChemicalSpec
-    (parabolic-elliptic for xi = 0, parabolic-parabolic otherwise).
+    (parabolic-elliptic for xi = 0, parabolic-parabolic otherwise).  ``v0``
+    sets the relaxed chemicals at t = 0 (default: equilibrium w_j * u_0).
     Returns (SpaceTimeSeries, SolverState).
     """
-    _validate_u0(u0)
-    grid = u0.grid
-    nonlocal_mode = isinstance(chem, PeriodizedKernel)
-    if nonlocal_mode:
-        if chem.field.grid != grid:
-            raise GridMismatchError("kernel and initial datum on different grids")
-        v = []
-    else:
-        if chem.xi > 0:
-            if v0 is not None:
-                v = [f.copy() for f in v0]
-            else:
-                # default chemical datum: equilibrium w_j * u_0
-                v = [elliptic_solve(d, u0) for d in chem.diffusivities]
-        else:
-            v = [elliptic_solve(d, u0) for d in chem.diffusivities]
+    if float(u0.values.min()) < 0.0 or float(u0.values.max()) > 1.0:
+        raise InputValidationError("initial density must satisfy 0 <= u_0 <= 1")
+    grid, t_end, cv = u0.grid, config.t_end, u0.grid.cell_volume
+    plan = StepPlan.build(model, chem, grid)
+    u = u0.values.copy()
+    v_hat = velocity = None
+    if plan.relaxed:
+        if v0 is not None and (len(v0) != len(plan.symbols) or any(f.grid != grid for f in v0)):
+            raise GridMismatchError("v0 needs one field per chemical, on the grid of u0")
+        u_hat = plan.rfft(u)
+        v_hat = ([s * u_hat for s in plan.symbols] if v0 is None
+                 else [plan.rfft(f.values) for f in v0])
+        velocity = drift_velocity_chemo(plan, u_hat, v_hat)
 
-    u = u0.copy()
-    t = 0.0
-    mass0 = u.integral()
+    t = grad_beta_accum = drift_accum = 0.0
+    mass0 = float(u.sum()) * cv
     diag = Diagnostics()
-    grad_beta_accum = 0.0
-    drift_accum = 0.0
-
+    diag.append(t, mass0, float(u.min()), float(u.max()), float(model.phi_eff(u).sum()) * cv,
+                0.0, 0.0)
     snap_times = _snapshot_times(config)
-    snapshots: list = []
-    next_snap = 0
-
-    def record_diag(time, u_field):
-        diag.times.append(time)
-        diag.mass.append(u_field.integral())
-        diag.min_u.append(float(u_field.values.min()))
-        diag.max_u.append(float(u_field.values.max()))
-        diag.phi.append(float(model.phi_eff(u_field.values).sum()) * grid.cell_volume)
-        diag.grad_beta_accum.append(grad_beta_accum)
-        diag.drift_accum.append(drift_accum)
-
-    def velocity_of(u_field, v_fields):
-        if nonlocal_mode:
-            conv = periodic_convolve(chem.field, u_field)
-            return gradient(conv)
-        return drift_velocity_chemo(v_fields, chem.sensitivities)
-
-    velocity = velocity_of(u, v)
-    record_diag(0.0, u)
-
-    # t = 0 snapshot
-    snapshots.append(u.copy())
+    snapshots = [Field(grid, u.copy())]
     next_snap = 1
-
-    prev_t, prev_u = t, u
-    max_steps = 50_000_000
-    steps = 0
-    while t < config.t_end - 1e-14 * config.t_end:
-        steps += 1
-        if steps > max_steps:
+    while t < t_end - 1e-14 * t_end:
+        if len(diag.times) > _MAX_STEPS:   # one row per step taken, plus t = 0
             raise NumericalAbortError("step budget exhausted")
-
-        relaxed = not nonlocal_mode and chem.xi > 0
-        if not relaxed:
-            # chemical layer (if any) is slaved to the current density
-            if not nonlocal_mode:
-                v = [elliptic_solve(d, u) for d in chem.diffusivities]
-            velocity = velocity_of(u, v)
-
-        if config.dt is not None:
-            dt = config.dt
-        else:
-            dt = stable_dt(u, velocity, model, config.cfl_safety)
-        dt = min(dt, config.t_end - t)
-
-        accepted = False
+        u_hat = plan.rfft(u)
+        if not plan.relaxed:   # the chemical layer (if any) is slaved to u
+            velocity = drift_velocity_chemo(plan, u_hat)
+        dt = config.dt if config.dt is not None else stable_dt(plan, u, velocity, config.cfl_safety)
+        if dt < _MIN_DT_FRACTION * t_end:
+            raise NumericalAbortError(f"time step collapsed to {dt:.3g} at t={t:.6g}")
+        dt = min(dt, t_end - t)
         for _ in range(_MAX_DT_HALVINGS):
-            if relaxed:
-                v_new = [step_v_parabolic(vj, u, d, chem.xi, dt)
-                         for vj, d in zip(v, chem.diffusivities)]
-                vel_new = drift_velocity_chemo(v_new, chem.sensitivities)
-            else:
-                v_new = v
-                vel_new = velocity
-            u_new = step_u(u, vel_new, model, dt)
-            if (float(u_new.values.min()) >= -_BOUND_SLACK
-                    and float(u_new.values.max()) <= 1.0 + _BOUND_SLACK):
-                accepted = True
+            v_hat_new, vel_new = v_hat, velocity
+            if plan.relaxed:
+                v_hat_new = step_v_parabolic(plan, v_hat, u_hat, dt)
+                vel_new = drift_velocity_chemo(plan, u_hat, v_hat_new)
+            u_new = step_u(plan, u, vel_new, dt)
+            lo, hi = float(u_new.min()), float(u_new.max())
+            if lo >= -_BOUND_SLACK and hi <= 1.0 + _BOUND_SLACK:
                 break
+            if not (math.isfinite(lo) and math.isfinite(hi)):   # NaN fails both bounds
+                raise NumericalAbortError(f"non-finite density at t={t:.6g}")
             dt *= 0.5
-        if not accepted:
+        else:
             raise NumericalAbortError(
                 f"step at t={t:.6g} rejected after {_MAX_DT_HALVINGS} dt halvings")
+        if t + dt == t:
+            raise NumericalAbortError(f"time stalled at t={t:.6g} with step {dt:.3g}")
 
         # energy bookkeeping on the pre-step state
-        gb = gradient(Field(grid, model.beta_eff(u.values)))
-        grad_beta_accum += sum(inner_l2(c, c) for c in gb) * dt
-        gvals = model.g(u.values)
-        drift_accum += sum(
-            float(((gvals * c.values) ** 2).sum()) * grid.cell_volume for c in vel_new) * dt
+        grad_beta_accum += sum(float((c * c).sum()) * cv
+                               for c in plan.gradient(model.beta_eff(u))) * dt
+        g_vals = model.g(u)
+        drift_accum += sum(float(((g_vals * c) ** 2).sum()) * cv for c in vel_new) * dt
 
         prev_t, prev_u = t, u
         t += dt
-        u, v, velocity = u_new, v_new, vel_new
-
-        mass = u.integral()
+        u, v_hat, velocity = u_new, v_hat_new, vel_new
+        mass = float(u.sum()) * cv
         if abs(mass - mass0) > _MASS_TOL * max(abs(mass0), 1.0):
             raise NumericalAbortError("mass conservation lost")
-        record_diag(t, u)
+        diag.append(t, mass, lo, hi, float(model.phi_eff(u).sum()) * cv,
+                    grad_beta_accum, drift_accum)
 
         # emit snapshots crossed by this step (linear interpolation in time)
         while next_snap < len(snap_times) and snap_times[next_snap] <= t + 1e-14:
-            ts = snap_times[next_snap]
-            if t - prev_t > 0 and ts < t:
-                theta = (ts - prev_t) / (t - prev_t)
-                interp = Field(grid, (1 - theta) * prev_u.values + theta * u.values)
-            else:
-                interp = u.copy()
-            snapshots.append(interp)
+            theta = min((snap_times[next_snap] - prev_t) / (t - prev_t), 1.0)
+            snapshots.append(Field(grid, (1 - theta) * prev_u + theta * u))
             next_snap += 1
 
-    while next_snap < len(snap_times):
-        snapshots.append(u.copy())
-        next_snap += 1
-
-    series = SpaceTimeSeries(grid=grid, times=snap_times.tolist(), snapshots=snapshots)
-    state = SolverState(time=t, u=u, v=v, diagnostics=diag)
-    return series, state
+    snapshots += [Field(grid, u.copy()) for _ in snap_times[next_snap:]]
+    u_final = Field(grid, u)
+    if plan.relaxed:
+        v = [Field(grid, plan.irfft(vh)) for vh in v_hat]
+    else:   # the equilibrium chemicals of the final density, none for a kernel
+        v = ([] if isinstance(chem, PeriodizedKernel)
+             else [elliptic_solve(d, u_final) for d in chem.diffusivities])
+    return (SpaceTimeSeries(grid=grid, times=snap_times.tolist(), snapshots=snapshots),
+            SolverState(time=t, u=u_final, v=v, diagnostics=diag))
 
 
 def young_drift_bound_holds(u: Field, W: PeriodizedKernel, slack: float = 1e-8) -> bool:

@@ -1,5 +1,7 @@
 import math
 import os
+import re
+import time
 
 import numpy as np
 import pytest
@@ -161,6 +163,47 @@ def test_shipped_configs_parse():
         cfgmod.build_run_config(cfg, grid)
 
 
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+
+
+def readme_key_table():
+    """{key: (default, backticked names in the meaning column)} from the README."""
+    rows = {}
+    with open(README) as f:
+        for line in f:
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) == 3 and cells[0].startswith("`"):
+                rows[cells[0].strip("`")] = (cells[1].strip("`"),
+                                             set(re.findall(r"`([^`]+)`", cells[2])))
+    return rows
+
+
+def test_readme_key_table_matches_config():
+    rows = readme_key_table()
+    assert set(rows) == set(cfgmod._DEFAULTS)
+    for key, (default, names) in rows.items():
+        assert default == cfgmod._DEFAULTS[key], key
+        if key in cfgmod._CHOICES:
+            assert names == set(cfgmod._CHOICES[key]), key
+        else:   # other names are keys, or the "auto" of the two optional steps
+            assert names <= set(cfgmod._DEFAULTS) | {"auto"}, key
+
+
+@pytest.mark.parametrize("key", sorted(cfgmod._CHOICES))
+def test_every_enumerated_value_builds(key):
+    def build(value):
+        cfg = base_cfg(**{"grid.n": "16", "kernel.type": "adhesion", key: value})
+        grid = cfgmod.build_grid(cfg)
+        cfgmod.build_model(cfg)
+        cfgmod.build_kernel(cfg, grid)
+        cfgmod.build_initial_datum(cfg, grid)
+
+    for value in cfgmod._CHOICES[key]:
+        build(value)
+    with pytest.raises(cfgmod.ConfigError):
+        build("no_such_value")
+
+
 # --- CLI ------------------------------------------------------------------
 
 def test_cli_selftest_passes():
@@ -218,3 +261,46 @@ def test_cli_fit_kernel_requires_kernel(tmp_path):
 
 def test_cli_missing_config_file(tmp_path):
     assert main(["run", str(tmp_path / "nope.cfg"), "-o", str(tmp_path)]) == 1
+
+
+# --- CLI exit classes of bad input -------------------------------------------
+
+def run_cli(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return main(["run", str(cfg), "-o", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("setting", [
+    "chem.d = nan", "chem.d = inf", "chem.a = nan", "chem.a = -inf", "chem.xi = nan",
+    "run.t_end = nan", "run.t_end = inf", "run.dt = nan", "run.snapshot_every = nan",
+    "kernel.type = gaussian\nkernel.scale = nan", "model.eta = nan", "model.gamma = nan",
+])
+def test_cli_rejects_non_finite_parameter(tmp_path, setting):
+    assert run_cli(tmp_path, f"grid.n = 32\nrun.t_end = 0.01\n{setting}\n") == 1
+
+
+def test_cli_drift_overflow_is_numerical_abort(tmp_path, capsys):
+    # finite, but a * rfft(u) overflows inside the loop
+    assert run_cli(tmp_path, "grid.n = 32\nrun.t_end = 0.01\nchem.a = 1e308\n") == 2
+    assert "non-finite drift velocity" in capsys.readouterr().err
+
+
+def test_cli_collapsing_time_step_aborts_quickly(tmp_path, capsys):
+    t0 = time.perf_counter()
+    code = run_cli(tmp_path, "kernel.type = gaussian\nkernel.scale = -1e300\n"
+                             "run.t_end = 0.01\n")
+    assert code == 2 and time.perf_counter() - t0 < 5.0
+    assert "time step collapsed" in capsys.readouterr().err
+
+
+def test_cli_default_snapshot_interval_clamps_to_t_end(tmp_path):
+    assert run_cli(tmp_path, "grid.n = 32\nrun.t_end = 0.01\n") == 0
+    times = (tmp_path / "out" / "times.csv").read_text().splitlines()[1:]
+    assert [float(line.split(",")[1]) for line in times] == [0.0, 0.01]
+
+
+def test_cli_explicit_snapshot_interval_out_of_range(tmp_path, capsys):
+    text = "grid.n = 32\nrun.t_end = 0.01\nrun.snapshot_every = 0.05\n"
+    assert run_cli(tmp_path, text) == 1
+    assert "snapshot_every" in capsys.readouterr().err

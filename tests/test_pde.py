@@ -3,17 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from greenks.domain import Field, Grid, norm_l2
+from greenks import pde
+from greenks.domain import Field, Grid, gradient, norm_l2
 from greenks.greens import GreensBasis, elliptic_solve
 from greenks.harness import compare_runs
 from greenks.kernel import PeriodizedKernel, adhesion_potential, periodize
 from greenks.pde import (ChemicalSpec, InputValidationError, ModelFunctions,
-                         RunConfig, drift_velocity_chemo, drift_velocity_nonlocal,
+                         NumericalAbortError, RunConfig, StepPlan, drift_velocity_chemo,
                          linear_model, porous_medium_model, run, step_u,
                          step_v_parabolic, volume_filling_g,
                          young_drift_bound_holds)
 
 ONES = lambda r: np.ones_like(np.asarray(r, dtype=float))
+rfft = np.fft.rfftn
+
+
+def plan_for(g, chem=None, model=None):
+    chem = ChemicalSpec([1.0], [1.0], 0.0) if chem is None else chem
+    return StepPlan.build(model or porous_medium_model(2.0), chem, g)
+
+
+def nonlocal_drift(u, W):
+    return drift_velocity_chemo(plan_for(u.grid, W), rfft(u.values))
 
 
 def bump(grid, amp=0.8, width=0.4):
@@ -77,16 +88,16 @@ def test_chemical_spec_validation():
 def test_nonlocal_drift_vanishes_for_constant_density():
     g = Grid(1, 1.0, 64)
     W = periodize(adhesion_potential(ONES, 1), g)
-    for comp in drift_velocity_nonlocal(Field.constant(g, 0.4), W):
-        assert np.abs(comp.values).max() < 1e-12
+    for comp in nonlocal_drift(Field.constant(g, 0.4), W):
+        assert np.abs(comp).max() < 1e-12
 
 
 def test_nonlocal_drift_vanishes_for_zero_kernel():
     g = Grid(1, 1.0, 64)
     zero = Field.constant(g, 0.0)
     W = PeriodizedKernel(field=zero, gradient=[zero.copy()], truncation_radius_cells=0)
-    vel = drift_velocity_nonlocal(bump(g), W)
-    assert np.abs(vel[0].values).max() == 0.0
+    vel = nonlocal_drift(bump(g), W)
+    assert np.abs(vel[0]).max() == 0.0
 
 
 def test_nonlocal_drift_single_mode():
@@ -97,33 +108,50 @@ def test_nonlocal_drift_single_mode():
     x = g.axis_centers()
     w = math.pi / g.half_length
     u = Field(g, np.cos(w * x))
-    vel = drift_velocity_nonlocal(u, W)[0]
+    vel = nonlocal_drift(u, W)[0]
     factor = 1.0 / (1.0 + d * w * w)
     # exact discrete value uses the centered-difference symbol
     discrete = -np.sin(w * x) * math.sin(w * g.h) / g.h * factor
-    assert np.abs(vel.values - discrete).max() < 1e-13
+    assert np.abs(vel - discrete).max() < 1e-13
     # continuum formula -(pi/L) sin(pi x/L) / (1 + d pi^2/L^2) up to O(h^2)
     continuum = -w * np.sin(w * x) * factor
-    assert np.abs(vel.values - continuum).max() < 1e-3
+    assert np.abs(vel - continuum).max() < 1e-3
 
 
 def test_chemo_drift_trivial_cases():
     g = Grid(1, 1.0, 32)
+
+    def drift(vs, a):
+        plan = plan_for(g, ChemicalSpec([1.0 + j for j in range(len(a))], a, 0.5))
+        return drift_velocity_chemo(plan, None, [rfft(v.values) for v in vs])[0]
+
     v1 = Field.constant(g, 2.0)
-    assert np.abs(drift_velocity_chemo([v1], [1.0])[0].values).max() == 0.0
+    assert np.abs(drift([v1], [1.0])).max() == 0.0
     rng = np.random.default_rng(0)
     v2 = Field(g, rng.random(g.shape))
-    assert np.abs(drift_velocity_chemo([v2], [0.0])[0].values).max() == 0.0
-    cancel = drift_velocity_chemo([v2, -2.0 * v2], [1.0, 0.5])[0]
-    assert np.abs(cancel.values).max() < 1e-13
+    assert np.abs(drift([v2], [0.0])).max() == 0.0
+    cancel = drift([v2, -2.0 * v2], [1.0, 0.5])
+    assert np.abs(cancel).max() < 1e-13
 
 
 def test_chemo_drift_validation():
     g = Grid(1, 1.0, 32)
     with pytest.raises(ValueError):
-        drift_velocity_chemo([], [])
+        plan_for(g, ChemicalSpec([], []))
     with pytest.raises(ValueError):
-        drift_velocity_chemo([Field.constant(g, 1.0)], [1.0, 2.0])
+        plan_for(g, ChemicalSpec([1.0], [1.0, 2.0]))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_plan_shift_and_gradient_match_roll(dim):
+    g = Grid(dim, 1.0, 8)
+    plan = plan_for(g)
+    a = np.random.default_rng(dim).random(g.shape)
+    for ax in range(dim):
+        assert np.array_equal(plan.shift(a, ax, 1), np.roll(a, -1, axis=ax))
+        assert np.array_equal(plan.shift(a, ax, -1), np.roll(a, 1, axis=ax))
+    for mine, ref in zip(plan.gradient(a), gradient(Field(g, a))):
+        assert np.array_equal(mine, ref.values)
 
 
 # --- single updates -------------------------------------------------------
@@ -131,47 +159,52 @@ def test_chemo_drift_validation():
 def test_step_u_heat_mode_decay():
     # beta = id, no drift: u_new = u + dt Lap_h u with the 3-point stencil
     g = Grid(1, 1.0, 8)
-    model = linear_model()
+    plan = plan_for(g, model=linear_model())
     x = g.axis_centers()
     w = math.pi / g.half_length
-    u = Field(g, 0.3 + 0.1 * np.cos(w * x))
-    zero_vel = [Field.constant(g, 0.0)]
+    u = 0.3 + 0.1 * np.cos(w * x)
+    zero_vel = [np.zeros(g.shape)]
     dt = 1e-3
-    out = step_u(u, zero_vel, model, dt)
+    out = step_u(plan, u, zero_vel, dt)
     lam = 4.0 * math.sin(w * g.h / 2.0) ** 2 / g.h ** 2
     expected = 0.3 + 0.1 * (1.0 - dt * lam) * np.cos(w * x)
-    assert np.abs(out.values - expected).max() < 1e-13
+    assert np.abs(out - expected).max() < 1e-13
 
 
 def test_step_u_is_conservative():
     g = Grid(2, 1.0, 16)
     rng = np.random.default_rng(3)
-    u = Field(g, rng.random(g.shape))
-    vel = [Field(g, rng.standard_normal(g.shape)) for _ in range(2)]
-    out = step_u(u, vel, porous_medium_model(2.0), 1e-4)
-    assert abs(out.integral() - u.integral()) < 1e-13 * abs(u.integral())
+    u = rng.random(g.shape)
+    vel = [rng.standard_normal(g.shape) for _ in range(2)]
+    out = step_u(plan_for(g), u, vel, 1e-4)
+    assert abs(out.sum() - u.sum()) < 1e-13 * abs(u.sum())
 
 
 def test_step_u_pure_phase_has_no_advection():
     # u in {0, 1}: g(u_upwind) = 0 on every face, so any velocity acts like none
     g = Grid(1, 1.0, 16)
-    vals = np.zeros(g.shape)
-    vals[4:9] = 1.0
-    u = Field(g, vals)
+    u = np.zeros(g.shape)
+    u[4:9] = 1.0
     rng = np.random.default_rng(1)
-    vel = [Field(g, rng.standard_normal(g.shape))]
-    zero = [Field.constant(g, 0.0)]
-    model = porous_medium_model(2.0)
-    with_vel = step_u(u, vel, model, 1e-4)
-    without = step_u(u, zero, model, 1e-4)
-    assert np.array_equal(with_vel.values, without.values)
+    vel = [rng.standard_normal(g.shape)]
+    zero = [np.zeros(g.shape)]
+    plan = plan_for(g)
+    with_vel = step_u(plan, u, vel, 1e-4)
+    without = step_u(plan, u, zero, 1e-4)
+    assert np.array_equal(with_vel, without)
+
+
+def relaxed_step(v_old, u, d, xi, dt):
+    plan = plan_for(u.grid, ChemicalSpec([d], [1.0], xi))
+    v_hat = step_v_parabolic(plan, [rfft(v_old.values)], rfft(u.values), dt)
+    return plan.irfft(v_hat[0])
 
 
 def test_step_v_equilibrium_constant():
     g = Grid(1, 1.0, 32)
     c = Field.constant(g, 0.7)
-    out = step_v_parabolic(c, c, d=1.0, xi=0.5, dt=1e-2)
-    assert np.abs(out.values - 0.7).max() < 1e-13
+    out = relaxed_step(c, c, d=1.0, xi=0.5, dt=1e-2)
+    assert np.abs(out - 0.7).max() < 1e-13
 
 
 def test_step_v_resolvent_limit():
@@ -179,9 +212,9 @@ def test_step_v_resolvent_limit():
     rng = np.random.default_rng(2)
     u = Field(g, rng.random(g.shape))
     v0 = Field.constant(g, 0.0)
-    out = step_v_parabolic(v0, u, d=0.8, xi=1e-8, dt=1.0)   # dt/xi = 1e8
+    out = relaxed_step(v0, u, d=0.8, xi=1e-8, dt=1.0)   # dt/xi = 1e8
     ref = elliptic_solve(0.8, u)
-    assert np.abs(out.values - ref.values).max() < 1e-6
+    assert np.abs(out - ref.values).max() < 1e-6
 
 
 def test_step_v_single_mode_amplification():
@@ -191,11 +224,11 @@ def test_step_v_single_mode_amplification():
     x = g.axis_centers()
     w = math.pi / g.half_length
     v0 = Field(g, np.cos(w * x))
-    out = step_v_parabolic(v0, Field.constant(g, 0.0), d, xi, dt)
+    out = relaxed_step(v0, Field.constant(g, 0.0), d, xi, dt)
     factor = 1.0 / (1.0 + lam * (1.0 + d * w * w))
-    assert np.abs(out.values - factor * v0.values).max() < 1e-14
+    assert np.abs(out - factor * v0.values).max() < 1e-14
     with pytest.raises(ValueError):
-        step_v_parabolic(v0, v0, d, 0.0, dt)
+        step_v_parabolic(plan_for(g), [rfft(v0.values)], rfft(v0.values), dt)
 
 
 # --- the time loop --------------------------------------------------------
@@ -285,6 +318,31 @@ def test_energy_diagnostic_inequality():
     assert d.grad_beta_accum[-1] <= 2.0 * phi0 + d.drift_accum[-1] + 0.05
 
 
+@pytest.mark.parametrize("dt, message", [(None, "non-finite drift velocity"),
+                                         (1e-4, "non-finite density")])
+def test_non_finite_values_abort(dt, message):
+    # a finite but huge sensitivity overflows the chemical potential; with a
+    # fixed dt the NaN reaches u, where it fails both bound comparisons
+    g = Grid(1, 1.0, 32)
+    with pytest.raises(NumericalAbortError, match=message):
+        run(porous_medium_model(2.0), ChemicalSpec([1.0], [1e308], 0.0), bump(g),
+            RunConfig(g, t_end=0.01, dt=dt))
+
+
+def test_collapsed_and_stalled_steps_abort(monkeypatch):
+    g = Grid(1, 1.0, 32)
+    proposals = iter([1e-3] + [1e-20] * 3)
+    monkeypatch.setattr(pde, "stable_dt", lambda *args: next(proposals))
+    chem, cfg = ChemicalSpec([1.0], [1.0], 0.0), RunConfig(g, t_end=0.01)
+    with pytest.raises(NumericalAbortError, match="time step collapsed"):
+        run(linear_model(), chem, bump(g), cfg)
+    # without the floor, t + dt == t still stops the loop
+    proposals = iter([1e-3] + [1e-20] * 3)
+    monkeypatch.setattr(pde, "_MIN_DT_FRACTION", 0.0)
+    with pytest.raises(NumericalAbortError, match="time stalled"):
+        run(linear_model(), chem, bump(g), cfg)
+
+
 def test_young_drift_bound():
     g = Grid(1, 1.0, 64)
     W = periodize(adhesion_potential(ONES, 1), g)
@@ -301,3 +359,54 @@ def test_parabolic_run_with_explicit_v0():
                         bump(g), cfg, v0=v0)
     assert len(state.v) == 1
     assert series.times[-1] == pytest.approx(0.02)
+
+
+# --- pinned outputs -------------------------------------------------------
+# Final diagnostics of four short runs, generated with the Field-based
+# stepper that the plan-based one replaced.  Step counts must match exactly;
+# everything else may move only by floating-point rounding.
+
+PINNED = {
+    "nonlocal-1d": dict(steps=261, mass=0.4399920806349536, phi=0.01486183400374037,
+                        grad_beta_accum=0.01852877984644705,
+                        drift_accum=0.0002569937558694592,
+                        min_u=0.09334990228508486, max_u=0.42654684400679865),
+    "pe-1d": dict(steps=259, mass=0.43999208063495354, phi=0.014336666869023358,
+                  grad_beta_accum=0.01806615431257979, drift_accum=3.5771485183742494e-05,
+                  min_u=0.0987471054147169, max_u=0.4195483321064778),
+    "pp-1d": dict(steps=259, mass=0.43999208063495354, phi=0.014349183500103033,
+                  grad_beta_accum=0.018084170637401028, drift_accum=3.888971859609122e-05,
+                  min_u=0.09871378246454074, max_u=0.41976932119019567),
+    "pe-2d": dict(steps=26, mass=0.48976606773579534, phi=0.003775962375852312,
+                  grad_beta_accum=0.00505433248297836, drift_accum=1.7332595195331916e-06,
+                  min_u=0.09986096258558151, max_u=0.2903137826853938),
+}
+
+
+def _pinned_case(name):
+    if name == "pe-2d":
+        return ChemicalSpec([0.5, 2.0], [1.0, -0.5], 0.0), Grid(2, 1.0, 16)
+    g = Grid(1, 1.0, 64)
+    if name == "nonlocal-1d":
+        base = periodize(adhesion_potential(ONES, 1), g)
+        return PeriodizedKernel(field=-2.0 * base.field,
+                                gradient=[-2.0 * c for c in base.gradient],
+                                truncation_radius_cells=base.truncation_radius_cells), g
+    return ChemicalSpec([0.5], [1.5], 0.05 if name == "pp-1d" else 0.0), g
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_outputs(name):
+    chem, g = _pinned_case(name)
+    r2 = sum(m * m for m in g.meshgrid())
+    u0 = Field(g, 0.1 + 0.6 * np.where(r2 < 0.16, np.cos(0.5 * math.pi * np.sqrt(r2) / 0.4) ** 2,
+                                       0.0))
+    _, state = run(porous_medium_model(2.0), chem, u0,
+                   RunConfig(g, t_end=0.05, snapshot_every=0.025))
+    d = state.diagnostics
+    pin = PINNED[name]
+    assert len(d.times) - 1 == pin["steps"]
+    got = dict(mass=d.mass[-1], phi=d.phi[-1], grad_beta_accum=d.grad_beta_accum[-1],
+               drift_accum=d.drift_accum[-1], min_u=d.min_u[-1], max_u=d.max_u[-1])
+    for key, value in got.items():
+        assert value == pytest.approx(pin[key], rel=1e-12, abs=0.0), key
