@@ -19,7 +19,6 @@ from .domain import (Field, Grid, SpaceTimeSeries, norm_l2, read_field_csv,
 from .fit import fit_to_tolerance
 from .greens import GreensBasis, elliptic_solve, greens_periodic_spectral, lattice_sum_green
 from .harness import ComparisonError, compare_runs, study_kernel, study_xi
-from .kernel import periodize, greens_free_space
 from .pde import InputValidationError, NumericalAbortError, run as run_solver
 from .svgplot import line_chart
 

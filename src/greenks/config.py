@@ -152,7 +152,6 @@ def build_kernel(cfg: dict, grid: Grid) -> Optional[PeriodizedKernel]:
     pk = periodize(base, grid)
     if scale != 1.0:
         pk.field = scale * pk.field
-        pk.gradient = [scale * g for g in pk.gradient]
     return pk
 
 

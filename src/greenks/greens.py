@@ -143,14 +143,8 @@ class GreensBasis:
         return Field(self.grid, out)
 
     def as_kernel(self, coefficients) -> PeriodizedKernel:
-        """Wrap a basis combination as a periodized kernel.
-
-        The gradient stored here is the centered-difference gradient of the
-        combination, which is the object the solvers differentiate.
-        """
-        from .domain import gradient
-        f = self.combination(coefficients)
-        return PeriodizedKernel(field=f, gradient=gradient(f), truncation_radius_cells=0)
+        """Wrap a basis combination as a periodized kernel."""
+        return PeriodizedKernel(field=self.combination(coefficients), truncation_radius_cells=0)
 
 
 def lattice_sum_green(d: float, grid: Grid, tolerance: float = 1e-10) -> PeriodizedKernel:

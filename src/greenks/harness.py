@@ -33,9 +33,7 @@ class ExperimentReport:
     def __post_init__(self):
         if len(self.parameter_axis) != len(self.errors):
             raise ValueError("parameter axis and errors length mismatch")
-        expected = all(e2 <= e1 * (1.0 + 1e-12)
-                       for e1, e2 in zip(self.errors, self.errors[1:]))
-        if self.monotone_flag != expected:
+        if self.monotone_flag != _monotone(self.errors):
             raise ValueError("monotone_flag inconsistent with recorded errors")
 
     def to_csv(self) -> str:

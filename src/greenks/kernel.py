@@ -21,6 +21,10 @@ from .domain import Field, Grid
 from .specfun import bessel_k
 
 _DECAY_CHECK_RADII = (0.5, 1.0, 2.0, 5.0, 10.0)
+# Elements per batch of translates in the lattice sum: each working array
+# of a batch is about 128 KiB of float64 unless one translate needs more.
+_BATCH_ELEMENTS = 2 ** 14
+_ORIGIN_GAUSS_ORDER = 6
 
 
 @dataclass
@@ -60,7 +64,6 @@ class PeriodizedKernel:
     """Lattice sum of a radial kernel sampled on a grid's offset lattice."""
 
     field: Field
-    gradient: list            # periodized analytic derivative, one field per axis
     truncation_radius_cells: int
 
 
@@ -217,20 +220,6 @@ def _cell_average_origin(k: RadialKernel, grid: Grid) -> float:
     return 6.0 * 4.0 * total / grid.h ** 3
 
 
-def _smooth_cell_average(values_fn, grid: Grid, center: np.ndarray, order: int = 6) -> float:
-    """Tensor Gauss-Legendre cell average of a smooth radial term."""
-    a = grid.h / 2.0
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    pts = [center[i] + a * nodes for i in range(grid.dim)]
-    mesh = np.meshgrid(*pts, indexing="ij")
-    r = np.sqrt(sum(c * c for c in mesh))
-    wmesh = np.meshgrid(*([weights] * grid.dim), indexing="ij")
-    wtot = np.ones_like(r)
-    for w in wmesh:
-        wtot = wtot * w
-    return float((values_fn(r) * wtot).sum()) / 2.0 ** grid.dim
-
-
 def periodize(k: RadialKernel, grid: Grid, tolerance: float = 1e-10,
               max_shells: int = 256) -> PeriodizedKernel:
     """Sum the lattice translates of a radial kernel on the offset lattice.
@@ -239,17 +228,24 @@ def periodize(k: RadialKernel, grid: Grid, tolerance: float = 1e-10,
     remaining tail below `tolerance` (a compactly supported kernel stops as
     soon as no translate can reach the domain).  For kernels singular at the
     origin the zero-offset cell stores the cell average of the full sum.
+
+    Each shell is summed in batches of translates on the octant
+    |x_i| in {0, h, ..., L} only: the sum is even in every coordinate and
+    2L-periodic, so reflection fills the rest of the lattice.
     """
     if k.decay is None and k.support_radius is None:
         raise ValueError("kernel needs decay metadata or a declared support radius")
     L = grid.half_length
     dim = grid.dim
-    mesh = grid.meshgrid(offsets=True)
-
-    w = np.zeros(grid.shape)
-    g = [np.zeros(grid.shape) for _ in range(dim)]
-    origin_idx = (0,) * dim
-    origin_value = _cell_average_origin(k, grid) if k.singular_at_origin else None
+    octant = np.arange(grid.n // 2 + 1) * grid.h
+    w = np.zeros((octant.size,) * dim)
+    if k.singular_at_origin:
+        origin_value = _cell_average_origin(k, grid)
+        nodes, weights = np.polynomial.legendre.leggauss(_ORIGIN_GAUSS_ORDER)
+        cell_nodes = 0.5 * grid.h * nodes
+        cell_weights = np.ones(())
+        for _ in range(dim):
+            cell_weights = np.multiply.outer(cell_weights, weights / 2.0)
 
     shells = 0
     s = 0
@@ -262,80 +258,68 @@ def periodize(k: RadialKernel, grid: Grid, tolerance: float = 1e-10,
                 break
         if s > max_shells:
             raise ValueError("lattice sum did not converge within max_shells")
-        _add_shell(k, grid, mesh, w, g, s)
-        if k.singular_at_origin:
-            origin_value += _origin_shell_average(k, grid, s)
+        rows = _shell_offsets(s, dim) + s
+        centers = 2.0 * L * np.arange(-s, s + 1)[:, None]
+        for r in _batched_radii((octant - centers) ** 2, rows):
+            if s == 0 and k.singular_at_origin:
+                r.flat[0] = 1.0   # the zero offset; its cell average is stored below
+            w += _profile_in_support(k, r).sum(axis=0)
+        if k.singular_at_origin and s > 0:
+            # cell averages over the origin cell of the smooth translates
+            for r in _batched_radii((cell_nodes - centers) ** 2, rows):
+                origin_value += float((_profile_in_support(k, r) * cell_weights).sum())
         shells = s
         s += 1
 
     if k.singular_at_origin:
-        w[origin_idx] = origin_value
-    # gradient at the zero offset vanishes by radial symmetry
-    for comp in g:
-        comp[origin_idx] = 0.0
-
-    field = Field(grid, w)
-    grad = [Field(grid, c) for c in g]
-    return PeriodizedKernel(field=field, gradient=grad, truncation_radius_cells=shells)
+        w.flat[0] = origin_value
+    j = np.arange(grid.n)
+    w = w[np.ix_(*[np.minimum(j, grid.n - j)] * dim)]
+    return PeriodizedKernel(field=Field(grid, w), truncation_radius_cells=shells)
 
 
-def _shell_offsets(s: int, dim: int):
-    rng = range(-s, s + 1)
-    if dim == 1:
-        cands = [(l,) for l in rng]
-    elif dim == 2:
-        cands = [(a, b) for a in rng for b in rng]
-    else:
-        cands = [(a, b, c) for a in rng for b in rng for c in rng]
-    return [l for l in cands if max(abs(c) for c in l) == s]
+def _shell_offsets(s: int, dim: int) -> np.ndarray:
+    """Integer translates l with |l|_inf == s, one row each.
 
-
-def _add_shell(k: RadialKernel, grid: Grid, mesh, w, g, s: int):
-    """Accumulate point samples of all translates with |l|_inf == s.
-
-    The r = 0 sample (zero offset of the central translate) is taken as the
-    finite profile value for regular kernels and skipped for singular ones;
-    the caller overwrites that cell with the proper cell average.
+    Block i holds the translates whose first coordinate of modulus s is l_i,
+    so every translate appears once and the inner cube is never built.
     """
-    L = grid.half_length
-    dim = grid.dim
-    for l in _shell_offsets(s, dim):
-        shifted = [mesh[i] - 2.0 * L * l[i] for i in range(dim)]
-        r = np.sqrt(sum(c * c for c in shifted))
-        if k.support_radius is not None and float(r.min()) > k.support_radius:
-            continue
-        at_origin = r == 0.0
-        r_safe = np.where(at_origin, 1.0, r)
-        vals = np.asarray(k.profile(r_safe), dtype=float)
-        dvals = np.asarray(k.derivative_profile(r_safe), dtype=float)
-        if k.support_radius is not None:
-            outside = r_safe > k.support_radius
-            vals = np.where(outside, 0.0, vals)
-            dvals = np.where(outside, 0.0, dvals)
-        if np.any(at_origin):
-            origin_val = 0.0 if k.singular_at_origin else k.value_at_origin()
-            vals = np.where(at_origin, origin_val, vals)
-            dvals = np.where(at_origin, 0.0, dvals)
-        w += vals
+    if s == 0:
+        return np.zeros((1, dim), dtype=int)
+    blocks = []
+    for i in range(dim):
+        axes = ([np.arange(1 - s, s)] * i + [np.array([-s, s])]
+                + [np.arange(-s, s + 1)] * (dim - 1 - i))
+        mesh = np.meshgrid(*axes, indexing="ij")
+        blocks.append(np.stack([c.ravel() for c in mesh], axis=1))
+    return np.concatenate(blocks)
+
+
+def _batched_radii(sq: np.ndarray, rows: np.ndarray):
+    """Yield |x - 2L*l| on the tensor grid of points, for batches of translates.
+
+    ``sq[i, j]`` is the squared distance along one axis from point coordinate
+    j to translate coordinate i; ``rows`` holds one translate per row as
+    indices into ``sq``.  Each batch has shape (translates,) + (points,)*dim.
+    """
+    count, dim = rows.shape
+    points = sq.shape[1]
+    batch = max(1, _BATCH_ELEMENTS // points ** dim)
+    for lo in range(0, count, batch):
+        idx = rows[lo:lo + batch]
+        r2 = 0.0
         for i in range(dim):
-            g[i] += dvals * shifted[i] / r_safe
+            shape = [len(idx)] + [1] * dim
+            shape[i + 1] = points
+            r2 = r2 + sq[idx[:, i]].reshape(shape)
+        yield np.sqrt(r2)
 
 
-def _origin_shell_average(k: RadialKernel, grid: Grid, s: int) -> float:
-    """Cell averages over the origin cell of the smooth translates in shell s."""
-    L = grid.half_length
-    total = 0.0
-    for l in _shell_offsets(s, grid.dim):
-        if all(c == 0 for c in l):
-            continue
-        center = np.array([-2.0 * L * c for c in l], dtype=float)
-        if k.support_radius is not None:
-            dist = np.linalg.norm(center) - math.sqrt(grid.dim) * grid.h
-            if dist > k.support_radius:
-                continue
-        total += _smooth_cell_average(lambda r: np.asarray(k.profile(r), dtype=float),
-                                      grid, center)
-    return total
+def _profile_in_support(k: RadialKernel, r: np.ndarray) -> np.ndarray:
+    vals = np.asarray(k.profile(r), dtype=float)
+    if k.support_radius is not None:
+        vals = np.where(r > k.support_radius, 0.0, vals)
+    return vals
 
 
 def _tail_estimate(k: RadialKernel, grid: Grid, s: int) -> float:

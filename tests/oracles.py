@@ -1,8 +1,10 @@
 """Independent oracles used across the test suite.
 
 These deliberately avoid the library's own evaluation paths: the Bessel
-oracle integrates the defining integral with adaptive quadrature, and the
-convolution oracle sums the circular convolution directly.
+oracle integrates the defining integral with adaptive quadrature, the
+convolution oracle sums the circular convolution directly, and the lattice
+sum oracle adds one translate of a radial kernel at a time on the full
+offset lattice.
 """
 
 import math
@@ -40,3 +42,77 @@ def direct_convolution(a: np.ndarray, b: np.ndarray, cell_volume: float) -> np.n
         # roll(b, idx)[m] = b[m - idx]
         out += a[idx] * np.roll(b, idx, axis=axes)
     return out * cell_volume
+
+
+def lattice_sum_direct(kernel, grid, shells: int, gauss_order: int = 6) -> np.ndarray:
+    """Plain lattice sum of K(|x - 2L*l|) over |l|_inf <= shells, at every offset.
+
+    One python-level loop per translate over the whole offset lattice, with
+    no symmetry used.  Translates are zeroed beyond a declared support radius.
+    For a kernel singular at the origin, the zero-offset cell holds a cell
+    average instead: the central term by `singular_cell_average`, every other
+    translate by a tensor Gauss-Legendre rule of `gauss_order` points per axis.
+    """
+    dim, L, h = grid.dim, grid.half_length, grid.h
+    x = np.arange(grid.n) * h
+    x = np.where(x >= L, x - 2.0 * L, x)
+    mesh = np.meshgrid(*([x] * dim), indexing="ij")
+    nodes, weights = np.polynomial.legendre.leggauss(gauss_order)
+    qmesh = np.meshgrid(*([0.5 * h * nodes] * dim), indexing="ij")
+    qweights = np.ones(qmesh[0].shape)
+    for w in np.meshgrid(*([weights / 2.0] * dim), indexing="ij"):
+        qweights = qweights * w
+
+    def values(r):
+        v = np.asarray(kernel.profile(r), dtype=float)
+        if kernel.support_radius is not None:
+            v = np.where(r > kernel.support_radius, 0.0, v)
+        return v
+
+    out = np.zeros(grid.shape)
+    origin = 0.0
+    for l in np.ndindex(*([2 * shells + 1] * dim)):
+        shift = [2.0 * L * (c - shells) for c in l]
+        r = np.sqrt(sum((m - c) ** 2 for m, c in zip(mesh, shift)))
+        if kernel.singular_at_origin:
+            central = all(c == shells for c in l)
+            if central:
+                r[(0,) * dim] = 1.0    # overwritten below
+            else:
+                rq = np.sqrt(sum((q - c) ** 2 for q, c in zip(qmesh, shift)))
+                origin += float((values(rq) * qweights).sum())
+        out += values(r)
+    if kernel.singular_at_origin:
+        out[(0,) * dim] = origin + singular_cell_average(kernel.profile, dim, h)
+    return out
+
+
+def singular_cell_average(profile, dim: int, h: float, order: int = 24) -> float:
+    """Average over the cell [-h/2, h/2]^dim of a radial profile singular at 0.
+
+    The cell splits into 2*dim pyramids with apex at the origin, one per face.
+    On the face x_1 = a = h/2, the point t*(a, y) has volume element
+    a t^(dim-1) dt dy, which makes an r^(1-dim) or log singularity integrable
+    in t; the t integral is adaptive and the face integral Gauss-Legendre on
+    the quarter face [0, a]^(dim-1), which symmetry allows.
+    """
+    a = h / 2.0
+    if dim == 1:
+        val, _ = integrate.quad(lambda t: float(profile(np.array([t]))[0]), 0.0, a,
+                                epsabs=1e-15, epsrel=1e-13, limit=200)
+        return 2.0 * val / h
+
+    def ray(R):
+        val, _ = integrate.quad(
+            lambda t: float(profile(np.array([t * R]))[0]) * t ** (dim - 1),
+            0.0, 1.0, epsabs=1e-15, epsrel=1e-13, limit=200)
+        return a * val
+
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    y, wy = 0.5 * a * (nodes + 1.0), 0.5 * a * weights
+    if dim == 2:
+        face = sum(w * ray(math.hypot(a, yi)) for yi, w in zip(y, wy))
+    else:
+        face = sum(w1 * w2 * ray(math.sqrt(a * a + y1 * y1 + y2 * y2))
+                   for y1, w1 in zip(y, wy) for y2, w2 in zip(y, wy))
+    return 2 * dim * 2 ** (dim - 1) * face / h ** dim

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from greenks.domain import Grid, norm_l1
+from greenks.greens import lattice_sum_green
 from greenks.kernel import (RadialKernel, adhesion_potential, gaussian_kernel,
                             greens_free_space, periodize)
 from greenks.specfun import bessel_k
+from oracles import lattice_sum_direct
 
 ONES = lambda r: np.ones_like(np.asarray(r, dtype=float))
 
@@ -138,7 +140,7 @@ def test_green_integral_error_follows_h2_over_12():
         assert e == pytest.approx(h * h / 12.0, rel=1e-2)
 
 
-@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 8)])
 def test_periodized_kernel_is_even(dim, n):
     g = Grid(dim, 1.0, n)
     pk = periodize(greens_free_space(0.5, dim), g)
@@ -149,11 +151,38 @@ def test_periodized_kernel_is_even(dim, n):
     assert np.abs(v - flipped).max() < 1e-12
 
 
-def test_periodized_gradient_integrates_to_zero():
-    g = Grid(2, 1.0, 32)
-    pk = periodize(greens_free_space(0.5, 2), g)
-    for comp in pk.gradient:
-        assert abs(comp.integral()) < 1e-10
+@pytest.mark.parametrize("kernel,grid", [
+    (greens_free_space(1.0, 1), Grid(1, 0.5, 32)),
+    (gaussian_kernel(0.3, 1), Grid(1, 0.5, 32)),
+    (adhesion_potential(ONES, 1), Grid(1, 0.4, 32)),
+    (greens_free_space(1.0, 2), Grid(2, 1.0, 16)),
+    (greens_free_space(1.0, 3), Grid(3, 2.0, 8)),
+], ids=["green-1d", "gaussian-1d", "adhesion-1d", "green-2d", "green-3d"])
+def test_periodize_matches_direct_lattice_sum(kernel, grid):
+    # L is small against each kernel's reach, so neighbouring images overlap
+    pk = periodize(kernel, grid)
+    ref = lattice_sum_direct(kernel, grid, pk.truncation_radius_cells)
+    assert np.all(np.abs(pk.field.values - ref) <= 1e-12 * np.abs(ref))
+
+
+# Green lattice sums for d = 1, as pinned by the benchmark's green-lattice
+# workload: (dim, L, n) -> origin cell, integral, weighted checksum, shells.
+LATTICE_PINS = {
+    (2, 1.0, 16): (0.6377158524608284, 0.99938661413043, 0.1331878539564604, 13),
+    (3, 2.0, 8): (0.3109622272318816, 0.9913443790277665, 0.008161169664938135, 6),
+}
+
+
+@pytest.mark.parametrize("key", sorted(LATTICE_PINS), ids=lambda k: f"{k[0]}d-n{k[2]}")
+def test_green_lattice_sum_pins(key):
+    origin, integral, checksum, shells = LATTICE_PINS[key]
+    pk = lattice_sum_green(1.0, Grid(*key))
+    values = pk.field.values
+    weights = np.random.default_rng(0).random(values.size)
+    assert abs(values.flat[0] - origin) <= 1e-9
+    assert abs(pk.field.integral() - integral) <= 1e-9
+    assert abs(np.dot(weights, values.ravel()) / values.size - checksum) <= 1e-9
+    assert pk.truncation_radius_cells == shells
 
 
 def test_truncation_radius_is_converged():
@@ -168,6 +197,12 @@ def test_periodize_needs_decay_metadata():
     bare = RadialKernel(profile=ONES, derivative_profile=ONES)
     with pytest.raises(ValueError):
         periodize(bare, Grid(1, 1.0, 16))
+
+
+def test_periodize_rejects_unconverged_sum():
+    # sqrt(d) = 10 on L = 1: the tail stays above 1e-10 past two shells
+    with pytest.raises(ValueError, match="max_shells"):
+        periodize(greens_free_space(100.0, 1), Grid(1, 1.0, 16), max_shells=2)
 
 
 # --- gaussian -------------------------------------------------------------

@@ -95,7 +95,7 @@ def test_nonlocal_drift_vanishes_for_constant_density():
 def test_nonlocal_drift_vanishes_for_zero_kernel():
     g = Grid(1, 1.0, 64)
     zero = Field.constant(g, 0.0)
-    W = PeriodizedKernel(field=zero, gradient=[zero.copy()], truncation_radius_cells=0)
+    W = PeriodizedKernel(field=zero, truncation_radius_cells=0)
     vel = nonlocal_drift(bump(g), W)
     assert np.abs(vel[0]).max() == 0.0
 
@@ -297,7 +297,6 @@ def test_attraction_case_aggregates():
     g = Grid(1, 1.0, 64)
     base = periodize(adhesion_potential(ONES, 1), g)
     W = PeriodizedKernel(field=-50.0 * base.field,
-                         gradient=[-50.0 * c for c in base.gradient],
                          truncation_radius_cells=base.truncation_radius_cells)
     cfg = RunConfig(g, t_end=0.5, snapshot_every=0.1)
     series, state = run(porous_medium_model(2.0), W, bump(g, amp=0.5), cfg)
@@ -390,7 +389,6 @@ def _pinned_case(name):
     if name == "nonlocal-1d":
         base = periodize(adhesion_potential(ONES, 1), g)
         return PeriodizedKernel(field=-2.0 * base.field,
-                                gradient=[-2.0 * c for c in base.gradient],
                                 truncation_radius_cells=base.truncation_radius_cells), g
     return ChemicalSpec([0.5], [1.5], 0.05 if name == "pp-1d" else 0.0), g
 
