@@ -25,6 +25,11 @@ _DECAY_CHECK_RADII = (0.5, 1.0, 2.0, 5.0, 10.0)
 # of a batch is about 128 KiB of float64 unless one translate needs more.
 _BATCH_ELEMENTS = 2 ** 14
 _ORIGIN_GAUSS_ORDER = 6
+# Pyramid rule of the singular origin cell: Gauss-Legendre points per graded
+# panel of the ray parameter t, graded panels, and points per face axis.
+_RAY_ORDER = 10
+_RAY_PANELS = 40
+_FACE_ORDER = 40
 
 
 @dataclass
@@ -181,43 +186,45 @@ def adhesion_potential(omega: Callable[[np.ndarray], np.ndarray], dim: int,
 
 
 def _cell_average_origin(k: RadialKernel, grid: Grid) -> float:
-    """Cell average of K over the origin cell [-h/2, h/2)^N.
+    """Cell average of K over the origin cell [-a, a]^N, a = h/2.
 
-    Reduces to smooth boundary integrals: with F(R) = int_0^R K(r) r^{N-1} dr
-    the cube integral is a sum of face/edge terms, so the integrable origin
-    singularity never meets the quadrature.
+    The cell splits into 2N pyramids with apex at the origin, one per face
+    (Duffy, SIAM J. Numer. Anal. 19, 1982).  By symmetry only the quarter
+    face x_1 = a, y in [0, a]^(N-1) is integrated; there the point t*(a, y)
+    has volume element a t^(N-1) dt dy, so with R(y) = sqrt(a^2 + |y|^2)
+
+        average = 2N 2^(N-1) a / h^N * int_face int_0^1 K(t R(y)) t^(N-1) dt dy.
+
+    The t rule is composite Gauss-Legendre on the graded panels
+    [2^(-j-1), 2^(-j)], the last reaching 0, which integrates the log r and
+    1/r singularities at an exponential rate; the face rule is tensor
+    Gauss-Legendre (in 1D the face is the point R = a).  The R x t nodes are
+    evaluated in batches of at most _BATCH_ELEMENTS, one profile call each.
     """
     a = grid.h / 2.0
     dim = grid.dim
+    nodes, weights = np.polynomial.legendre.leggauss(_RAY_ORDER)
+    hi = 0.5 ** np.arange(_RAY_PANELS)
+    lo = np.append(hi[1:], 0.0)
+    half = 0.5 * (hi - lo)[:, None]
+    t = (0.5 * (hi + lo)[:, None] + half * nodes).ravel()
+    t_weights = (half * weights).ravel() * t ** (dim - 1)
 
-    if dim == 1:
-        val, _ = integrate.quad(lambda r: float(k.profile(np.array([r]))[0]),
-                                0.0, a, epsabs=1e-14, epsrel=1e-12)
-        return 2.0 * val / grid.h
+    nodes, weights = np.polynomial.legendre.leggauss(_FACE_ORDER)
+    y2, face_weights = np.zeros(()), np.ones(())
+    for _ in range(dim - 1):
+        y2 = np.add.outer(y2, (0.5 * a * (nodes + 1.0)) ** 2)
+        face_weights = np.multiply.outer(face_weights, 0.5 * a * weights)
+    R = np.sqrt(a * a + y2).ravel()
+    face_weights = face_weights.ravel()
 
-    def F(R):
-        val, _ = integrate.quad(
-            lambda r: float(k.profile(np.array([r]))[0]) * r ** (dim - 1),
-            0.0, R, epsabs=1e-14, epsrel=1e-12)
-        return val
-
-    if dim == 2:
-        def edge(y):
-            R = math.hypot(a, y)
-            return F(R) * a / (a * a + y * y)
-        val, _ = integrate.quad(edge, 0.0, a, epsabs=1e-14, epsrel=1e-12)
-        return 8.0 * val / grid.h ** 2
-
-    # dim == 3: one face, 8-fold symmetric quarter, tensor Gauss-Legendre
-    nodes, weights = np.polynomial.legendre.leggauss(40)
-    x = 0.5 * a * (nodes + 1.0)
-    wq = 0.5 * a * weights
     total = 0.0
-    for xi, wx in zip(x, wq):
-        for yi, wy in zip(x, wq):
-            R = math.sqrt(xi * xi + yi * yi + a * a)
-            total += wx * wy * F(R) * a / R ** 3
-    return 6.0 * 4.0 * total / grid.h ** 3
+    batch = max(1, _BATCH_ELEMENTS // t.size)
+    for start in range(0, R.size, batch):
+        rows = slice(start, start + batch)
+        rays = k.profile(np.multiply.outer(R[rows], t)) @ t_weights
+        total += float(face_weights[rows] @ rays)
+    return 2 * dim * 2 ** (dim - 1) * a * total / grid.h ** dim
 
 
 def periodize(k: RadialKernel, grid: Grid, tolerance: float = 1e-10,

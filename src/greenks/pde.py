@@ -17,10 +17,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# inner_l2 is unused here but stays importable from this module, like the
-# other domain and greens names: perfbench/tracer.py wraps them by attribute.
+# gradient, inner_l2, norm_l1 and periodic_convolve are unused here but stay
+# importable from this module: perfbench/tracer.py wraps names of greenks.pde
+# by attribute.
 from .domain import (Field, Grid, GridMismatchError, SpaceTimeSeries, gradient,
-                     inner_l2, norm_l1, norm_l2, periodic_convolve)
+                     inner_l2, norm_l1, periodic_convolve)
 from .greens import _multiplier, elliptic_solve
 from .kernel import PeriodizedKernel
 
@@ -412,9 +413,3 @@ def run(model: ModelFunctions, chem, u0: Field, config: RunConfig,
     return (SpaceTimeSeries(grid=grid, times=snap_times.tolist(), snapshots=snapshots),
             SolverState(time=t, u=u_final, v=v, diagnostics=diag))
 
-
-def young_drift_bound_holds(u: Field, W: PeriodizedKernel, slack: float = 1e-8) -> bool:
-    """Discrete Young inequality ||grad(W)*u||_L2 <= ||grad W||_L1 ||u||_L2."""
-    lhs = max(norm_l2(periodic_convolve(gw, u)) for gw in gradient(W.field))
-    total_l1 = sum(norm_l1(gw) for gw in gradient(W.field))
-    return lhs <= total_l1 * norm_l2(u) * (1.0 + slack)

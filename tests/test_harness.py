@@ -127,6 +127,13 @@ def test_study_kernel_span_member_target():
     assert rep.errors[0] < 5e-8
 
 
+def test_study_kernel_asserts_the_drift_bound():
+    # a slack of -1 leaves no room: any nonzero drift difference violates it
+    cfg = base_cfg(**{"kernel.type": "adhesion"})
+    with pytest.raises(AssertionError, match="Young bound"):
+        study_kernel(cfg, M_list=[1], young_slack=-1.0)
+
+
 def test_study_kernel_rejects_nonincreasing_m():
     cfg = base_cfg(**{"kernel.type": "adhesion"})
     with pytest.raises(ValueError):

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from greenks import kernel
 from greenks.domain import Grid, norm_l1
 from greenks.greens import lattice_sum_green
 from greenks.kernel import (RadialKernel, adhesion_potential, gaussian_kernel,
                             greens_free_space, periodize)
 from greenks.specfun import bessel_k
-from oracles import lattice_sum_direct
+from oracles import lattice_sum_direct, singular_cell_average
 
 ONES = lambda r: np.ones_like(np.asarray(r, dtype=float))
 
@@ -163,6 +164,40 @@ def test_periodize_matches_direct_lattice_sum(kernel, grid):
     pk = periodize(kernel, grid)
     ref = lattice_sum_direct(kernel, grid, pk.truncation_radius_cells)
     assert np.all(np.abs(pk.field.values - ref) <= 1e-12 * np.abs(ref))
+
+
+# h = 2L/n runs over 1, 1/8 and 1/64
+ORIGIN_GRIDS = [(4.0, 8), (0.5, 8), (0.5, 64)]
+
+
+# -log r: a 1D kernel singular at the origin, with support radius 1
+LOG_KERNEL = RadialKernel(profile=lambda r: -np.log(r), derivative_profile=lambda r: -1.0 / r,
+                          support_radius=1.0, singular_at_origin=True)
+
+
+@pytest.mark.parametrize("dim,d", [(1, None)] + [(dim, d) for dim in (2, 3)
+                                                 for d in (1e-3, 1e-2, 1.0, 10.0)])
+def test_cell_average_origin_matches_oracle(dim, d):
+    k = LOG_KERNEL if dim == 1 else greens_free_space(d, dim)
+    for L, n in ORIGIN_GRIDS:
+        g = Grid(dim, L, n)
+        ref = singular_cell_average(k.profile, dim, g.h)
+        assert kernel._cell_average_origin(k, g) == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("batch", [1, 37, 3000])
+def test_periodize_is_batch_invariant(monkeypatch, batch):
+    # 3000 leaves a remainder batch in the lattice sum and the origin rule.
+    # Batching changes only the order of the float64 sums (2,197 positive
+    # translates per cell in 3D): one translate per batch moves a cell by
+    # 1.3e-14 relative, so the bound is 1e-13, far below (m - 1) eps.
+    cases = [(greens_free_space(1.0, 2), Grid(2, 1.0, 16)),
+             (greens_free_space(1.0, 3), Grid(3, 2.0, 8))]
+    default = [periodize(k, g).field.values for k, g in cases]
+    monkeypatch.setattr(kernel, "_BATCH_ELEMENTS", batch)
+    for (k, g), ref in zip(cases, default):
+        values = periodize(k, g).field.values
+        assert np.all(np.abs(values - ref) <= 1e-13 * np.abs(ref))
 
 
 # Green lattice sums for d = 1, as pinned by the benchmark's green-lattice

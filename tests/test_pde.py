@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from greenks import pde
-from greenks.domain import Field, Grid, gradient, norm_l2
+from greenks.domain import Field, Grid, gradient, norm_l1, norm_l2, periodic_convolve
 from greenks.greens import GreensBasis, elliptic_solve
-from greenks.harness import compare_runs
+from greenks.harness import compare_runs, young_drift_bound_holds
 from greenks.kernel import PeriodizedKernel, adhesion_potential, periodize
 from greenks.pde import (ChemicalSpec, InputValidationError, ModelFunctions,
                          NumericalAbortError, RunConfig, StepPlan, drift_velocity_chemo,
                          linear_model, porous_medium_model, run, step_u,
-                         step_v_parabolic, volume_filling_g,
-                         young_drift_bound_holds)
+                         step_v_parabolic, volume_filling_g)
 
 ONES = lambda r: np.ones_like(np.asarray(r, dtype=float))
 rfft = np.fft.rfftn
@@ -347,7 +346,21 @@ def test_young_drift_bound():
     W = periodize(adhesion_potential(ONES, 1), g)
     rng = np.random.default_rng(8)
     u = Field(g, rng.random(g.shape))
-    assert young_drift_bound_holds(u, W)
+    assert young_drift_bound_holds(u, W.field)
+
+
+def test_young_drift_bound_sums_the_gradient_components():
+    # a slack that puts the right side between max_i ||d_i W * u|| and
+    # sqrt(sum_i ||d_i W * u||^2) must fail the check
+    g = Grid(2, 1.0, 16)
+    W = periodize(adhesion_potential(ONES, 2), g).field
+    u = Field(g, np.random.default_rng(9).random(g.shape))
+    parts = [norm_l2(periodic_convolve(c, u)) for c in gradient(W)]
+    rhs = sum(norm_l1(c) for c in gradient(W)) * norm_l2(u)
+    lhs = math.sqrt(sum(p * p for p in parts))
+    assert max(parts) < 0.99 * lhs
+    assert not young_drift_bound_holds(u, W, slack=0.5 * (max(parts) + lhs) / rhs - 1.0)
+    assert young_drift_bound_holds(u, W, slack=1.001 * lhs / rhs - 1.0)
 
 
 def test_parabolic_run_with_explicit_v0():
