@@ -13,11 +13,10 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from .domain import (Field, Grid, SpaceTimeSeries, norm_l2, read_field_csv,
-                     write_field_csv, periodic_convolve, gradient, norm_l1,
-                     norm_w11)
+from .domain import (Field, Grid, SpaceTimeSeries, gradient, norm_w11,
+                     periodic_convolve, read_field_csv, write_field_csv)
 from .fit import fit_to_tolerance
-from .greens import GreensBasis, elliptic_solve, greens_periodic_spectral, lattice_sum_green
+from .greens import elliptic_solve, greens_periodic_spectral, lattice_sum_green
 from .harness import ComparisonError, compare_runs, study_kernel, study_xi
 from .pde import InputValidationError, NumericalAbortError, run as run_solver
 from .svgplot import line_chart

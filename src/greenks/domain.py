@@ -72,11 +72,6 @@ class Grid:
         ax = self.axis_offsets() if offsets else self.axis_centers()
         return np.meshgrid(*([ax] * self.dim), indexing="ij")
 
-    def offset_radii(self) -> np.ndarray:
-        """Wrapped distance |x_m| of every offset-lattice point."""
-        mesh = self.meshgrid(offsets=True)
-        return np.sqrt(sum(c * c for c in mesh))
-
     def frequencies(self) -> list:
         """Continuous angular frequencies pi*k/L per axis, FFT ordering."""
         return [np.fft.fftfreq(self.n, d=self.h) * 2.0 * np.pi
@@ -191,10 +186,6 @@ def norm_l2(a: Field) -> float:
     return float(np.sqrt((a.values ** 2).sum() * a.grid.cell_volume))
 
 
-def norm_max(a: Field) -> float:
-    return float(np.abs(a.values).max())
-
-
 def norm_w11(a: Field) -> float:
     """L1 of the value plus L1 of every centered-difference gradient component."""
     return norm_l1(a) + sum(norm_l1(g) for g in gradient(a))
@@ -231,6 +222,9 @@ def norm_l2_spacetime(series: SpaceTimeSeries) -> float:
 # order: flat index, coordinates, value.  17 significant digits give a
 # bit-exact round trip.
 
+_CSV_CHUNK = 512    # cells formatted per write; bounds the temporary strings
+
+
 def write_field_csv(f, field: Field, offsets: bool = False):
     g = field.grid
     close = False
@@ -239,12 +233,13 @@ def write_field_csv(f, field: Field, offsets: bool = False):
         close = True
     try:
         f.write(f"# grid: N={g.dim} L={g.half_length!r} n={g.n}\n")
-        mesh = g.meshgrid(offsets=offsets)
-        coords = [c.ravel() for c in mesh]
-        vals = field.values.ravel()
-        for i in range(vals.size):
-            cols = [str(i)] + [f"{c[i]:.17g}" for c in coords] + [f"{vals[i]:.17g}"]
-            f.write(",".join(cols) + "\n")
+        columns = [c.ravel() for c in g.meshgrid(offsets=offsets)] + [field.values.ravel()]
+        row = "{}" + ",{:.17g}" * len(columns) + "\n"
+        size = columns[-1].size
+        for start in range(0, size, _CSV_CHUNK):
+            stop = min(start + _CSV_CHUNK, size)
+            f.write("".join(map(row.format, range(start, stop),
+                                *(c[start:stop].tolist() for c in columns))))
     finally:
         if close:
             f.close()

@@ -75,10 +75,6 @@ def default_diffusivities(M: int, d_star: float) -> DiffusivitySequence:
     return DiffusivitySequence(values=values, accumulation_point=d_star)
 
 
-def default_regularization(gram: np.ndarray) -> float:
-    return 1e-10 * float(np.trace(gram)) / gram.shape[0]
-
-
 def _h1_design_column(f: Field) -> np.ndarray:
     """Stack the field and its gradient with quadrature weights so that
     column inner products reproduce the discrete H1 inner product."""

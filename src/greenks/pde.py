@@ -99,7 +99,9 @@ def porous_medium_model(gamma: float, eta: float = 0.0) -> ModelFunctions:
     return ModelFunctions(
         beta=lambda u: np.abs(u) ** gamma * np.sign(u),
         beta_prime=lambda u: gamma * np.abs(u) ** (gamma - 1.0),
-        phi=lambda u: np.abs(u) ** (gamma + 1.0) / (gamma + 1.0),
+        # |u|^gamma |u|, not |u|^(gamma+1): at the shipped gamma = 2 numpy squares
+        # without its general pow; any other gamma pays one more multiply
+        phi=lambda u: np.abs(u) ** gamma * np.abs(u) / (gamma + 1.0),
         g=volume_filling_g, eta=eta, name=f"power(gamma={gamma})")
 
 
@@ -278,15 +280,19 @@ def drift_velocity_chemo(plan: StepPlan, u_hat: np.ndarray, v_hat: Optional[list
     return plan.gradient(plan.irfft(c_hat))
 
 
-def step_u(plan: StepPlan, u: np.ndarray, velocity: list, dt: float) -> np.ndarray:
-    """One conservative explicit update of the density values."""
-    model, h = plan.model, plan.grid.h
-    beta_vals = model.beta_eff(u)
+def step_u(plan: StepPlan, u: np.ndarray, velocity: list, dt: float,
+           beta_vals: np.ndarray, g_vals: np.ndarray) -> np.ndarray:
+    """One conservative explicit update of the density values.
+
+    ``beta_vals`` and ``g_vals`` are beta_eff(u) and g(u), which ``run``
+    evaluates once per state and shares with every axis and dt halving.
+    """
+    h = plan.grid.h
     flux_div = 0.0
     for ax, vel in enumerate(velocity):
         v_face = 0.5 * (vel + plan.shift(vel, ax, 1))
-        u_up = np.where(v_face > 0.0, u, plan.shift(u, ax, 1))
-        flux = model.g(u_up) * v_face
+        # g is pointwise, so upwinding g(u) equals g of the upwinded u
+        flux = np.where(v_face > 0.0, g_vals, plan.shift(g_vals, ax, 1)) * v_face
         flux -= (plan.shift(beta_vals, ax, 1) - beta_vals) / h
         flux_div = flux_div + (flux - plan.shift(flux, ax, -1)) / h
     return u - dt * flux_div
@@ -364,12 +370,13 @@ def run(model: ModelFunctions, chem, u0: Field, config: RunConfig,
         if dt < _MIN_DT_FRACTION * t_end:
             raise NumericalAbortError(f"time step collapsed to {dt:.3g} at t={t:.6g}")
         dt = min(dt, t_end - t)
+        beta_u, g_u = model.beta_eff(u), model.g(u)
         for _ in range(_MAX_DT_HALVINGS):
             v_hat_new, vel_new = v_hat, velocity
             if plan.relaxed:
                 v_hat_new = step_v_parabolic(plan, v_hat, u_hat, dt)
                 vel_new = drift_velocity_chemo(plan, u_hat, v_hat_new)
-            u_new = step_u(plan, u, vel_new, dt)
+            u_new = step_u(plan, u, vel_new, dt, beta_u, g_u)
             lo, hi = float(u_new.min()), float(u_new.max())
             if lo >= -_BOUND_SLACK and hi <= 1.0 + _BOUND_SLACK:
                 break
@@ -383,10 +390,8 @@ def run(model: ModelFunctions, chem, u0: Field, config: RunConfig,
             raise NumericalAbortError(f"time stalled at t={t:.6g} with step {dt:.3g}")
 
         # energy bookkeeping on the pre-step state
-        grad_beta_accum += sum(float((c * c).sum()) * cv
-                               for c in plan.gradient(model.beta_eff(u))) * dt
-        g_vals = model.g(u)
-        drift_accum += sum(float(((g_vals * c) ** 2).sum()) * cv for c in vel_new) * dt
+        grad_beta_accum += sum(float((c * c).sum()) * cv for c in plan.gradient(beta_u)) * dt
+        drift_accum += sum(float(((g_u * c) ** 2).sum()) * cv for c in vel_new) * dt
 
         prev_t, prev_u = t, u
         t += dt

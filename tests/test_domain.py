@@ -216,6 +216,31 @@ def test_csv_header_format():
     assert text.splitlines()[0] == "# grid: N=1 L=1.0 n=8"
 
 
+def per_cell_csv(field, offsets=False):
+    """Reference writer: formats every cell on its own."""
+    g = field.grid
+    out = [f"# grid: N={g.dim} L={g.half_length!r} n={g.n}\n"]
+    coords = [c.ravel() for c in g.meshgrid(offsets=offsets)]
+    vals = field.values.ravel()
+    for i in range(vals.size):
+        cols = [str(i)] + [f"{c[i]:.17g}" for c in coords] + [f"{vals[i]:.17g}"]
+        out.append(",".join(cols) + "\n")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("offsets", [False, True])
+@pytest.mark.parametrize("grid", [Grid(1, 1.0, 8), Grid(1, 0.3, 4098), Grid(2, 1.0, 46),
+                                  Grid(2, 2.5, 64), Grid(3, 0.7, 16)])
+def test_csv_bytes_match_the_per_cell_writer(grid, offsets):
+    # 46^2 = 2116 and 4098 cells leave a partial last chunk of 512 rows, 4096 cells do not
+    f = rng_field(grid, 5)
+    special = [-0.0, 5e-324, 1e-300, -1e-300, -2.5, 0.1, 1.0 / 3.0, -7e22]
+    f.values.flat[:len(special)] = special
+    # lists of lines, which pytest compares quickly on failure; keepends keeps them lossless
+    got = field_csv_string(f, offsets=offsets).splitlines(keepends=True)
+    assert got == per_cell_csv(f, offsets=offsets).splitlines(keepends=True)
+
+
 def test_csv_rejects_missing_header():
     with pytest.raises(ValueError):
         read_field_csv(io.StringIO("0,0.0,1.0\n"))

@@ -11,7 +11,7 @@ from greenks.kernel import PeriodizedKernel, adhesion_potential, periodize
 from greenks.pde import (ChemicalSpec, InputValidationError, ModelFunctions,
                          NumericalAbortError, RunConfig, StepPlan, drift_velocity_chemo,
                          linear_model, porous_medium_model, run, step_u,
-                         step_v_parabolic, volume_filling_g)
+                         linear_saturating_g, step_v_parabolic, volume_filling_g)
 
 ONES = lambda r: np.ones_like(np.asarray(r, dtype=float))
 rfft = np.fft.rfftn
@@ -164,7 +164,7 @@ def test_step_u_heat_mode_decay():
     u = 0.3 + 0.1 * np.cos(w * x)
     zero_vel = [np.zeros(g.shape)]
     dt = 1e-3
-    out = step_u(plan, u, zero_vel, dt)
+    out = step_u(plan, u, zero_vel, dt, plan.model.beta_eff(u), plan.model.g(u))
     lam = 4.0 * math.sin(w * g.h / 2.0) ** 2 / g.h ** 2
     expected = 0.3 + 0.1 * (1.0 - dt * lam) * np.cos(w * x)
     assert np.abs(out - expected).max() < 1e-13
@@ -175,7 +175,8 @@ def test_step_u_is_conservative():
     rng = np.random.default_rng(3)
     u = rng.random(g.shape)
     vel = [rng.standard_normal(g.shape) for _ in range(2)]
-    out = step_u(plan_for(g), u, vel, 1e-4)
+    plan = plan_for(g)
+    out = step_u(plan, u, vel, 1e-4, plan.model.beta_eff(u), plan.model.g(u))
     assert abs(out.sum() - u.sum()) < 1e-13 * abs(u.sum())
 
 
@@ -188,9 +189,48 @@ def test_step_u_pure_phase_has_no_advection():
     vel = [rng.standard_normal(g.shape)]
     zero = [np.zeros(g.shape)]
     plan = plan_for(g)
-    with_vel = step_u(plan, u, vel, 1e-4)
-    without = step_u(plan, u, zero, 1e-4)
+    with_vel = step_u(plan, u, vel, 1e-4, plan.model.beta_eff(u), plan.model.g(u))
+    without = step_u(plan, u, zero, 1e-4, plan.model.beta_eff(u), plan.model.g(u))
     assert np.array_equal(with_vel, without)
+
+
+def step_u_upwinding_u(plan, u, velocity, dt):
+    """Reference update that upwinds u itself and evaluates g per axis."""
+    model, h = plan.model, plan.grid.h
+    beta_vals = model.beta_eff(u)
+    flux_div = 0.0
+    for ax, vel in enumerate(velocity):
+        v_face = 0.5 * (vel + np.roll(vel, -1, axis=ax))
+        u_up = np.where(v_face > 0.0, u, np.roll(u, -1, axis=ax))
+        flux = model.g(u_up) * v_face
+        flux -= (np.roll(beta_vals, -1, axis=ax) - beta_vals) / h
+        flux_div = flux_div + (flux - np.roll(flux, 1, axis=ax)) / h
+    return u - dt * flux_div
+
+
+@pytest.mark.parametrize("g_fn", [volume_filling_g, linear_saturating_g])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_step_u_with_shared_state_values_is_bit_identical(g_fn, dim):
+    # the values run() computes once per state, including slight bound excursions
+    g = Grid(dim, 1.0, 8)
+    model = porous_medium_model(2.0, eta=0.05)
+    model.g = g_fn
+    plan = plan_for(g, model=model)
+    rng = np.random.default_rng(10 + dim)
+    u = rng.random(g.shape)
+    u.flat[0], u.flat[1], u.flat[2] = -1e-7, 1.0 + 1e-7, 1.0
+    vel = [rng.standard_normal(g.shape) for _ in range(dim)]
+    shared = step_u(plan, u, vel, 1e-4, model.beta_eff(u), g_fn(u))
+    assert np.array_equal(shared, step_u_upwinding_u(plan, u, vel, 1e-4))
+
+
+@pytest.mark.parametrize("gamma", [1.5, 2.0, 3.7])
+def test_porous_medium_phi_matches_the_antiderivative(gamma):
+    eta = 0.3
+    u = np.concatenate([np.linspace(0.0, 1.0, 101), [-1e-7, 1.0 + 1e-7, 1e-300]])
+    expected = np.abs(u) ** (gamma + 1.0) / (gamma + 1.0) + eta * u * u / 2.0
+    got = porous_medium_model(gamma, eta).phi_eff(u)
+    assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
 
 
 def relaxed_step(v_old, u, d, xi, dt):
