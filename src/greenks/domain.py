@@ -9,6 +9,8 @@ approximation of the continuum convolution at the cell centers.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import io
 from dataclasses import dataclass, field as dc_field
 
@@ -225,48 +227,45 @@ def norm_l2_spacetime(series: SpaceTimeSeries) -> float:
 _CSV_CHUNK = 512    # cells formatted per write; bounds the temporary strings
 
 
+@functools.lru_cache(maxsize=4)
+def _row_templates(grid: Grid, offsets: bool) -> tuple:
+    """Per chunk, its rows with index and coordinates filled in and a %.17g slot per value."""
+    coords = [c.ravel().tolist() for c in grid.meshgrid(offsets=offsets)]
+    row = "{}" + ",{:.17g}" * len(coords) + ",%.17g\n"
+    size = len(coords[0])
+    return tuple("".join(map(row.format, range(start, min(start + _CSV_CHUNK, size)),
+                             *(c[start:start + _CSV_CHUNK] for c in coords)))
+                 for start in range(0, size, _CSV_CHUNK))
+
+
+def _opened(f, mode: str):   # a path is opened and closed, an open file used as it is
+    return open(f, mode) if isinstance(f, str) else contextlib.nullcontext(f)
+
+
 def write_field_csv(f, field: Field, offsets: bool = False):
     g = field.grid
-    close = False
-    if isinstance(f, str):
-        f = open(f, "w")
-        close = True
-    try:
+    with _opened(f, "w") as f:
         f.write(f"# grid: N={g.dim} L={g.half_length!r} n={g.n}\n")
-        columns = [c.ravel() for c in g.meshgrid(offsets=offsets)] + [field.values.ravel()]
-        row = "{}" + ",{:.17g}" * len(columns) + "\n"
-        size = columns[-1].size
-        for start in range(0, size, _CSV_CHUNK):
-            stop = min(start + _CSV_CHUNK, size)
-            f.write("".join(map(row.format, range(start, stop),
-                                *(c[start:stop].tolist() for c in columns))))
-    finally:
-        if close:
-            f.close()
+        values = field.values.ravel()
+        for start, template in zip(range(0, values.size, _CSV_CHUNK), _row_templates(g, offsets)):
+            f.write(template % tuple(values[start:start + _CSV_CHUNK].tolist()))
 
 
 def read_field_csv(f) -> Field:
-    close = False
-    if isinstance(f, str):
-        f = open(f)
-        close = True
-    try:
+    """Read a snapshot; every flat index 0 .. n^N - 1 must appear exactly once."""
+    with _opened(f, "r") as f:
         header = f.readline().strip()
         if not header.startswith("# grid:"):
             raise ValueError("missing grid header")
         parts = dict(p.split("=") for p in header[len("# grid:"):].split())
         grid = Grid(dim=int(parts["N"]), half_length=float(parts["L"]), n=int(parts["n"]))
-        vals = np.empty(grid.n ** grid.dim)
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            cols = line.split(",")
-            vals[int(cols[0])] = float(cols[-1])
-        return Field(grid, vals.reshape(grid.shape))
-    finally:
-        if close:
-            f.close()
+        index, vals = np.loadtxt(f, delimiter=",", usecols=(0, grid.dim + 1), ndmin=2).T
+    size = grid.n ** grid.dim
+    if index.size != size or not np.array_equal(np.sort(index), np.arange(size)):
+        raise ValueError(f"snapshot rows must hold each index 0..{size - 1} exactly once")
+    out = np.empty(size)
+    out[index.astype(np.intp)] = vals
+    return Field(grid, out.reshape(grid.shape))
 
 
 def field_csv_string(field: Field, offsets: bool = False) -> str:

@@ -117,7 +117,6 @@ class GreensBasis:
     grid: Grid
     diffusivities: list
     fields: list      # list of Field, one per d_j
-    symbols: list     # Fourier multipliers matching each field
 
     def __post_init__(self):
         d = np.asarray(self.diffusivities, dtype=float)
@@ -129,9 +128,7 @@ class GreensBasis:
     @classmethod
     def build(cls, grid: Grid, diffusivities) -> "GreensBasis":
         ds = [float(d) for d in diffusivities]
-        fields = [_plain_green_field(d, grid) for d in ds]
-        symbols = [_multiplier(d, grid) for d in ds]
-        return cls(grid=grid, diffusivities=ds, fields=fields, symbols=symbols)
+        return cls(grid=grid, diffusivities=ds, fields=[_plain_green_field(d, grid) for d in ds])
 
     def combination(self, coefficients) -> Field:
         """Sum a_j w_j as a single field."""

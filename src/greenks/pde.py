@@ -17,9 +17,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# gradient, inner_l2, norm_l1 and periodic_convolve are unused here but stay
-# importable from this module: perfbench/tracer.py wraps names of greenks.pde
-# by attribute.
+# elliptic_solve, gradient, inner_l2, norm_l1 and periodic_convolve are unused
+# here but stay importable from this module: perfbench/tracer.py wraps names of
+# greenks.pde by attribute.
 from .domain import (Field, Grid, GridMismatchError, SpaceTimeSeries, gradient,
                      inner_l2, norm_l1, periodic_convolve)
 from .greens import _multiplier, elliptic_solve
@@ -190,15 +190,14 @@ class Diagnostics:
             column.append(value)
 
     def to_csv(self) -> str:
-        rows = [",".join(f"{v:.17g}" for v in row) for row in zip(*vars(self).values())]
-        return "\n".join(["time,mass,min_u,max_u,phi,grad_beta_accum,drift_accum"] + rows) + "\n"
+        rows = map(("{:.17g}," * 6 + "{:.17g}").format, *vars(self).values())
+        return "\n".join(["time,mass,min_u,max_u,phi,grad_beta_accum,drift_accum", *rows]) + "\n"
 
 
 @dataclass
 class SolverState:
     time: float
     u: Field
-    v: list
     diagnostics: Diagnostics
 
 
@@ -288,14 +287,22 @@ def step_u(plan: StepPlan, u: np.ndarray, velocity: list, dt: float,
     evaluates once per state and shares with every axis and dt halving.
     """
     h = plan.grid.h
-    flux_div = 0.0
+    div = None
     for ax, vel in enumerate(velocity):
-        v_face = 0.5 * (vel + plan.shift(vel, ax, 1))
+        # every shift is a fresh copy, so each face quantity is built in place on one
+        v_face = plan.shift(vel, ax, 1)
+        v_face += vel
+        v_face *= 0.5
         # g is pointwise, so upwinding g(u) equals g of the upwinded u
-        flux = np.where(v_face > 0.0, g_vals, plan.shift(g_vals, ax, 1)) * v_face
-        flux -= (plan.shift(beta_vals, ax, 1) - beta_vals) / h
-        flux_div = flux_div + (flux - plan.shift(flux, ax, -1)) / h
-    return u - dt * flux_div
+        flux = plan.shift(g_vals, ax, 1)
+        np.copyto(flux, g_vals, where=v_face > 0.0)
+        flux *= v_face
+        diffusive = plan.shift(beta_vals, ax, 1)
+        flux -= np.divide(np.subtract(diffusive, beta_vals, out=diffusive), h, out=diffusive)
+        term = plan.shift(flux, ax, -1)
+        np.divide(np.subtract(flux, term, out=term), h, out=term)
+        div = term if div is None else np.add(div, term, out=div)
+    return np.subtract(u, np.multiply(div, dt, out=div), out=div)
 
 
 def step_v_parabolic(plan: StepPlan, v_hat: list, u_hat: np.ndarray, dt: float) -> list:
@@ -308,9 +315,10 @@ def step_v_parabolic(plan: StepPlan, v_hat: list, u_hat: np.ndarray, dt: float) 
     return [(vh + source) / (1.0 + lam / s) for vh, s in zip(v_hat, plan.symbols)]
 
 
-def stable_dt(plan: StepPlan, u: np.ndarray, velocity: list, cfl_safety: float) -> float:
+def stable_dt(plan: StepPlan, u_max: float, velocity: list, cfl_safety: float) -> float:
+    """CFL step for a state whose largest density value is ``u_max``."""
     h, N = plan.grid.h, plan.grid.dim
-    top = min(max(float(u.max()), 0.0), 1.0) or 1.0
+    top = min(max(u_max, 0.0), 1.0) or 1.0
     max_bp = float(plan.model.beta_prime_eff(top * _UNIT_SPAN).max())
     speeds = [float(np.abs(v).max()) for v in velocity]
     if not math.isfinite(sum(speeds)):   # the sum keeps a NaN that max() may drop
@@ -353,10 +361,9 @@ def run(model: ModelFunctions, chem, u0: Field, config: RunConfig,
         velocity = drift_velocity_chemo(plan, u_hat, v_hat)
 
     t = grad_beta_accum = drift_accum = 0.0
-    mass0 = float(u.sum()) * cv
+    mass0, hi = float(u.sum()) * cv, float(u.max())   # hi: max of the current state
     diag = Diagnostics()
-    diag.append(t, mass0, float(u.min()), float(u.max()), float(model.phi_eff(u).sum()) * cv,
-                0.0, 0.0)
+    diag.append(t, mass0, float(u.min()), hi, float(model.phi_eff(u).sum()) * cv, 0.0, 0.0)
     snap_times = _snapshot_times(config)
     snapshots = [Field(grid, u.copy())]
     next_snap = 1
@@ -366,7 +373,7 @@ def run(model: ModelFunctions, chem, u0: Field, config: RunConfig,
         u_hat = plan.rfft(u)
         if not plan.relaxed:   # the chemical layer (if any) is slaved to u
             velocity = drift_velocity_chemo(plan, u_hat)
-        dt = config.dt if config.dt is not None else stable_dt(plan, u, velocity, config.cfl_safety)
+        dt = config.dt or stable_dt(plan, hi, velocity, config.cfl_safety)   # dt > 0 if set
         if dt < _MIN_DT_FRACTION * t_end:
             raise NumericalAbortError(f"time step collapsed to {dt:.3g} at t={t:.6g}")
         dt = min(dt, t_end - t)
@@ -390,8 +397,8 @@ def run(model: ModelFunctions, chem, u0: Field, config: RunConfig,
             raise NumericalAbortError(f"time stalled at t={t:.6g} with step {dt:.3g}")
 
         # energy bookkeeping on the pre-step state
-        grad_beta_accum += sum(float((c * c).sum()) * cv for c in plan.gradient(beta_u)) * dt
-        drift_accum += sum(float(((g_u * c) ** 2).sum()) * cv for c in vel_new) * dt
+        grad_beta_accum += sum(float(np.vdot(c, c)) * cv for c in plan.gradient(beta_u)) * dt
+        drift_accum += sum(float(np.vdot(w, w)) * cv for w in (g_u * c for c in vel_new)) * dt
 
         prev_t, prev_u = t, u
         t += dt
@@ -409,12 +416,6 @@ def run(model: ModelFunctions, chem, u0: Field, config: RunConfig,
             next_snap += 1
 
     snapshots += [Field(grid, u.copy()) for _ in snap_times[next_snap:]]
-    u_final = Field(grid, u)
-    if plan.relaxed:
-        v = [Field(grid, plan.irfft(vh)) for vh in v_hat]
-    else:   # the equilibrium chemicals of the final density, none for a kernel
-        v = ([] if isinstance(chem, PeriodizedKernel)
-             else [elliptic_solve(d, u_final) for d in chem.diffusivities])
     return (SpaceTimeSeries(grid=grid, times=snap_times.tolist(), snapshots=snapshots),
-            SolverState(time=t, u=u_final, v=v, diagnostics=diag))
+            SolverState(time=t, u=Field(grid, u), diagnostics=diag))
 

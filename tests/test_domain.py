@@ -241,6 +241,47 @@ def test_csv_bytes_match_the_per_cell_writer(grid, offsets):
     assert got == per_cell_csv(f, offsets=offsets).splitlines(keepends=True)
 
 
+def test_csv_row_templates_are_per_grid_and_offsets():
+    # the writer caches each grid's index and coordinate text; reusing it must not
+    # mix grids of equal n, offsets off and on, or two fields on one grid
+    grids = [Grid(2, 1.0, 46), Grid(2, 2.5, 46), Grid(2, 1.0, 46)]
+    for seed, (grid, offsets) in enumerate([(g, o) for g in grids for o in (False, True, False)]):
+        f = rng_field(grid, seed)
+        got = field_csv_string(f, offsets=offsets).splitlines(keepends=True)
+        assert got == per_cell_csv(f, offsets=offsets).splitlines(keepends=True)
+
+
+def snapshot_without(text, drop=(), extra=()):
+    header, *rows = text.splitlines(keepends=True)
+    return header + "".join(r for i, r in enumerate(rows) if i not in drop) + "".join(extra)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "header only", "missing", "duplicate",
+                                    "out of range", "negative", "fractional", "short row"])
+def test_csv_rejects_incomplete_snapshots(damage):
+    g = Grid(1, 1.0, 64)
+    text = field_csv_string(rng_field(g, 3))
+    rows = text.splitlines(keepends=True)[1:]
+    bad = {"truncated": snapshot_without(text, drop=range(19, 64)),
+           "header only": snapshot_without(text, drop=range(64)),
+           "missing": snapshot_without(text, drop=[40]),
+           "duplicate": snapshot_without(text, drop=[40], extra=[rows[39]]),
+           "out of range": snapshot_without(text, drop=[40], extra=["64" + rows[40][2:]]),
+           "negative": snapshot_without(text, drop=[0], extra=["-1" + rows[0][1:]]),
+           "fractional": snapshot_without(text, drop=[1], extra=["0.5" + rows[1][1:]]),
+           "short row": snapshot_without(text, drop=[63], extra=["63,0.5\n"])}[damage]
+    with pytest.raises(ValueError):
+        read_field_csv(io.StringIO(bad))
+
+
+def test_csv_reads_rows_in_any_order():
+    g = Grid(2, 1.0, 8)
+    f = rng_field(g, 4)
+    header, *rows = field_csv_string(f).splitlines(keepends=True)
+    back = read_field_csv(io.StringIO(header + "".join(rows[::-1]) + "\n"))
+    assert np.array_equal(back.values, f.values)
+
+
 def test_csv_rejects_missing_header():
     with pytest.raises(ValueError):
         read_field_csv(io.StringIO("0,0.0,1.0\n"))

@@ -233,6 +233,17 @@ def test_cli_run_and_compare(tmp_path):
     assert main(["compare", str(out), str(out)]) == 0
 
 
+def test_cli_compare_rejects_a_truncated_snapshot(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.n = 64\nrun.t_end = 0.02\nrun.snapshot_every = 0.01\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "-o", str(out)]) == 0
+    snap = out / "snapshots" / "snap_00001.csv"
+    snap.write_text("".join(snap.read_text().splitlines(keepends=True)[:20]))   # 19 rows
+    assert main(["compare", str(out), str(out)]) == 1
+    assert "exactly once" in capsys.readouterr().err
+
+
 def test_cli_determinism(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("grid.n = 32\nrun.t_end = 0.05\nrun.snapshot_every = 0.025\n"
