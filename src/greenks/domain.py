@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import io
+import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -259,7 +260,10 @@ def read_field_csv(f) -> Field:
             raise ValueError("missing grid header")
         parts = dict(p.split("=") for p in header[len("# grid:"):].split())
         grid = Grid(dim=int(parts["N"]), half_length=float(parts["L"]), n=int(parts["n"]))
-        index, vals = np.loadtxt(f, delimiter=",", usecols=(0, grid.dim + 1), ndmin=2).T
+        with warnings.catch_warnings():
+            # a snapshot without rows fails the index check below instead
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            index, vals = np.loadtxt(f, delimiter=",", usecols=(0, grid.dim + 1), ndmin=2).T
     size = grid.n ** grid.dim
     if index.size != size or not np.array_equal(np.sort(index), np.arange(size)):
         raise ValueError(f"snapshot rows must hold each index 0..{size - 1} exactly once")

@@ -10,6 +10,7 @@ is the midpoint-rule nonlocal term.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -70,6 +71,8 @@ class PeriodizedKernel:
 
     field: Field
     truncation_radius_cells: int
+    # the tail certificate that stopped the sum; 0.0 for compact support
+    tail_bound: float = 0.0
 
 
 def greens_free_space(d: float, dim: int) -> RadialKernel:
@@ -233,19 +236,26 @@ def periodize(k: RadialKernel, grid: Grid, tolerance: float = 1e-10,
 
     Shells |l|_inf = s are accumulated until the decay certificate bounds the
     remaining tail below `tolerance` (a compactly supported kernel stops as
-    soon as no translate can reach the domain).  For kernels singular at the
-    origin the zero-offset cell stores the cell average of the full sum.
+    soon as no translate can reach the domain); ``tail_bound`` records the
+    certificate that stopped the sum.  For kernels singular at the origin
+    the zero-offset cell stores the cell average of the full sum.
 
-    Each shell is summed in batches of translates on the octant
-    |x_i| in {0, h, ..., L} only: the sum is even in every coordinate and
-    2L-periodic, so reflection fills the rest of the lattice.
+    The sum is even in every coordinate and 2L-periodic, so it is evaluated
+    on the octant |x_i| in {0, h, ..., L} only and reflection fills the rest
+    of the lattice.  Every shell is invariant under permuting the axes of the
+    cubic grid, so on the octant each shell is summed, in batches of
+    translates, only at the sorted index tuples i_1 <= ... <= i_N and the
+    octant is filled from them by permutation.  The Gauss rule for the
+    origin cell's smooth translates is folded the same way, each sorted node
+    tuple carrying the summed weights of its permutations.
     """
     if k.decay is None and k.support_radius is None:
         raise ValueError("kernel needs decay metadata or a declared support radius")
     L = grid.half_length
     dim = grid.dim
     octant = np.arange(grid.n // 2 + 1) * grid.h
-    w = np.zeros((octant.size,) * dim)
+    points, octant_rank = _sorted_tuples(octant.size, dim)
+    w = np.zeros(len(points))
     if k.singular_at_origin:
         origin_value = _cell_average_origin(k, grid)
         nodes, weights = np.polynomial.legendre.leggauss(_ORIGIN_GAUSS_ORDER)
@@ -253,36 +263,54 @@ def periodize(k: RadialKernel, grid: Grid, tolerance: float = 1e-10,
         cell_weights = np.ones(())
         for _ in range(dim):
             cell_weights = np.multiply.outer(cell_weights, weights / 2.0)
+        node_tuples, node_rank = _sorted_tuples(nodes.size, dim)
+        cell_weights = np.bincount(node_rank, weights=cell_weights.ravel())
 
     shells = 0
+    tail = 0.0
     s = 0
     while True:
         if s > 0:
             if k.support_radius is not None:
                 if L * (2 * s - 1) > k.support_radius:
                     break
-            elif _tail_estimate(k, grid, s) < tolerance:
-                break
+            else:
+                tail = _tail_estimate(k, grid, s)
+                if tail < tolerance:
+                    break
         if s > max_shells:
             raise ValueError("lattice sum did not converge within max_shells")
         rows = _shell_offsets(s, dim) + s
         centers = 2.0 * L * np.arange(-s, s + 1)[:, None]
-        for r in _batched_radii((octant - centers) ** 2, rows):
+        for r in _batched_radii((octant - centers) ** 2, rows, points):
             if s == 0 and k.singular_at_origin:
-                r.flat[0] = 1.0   # the zero offset; its cell average is stored below
+                r[0, 0] = 1.0   # the zero offset; its cell average is stored below
             w += _profile_in_support(k, r).sum(axis=0)
         if k.singular_at_origin and s > 0:
             # cell averages over the origin cell of the smooth translates
-            for r in _batched_radii((cell_nodes - centers) ** 2, rows):
-                origin_value += float((_profile_in_support(k, r) * cell_weights).sum())
+            for r in _batched_radii((cell_nodes - centers) ** 2, rows, node_tuples):
+                origin_value += float((_profile_in_support(k, r) @ cell_weights).sum())
         shells = s
         s += 1
 
     if k.singular_at_origin:
-        w.flat[0] = origin_value
+        w[0] = origin_value
+    w = w[octant_rank].reshape((octant.size,) * dim)
     j = np.arange(grid.n)
     w = w[np.ix_(*[np.minimum(j, grid.n - j)] * dim)]
-    return PeriodizedKernel(field=Field(grid, w), truncation_radius_cells=shells)
+    return PeriodizedKernel(field=Field(grid, w), truncation_radius_cells=shells,
+                            tail_bound=tail)
+
+
+def _sorted_tuples(m: int, dim: int) -> tuple:
+    """Index tuples 0 <= i_1 <= ... <= i_dim < m, one row each in lexicographic
+    order (the first is the origin), and for every tuple of the full m^dim
+    tensor, in C order, the row of its sorted permutation."""
+    tuples = np.array(list(itertools.combinations_with_replacement(range(m), dim)),
+                      dtype=np.intp).reshape(-1, dim)
+    rank = np.zeros((m,) * dim, dtype=np.intp)
+    rank[tuple(tuples.T)] = np.arange(len(tuples))
+    return tuples, rank[tuple(np.sort(np.indices(rank.shape).reshape(dim, -1), axis=0))]
 
 
 def _shell_offsets(s: int, dim: int) -> np.ndarray:
@@ -302,24 +330,24 @@ def _shell_offsets(s: int, dim: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _batched_radii(sq: np.ndarray, rows: np.ndarray):
-    """Yield |x - 2L*l| on the tensor grid of points, for batches of translates.
+def _batched_radii(sq: np.ndarray, rows: np.ndarray, points: np.ndarray):
+    """Yield |x - 2L*l| at the given points, for batches of translates.
 
     ``sq[i, j]`` is the squared distance along one axis from point coordinate
-    j to translate coordinate i; ``rows`` holds one translate per row as
-    indices into ``sq``.  Each batch has shape (translates,) + (points,)*dim.
+    j to translate coordinate i; ``rows`` holds one translate and ``points``
+    one point per row, both as index tuples into ``sq``.  Each batch has
+    shape (translates, points).
     """
     count, dim = rows.shape
-    points = sq.shape[1]
-    batch = max(1, _BATCH_ELEMENTS // points ** dim)
+    # per axis, the squared distances from every translate coordinate to the points
+    axes = [sq[:, points[:, i]] for i in range(dim)]
+    batch = max(1, _BATCH_ELEMENTS // len(points))
     for lo in range(0, count, batch):
         idx = rows[lo:lo + batch]
-        r2 = 0.0
-        for i in range(dim):
-            shape = [len(idx)] + [1] * dim
-            shape[i + 1] = points
-            r2 = r2 + sq[idx[:, i]].reshape(shape)
-        yield np.sqrt(r2)
+        r2 = axes[0][idx[:, 0]]
+        for i in range(1, dim):
+            r2 += axes[i][idx[:, i]]
+        yield np.sqrt(r2, out=r2)
 
 
 def _profile_in_support(k: RadialKernel, r: np.ndarray) -> np.ndarray:

@@ -1,11 +1,14 @@
 import math
 import os
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import greenks
 from greenks import config as cfgmod
 from greenks.cli import main
 from greenks.domain import Field, Grid, SpaceTimeSeries, norm_l2
@@ -244,6 +247,22 @@ def test_cli_compare_rejects_a_truncated_snapshot(tmp_path, capsys):
     assert "exactly once" in capsys.readouterr().err
 
 
+def test_cli_compare_rejects_a_header_only_snapshot(tmp_path):
+    # in a fresh interpreter, so that stderr holds everything the command prints
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.n = 8\nrun.t_end = 0.02\nrun.snapshot_every = 0.01\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "-o", str(out)]) == 0
+    snap = out / "snapshots" / "snap_00001.csv"
+    snap.write_text(snap.read_text().splitlines(keepends=True)[0])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(greenks.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "greenks.cli", "compare", str(out), str(out)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "exactly once" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
 def test_cli_determinism(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("grid.n = 32\nrun.t_end = 0.05\nrun.snapshot_every = 0.025\n"
@@ -298,6 +317,9 @@ def test_cli_rejects_non_finite_parameter(tmp_path, setting):
     assert run_cli(tmp_path, f"grid.n = 32\nrun.t_end = 0.01\n{setting}\n") == 1
 
 
+# the overflow is the point; inf - inf in the drift then warns of the NaN it makes
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_cli_drift_overflow_is_numerical_abort(tmp_path, capsys):
     # finite, but a * rfft(u) overflows inside the loop
     assert run_cli(tmp_path, "grid.n = 32\nrun.t_end = 0.01\nchem.a = 1e308\n") == 2

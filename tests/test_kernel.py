@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from greenks import kernel
 from greenks.domain import Grid, norm_l1
-from greenks.greens import lattice_sum_green
+from greenks.greens import GreensBasis, lattice_sum_green
 from greenks.kernel import (RadialKernel, adhesion_potential, gaussian_kernel,
                             greens_free_space, periodize)
 from greenks.specfun import bessel_k
@@ -158,12 +159,26 @@ def test_periodized_kernel_is_even(dim, n):
     (adhesion_potential(ONES, 1), Grid(1, 0.4, 32)),
     (greens_free_space(1.0, 2), Grid(2, 1.0, 16)),
     (greens_free_space(1.0, 3), Grid(3, 2.0, 8)),
-], ids=["green-1d", "gaussian-1d", "adhesion-1d", "green-2d", "green-3d"])
+    (gaussian_kernel(0.3, 2), Grid(2, 0.5, 16)),
+    (gaussian_kernel(0.3, 3), Grid(3, 0.5, 8)),
+    (adhesion_potential(ONES, 2), Grid(2, 0.4, 16)),
+    (adhesion_potential(ONES, 3), Grid(3, 0.4, 8)),
+], ids=["green-1d", "gaussian-1d", "adhesion-1d", "green-2d", "green-3d",
+        "gaussian-2d", "gaussian-3d", "adhesion-2d", "adhesion-3d"])
 def test_periodize_matches_direct_lattice_sum(kernel, grid):
     # L is small against each kernel's reach, so neighbouring images overlap
     pk = periodize(kernel, grid)
     ref = lattice_sum_direct(kernel, grid, pk.truncation_radius_cells)
     assert np.all(np.abs(pk.field.values - ref) <= 1e-12 * np.abs(ref))
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 8)])
+def test_periodized_kernel_equals_its_axis_transposes(dim, n):
+    # every octant point takes the value summed at its sorted index tuple,
+    # so permuting the axes of the cubic grid reproduces the field exactly
+    v = periodize(greens_free_space(0.5, dim), Grid(dim, 1.0, n)).field.values
+    for axes in itertools.permutations(range(dim)):
+        assert np.array_equal(v, v.transpose(axes))
 
 
 # h = 2L/n runs over 1, 1/8 and 1/64
@@ -226,6 +241,23 @@ def test_truncation_radius_is_converged():
     loose = periodize(k, g, tolerance=1e-6)
     tight = periodize(k, g, tolerance=1e-12)
     assert np.abs(loose.field.values - tight.field.values).max() < 1e-6
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
+def test_tail_bound_records_the_stopping_certificate(dim, n):
+    g = Grid(dim, 1.0, n)
+    k = greens_free_space(1.0, dim)
+    loose = periodize(k, g, tolerance=1e-6)
+    tight = periodize(k, g, tolerance=1e-12)
+    assert 0.0 < loose.tail_bound < 1e-6
+    assert 0.0 < tight.tail_bound < 1e-12
+    assert loose.tail_bound > tight.tail_bound
+
+
+def test_tail_bound_is_zero_without_a_decay_certificate():
+    assert periodize(adhesion_potential(ONES, 2), Grid(2, 0.4, 16)).tail_bound == 0.0
+    basis = GreensBasis.build(Grid(1, 1.0, 32), [1.0, 2.0])
+    assert basis.as_kernel([1.0, 0.5]).tail_bound == 0.0
 
 
 def test_periodize_needs_decay_metadata():
