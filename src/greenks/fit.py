@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .domain import Field, inner_h1, norm_h1, norm_l2, norm_w11
+from .domain import Field, gradient, inner_h1, norm_h1, norm_l2, norm_w11
 from .greens import GreensBasis
 from .kernel import PeriodizedKernel
 
@@ -78,7 +78,6 @@ def default_diffusivities(M: int, d_star: float) -> DiffusivitySequence:
 def _h1_design_column(f: Field) -> np.ndarray:
     """Stack the field and its gradient with quadrature weights so that
     column inner products reproduce the discrete H1 inner product."""
-    from .domain import gradient
     w = np.sqrt(f.grid.cell_volume)
     parts = [f.values.ravel()] + [g.values.ravel() for g in gradient(f)]
     return np.concatenate(parts) * w

@@ -10,7 +10,7 @@ import numpy as np
 from . import config as cfgmod
 from .domain import (Field, SpaceTimeSeries, gradient, norm_l1, norm_l2,
                      norm_l2_spacetime, periodic_convolve)
-from .fit import fit_coefficients
+from .fit import default_diffusivities, fit_coefficients
 from .greens import GreensBasis
 from .kernel import PeriodizedKernel
 from .pde import ChemicalSpec, run
@@ -125,7 +125,6 @@ def study_kernel(cfg: dict, W_target: PeriodizedKernel = None, M_list=None,
 
     errors, kernel_residuals, fit_results = [], [], []
     for M in M_list:
-        from .fit import default_diffusivities
         seq = default_diffusivities(M, d_star)
         basis = GreensBasis.build(grid, seq.values)
         result = fit_coefficients(W_target, basis, reg)

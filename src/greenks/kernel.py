@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .domain import Field, Grid
 from .specfun import bessel_k
@@ -164,20 +163,29 @@ def adhesion_potential(omega: Callable[[np.ndarray], np.ndarray], dim: int,
     """Compactly supported potential with radial derivative omega on [0, 1].
 
     The profile is the continuous representative vanishing at the support
-    boundary: K(r) = -int_r^1 omega(s) ds for r <= 1, zero beyond.
+    boundary: K(r) = -int_r^1 omega(s) ds for r <= 1, zero beyond, tabulated
+    by the cumulative Simpson rule on ``resolution`` >= 2 uniform intervals.
     """
     if dim not in (1, 2, 3):
         raise ValueError("dim must be 1, 2 or 3")
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
     s = np.linspace(0.0, 1.0, resolution + 1)
     w = np.asarray(omega(s), dtype=float) * np.ones_like(s)
-    # cumulative integral from r to 1 via Simpson on the dense grid
-    total = integrate.simpson(w, x=s)
-    cum = integrate.cumulative_simpson(w, x=s, initial=0.0)
-    tail_int = total - cum   # int_r^1 omega
+    # Cumulative Simpson rule on the uniform grid, as scipy's equal-interval
+    # cumulative_simpson: interval i integrates the parabola through
+    # f_i, f_{i+1}, f_{i+2} when i is even and not the last interval, else
+    # the one through f_{i-1}, f_i, f_{i+1}.
+    left, mid, right = w[:-2], w[1:-1], w[2:]
+    pieces = np.empty(resolution)
+    pieces[1:] = (-left + 8.0 * mid + 5.0 * right) / (12.0 * resolution)
+    pieces[:-1:2] = ((5.0 * left + 8.0 * mid - right) / (12.0 * resolution))[::2]
+    cum = np.concatenate(([0.0], np.cumsum(pieces)))
+    values = cum - cum[-1]   # -int_s^1 omega, exactly 0 at s = 1
 
     def profile(r):
         r = np.asarray(r, dtype=float)
-        inside = np.interp(np.clip(r, 0.0, 1.0), s, -tail_int)
+        inside = np.interp(np.clip(r, 0.0, 1.0), s, values)
         return np.where(r <= 1.0, inside, 0.0)
 
     def dprofile(r):

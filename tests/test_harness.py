@@ -263,6 +263,18 @@ def test_cli_compare_rejects_a_header_only_snapshot(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+def test_cli_import_leaves_out_heavy_scipy_modules():
+    # in a fresh interpreter: pytest and tests/oracles.py load scipy.integrate
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(greenks.__file__)))
+    code = ("import sys, greenks, greenks.cli; print(' '.join(m for m in "
+            "('scipy.integrate', 'scipy.sparse', 'scipy.linalg', 'scipy.optimize') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
 def test_cli_determinism(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("grid.n = 32\nrun.t_end = 0.05\nrun.snapshot_every = 0.025\n"

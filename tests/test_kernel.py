@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from greenks import kernel
 from greenks.domain import Grid, norm_l1
@@ -79,6 +80,31 @@ def test_adhesion_hump_omega():
     for r in (0.0, 0.3, 0.8, 1.0):
         expected = (r ** 2 / 2.0 - r ** 3 / 3.0) - 1.0 / 6.0 if r <= 1.0 else 0.0
         assert k.profile(np.array([r]))[0] == pytest.approx(expected, abs=1e-8)
+
+
+@pytest.mark.parametrize("resolution", [8192, 64, 10, 7, 2])
+@pytest.mark.parametrize("name", ["const", "hump", "cos"])
+def test_adhesion_profile_matches_scipy_simpson(name, resolution):
+    omega = {"const": ONES,
+             "hump": lambda r: np.asarray(r) * (1.0 - np.asarray(r)),
+             "cos": lambda r: np.cos(7.0 * np.asarray(r))}[name]
+    s = np.linspace(0.0, 1.0, resolution + 1)
+    w = omega(s) * np.ones_like(s)
+    cum = integrate.cumulative_simpson(w, x=s, initial=0.0)
+    k = adhesion_potential(omega, 2, resolution)
+    # the rule itself: scipy's cumulative Simpson, shifted to vanish at s = 1
+    assert np.abs(k.profile(s) - (cum - cum[-1])).max() <= 1e-14
+    # against scipy's separate total, up to the a-priori rounding bound of a
+    # running sum of `resolution` terms (the hump at 8192 differs by 1.7e-14)
+    bound = max(1e-14, resolution * np.finfo(float).eps * np.abs(w).mean())
+    assert np.abs(-k.profile(s) - (integrate.simpson(w, x=s) - cum)).max() <= bound
+    assert k.profile(np.array([1.0]))[0] == 0.0
+
+
+@pytest.mark.parametrize("resolution", [1, 0, -4])
+def test_adhesion_rejects_too_coarse_resolution(resolution):
+    with pytest.raises(ValueError, match="resolution"):
+        adhesion_potential(ONES, 1, resolution)
 
 
 # --- periodization --------------------------------------------------------
