@@ -46,27 +46,22 @@ def _load_series(outdir: str) -> SpaceTimeSeries:
     times_path = os.path.join(outdir, "times.csv")
     if not os.path.exists(times_path):
         raise FileNotFoundError(f"{times_path} not found; not a run directory?")
-    times, snaps = [], []
-    with open(times_path) as f:
-        next(f)
-        for line in f:
-            idx, t = line.strip().split(",")
-            times.append(float(t))
-            snaps.append(read_field_csv(
-                os.path.join(outdir, "snapshots", f"snap_{int(idx):05d}.csv")))
-    return SpaceTimeSeries(snaps[0].grid, times, snaps)
+    try:
+        with open(times_path) as f:
+            rows = [line.split(",") for line in f.read().splitlines()[1:]]
+        if not rows:
+            raise ComparisonError(f"{times_path} lists no snapshots")
+        times = [float(t) for _, t in rows]
+        snaps = [read_field_csv(os.path.join(outdir, "snapshots", f"snap_{int(i):05d}.csv"))
+                 for i, _ in rows]
+        return SpaceTimeSeries(snaps[0].grid, times, snaps)
+    except (ValueError, KeyError) as e:   # a malformed times.csv or snapshot
+        raise ComparisonError(str(e)) from e
 
 
 def _cmd_run(args) -> int:
     cfg = cfgmod.load_config(args.config)
-    grid = cfgmod.build_grid(cfg)
-    model = cfgmod.build_model(cfg)
-    u0 = cfgmod.build_initial_datum(cfg, grid)
-    run_cfg = cfgmod.build_run_config(cfg, grid)
-    kernel = cfgmod.build_kernel(cfg, grid)
-    chem = kernel if kernel is not None else cfgmod.build_chemical(cfg)
-
-    series, state = run_solver(model, chem, u0, run_cfg)
+    series, state = run_solver(*cfgmod.build_problem(cfg))
 
     outdir = args.output
     _write(os.path.join(outdir, "config.txt"), cfgmod.config_echo(cfg) + "\n")
@@ -86,47 +81,30 @@ def _cmd_run(args) -> int:
 
 def _cmd_fit_kernel(args) -> int:
     cfg = cfgmod.load_config(args.config)
-    grid = cfgmod.build_grid(cfg)
-    W = cfgmod.build_kernel(cfg, grid)
-    if W is None:
-        print("fit-kernel requires kernel.type != none", file=sys.stderr)
-        return EXIT_VALIDATION
-    m_list = cfgmod.study_m_list(cfg)
-    result = fit_to_tolerance(
-        W, epsilon=args.epsilon if args.epsilon is not None
-        else 0.05 * norm_w11(W.field),
-        M_max=max(m_list), d_star=float(cfg["study.d_star"]),
-        regularization=float(cfg["study.regularization"]))
+    W = cfgmod.require_kernel(cfgmod.build_problem(cfg)[1], "fit-kernel")
+    d_star, regularization = cfgmod.study_fit_settings(cfg)
+    epsilon = args.epsilon if args.epsilon is not None else 0.05 * norm_w11(W.field)
+    if epsilon == 0.0:
+        raise cfgmod.ConfigError("the kernel is zero; fit-kernel needs --epsilon")
+    result = fit_to_tolerance(W, epsilon=epsilon, M_max=max(cfgmod.study_m_list(cfg)),
+                              d_star=d_star, regularization=regularization)
     _write(os.path.join(args.output, "fit.csv"), result.to_csv())
     print(f"fit: M={len(result.coefficients)} residual_w11={result.residual_w11:.6g} "
           f"converged={result.converged}")
     return EXIT_OK
 
 
-def _report_outputs(report, outdir: str, plot: bool, logx: bool = True):
-    _write(os.path.join(outdir, f"{report.experiment_id}.csv"), report.to_csv())
-    if plot:
+def _cmd_study(args) -> int:
+    report = args.study(cfgmod.load_config(args.config))
+    name, outdir = report.experiment_id, args.output
+    _write(os.path.join(outdir, f"{name}.csv"), report.to_csv())
+    if args.plot:
         svg = line_chart(
             {"error": (report.parameter_axis, report.errors)},
-            title=report.experiment_id, xlabel="parameter", ylabel="L2(Q_T) error",
-            logx=logx, logy=all(e > 0 for e in report.errors))
-        _write(os.path.join(outdir, f"{report.experiment_id}.svg"), svg)
-
-
-def _cmd_study_xi(args) -> int:
-    cfg = cfgmod.load_config(args.config)
-    report = study_xi(cfg)
-    _report_outputs(report, args.output, args.plot)
-    print(f"study-xi: errors={['%.3e' % e for e in report.errors]} "
-          f"monotone={report.monotone_flag}")
-    return EXIT_OK
-
-
-def _cmd_study_kernel(args) -> int:
-    cfg = cfgmod.load_config(args.config)
-    report = study_kernel(cfg)
-    _report_outputs(report, args.output, args.plot, logx=False)
-    print(f"study-kernel: errors={['%.3e' % e for e in report.errors]} "
+            title=name, xlabel="parameter", ylabel="L2(Q_T) error",
+            logx=name == "study-xi", logy=all(e > 0 for e in report.errors))
+        _write(os.path.join(outdir, f"{name}.svg"), svg)
+    print(f"{name}: errors={['%.3e' % e for e in report.errors]} "
           f"monotone={report.monotone_flag}")
     return EXIT_OK
 
@@ -177,36 +155,31 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:   # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="greenks",
                                 description="Nonlocal-vs-chemotaxis PDE laboratory")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    for name, about, func, study in (
+            ("run", "advance one system and dump snapshots", _cmd_run, None),
+            ("fit-kernel", "fit a kernel with Green-function fields", _cmd_fit_kernel, None),
+            ("study-xi", "relaxation-limit error curve", _cmd_study, study_xi),
+            ("study-kernel", "kernel-approximation error curve", _cmd_study, study_kernel)):
+        sp = sub.add_parser(name, help=about)
+        sp.add_argument("config")
+        if name == "fit-kernel":
+            sp.add_argument("--epsilon", type=_positive_float, default=None,
+                            help="target W11 residual (default: 5%% of the kernel norm)")
         sp.add_argument("--output", "-o", default="out", help="output directory")
         sp.add_argument("--plot", action="store_true", help="emit SVG plots")
-
-    sp = sub.add_parser("run", help="advance one system and dump snapshots")
-    sp.add_argument("config")
-    add_common(sp)
-    sp.set_defaults(func=_cmd_run)
-
-    sp = sub.add_parser("fit-kernel", help="fit a kernel with Green-function fields")
-    sp.add_argument("config")
-    sp.add_argument("--epsilon", type=float, default=None,
-                    help="target W11 residual (default: 5%% of the kernel norm)")
-    add_common(sp)
-    sp.set_defaults(func=_cmd_fit_kernel)
-
-    sp = sub.add_parser("study-xi", help="relaxation-limit error curve")
-    sp.add_argument("config")
-    add_common(sp)
-    sp.set_defaults(func=_cmd_study_xi)
-
-    sp = sub.add_parser("study-kernel", help="kernel-approximation error curve")
-    sp.add_argument("config")
-    add_common(sp)
-    sp.set_defaults(func=_cmd_study_kernel)
+        sp.set_defaults(func=func, study=study)
 
     sp = sub.add_parser("compare", help="L2(Q_T) distance of two run directories")
     sp.add_argument("run_a")
@@ -227,7 +200,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (cfgmod.ConfigError, InputValidationError, ComparisonError,
-            FileNotFoundError, ValueError) as e:
+            FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericalAbortError, AssertionError) as e:

@@ -8,6 +8,7 @@ documents both.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
@@ -72,6 +73,20 @@ def _choice(cfg: dict, key: str) -> str:
     return cfg[key]
 
 
+def _config_values(fn):
+    """Report a bare ValueError from ``fn`` (a config value the parsers or the
+    dataclass validators reject) as ConfigError; InputValidationError passes."""
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (ConfigError, InputValidationError):
+            raise
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
+    return checked
+
+
 def parse_config_text(text: str) -> dict:
     cfg = dict(_DEFAULTS)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -87,6 +102,7 @@ def parse_config_text(text: str) -> dict:
     return cfg
 
 
+@_config_values
 def load_config(path: str) -> dict:
     with open(path) as f:
         return parse_config_text(f.read())
@@ -94,10 +110,6 @@ def load_config(path: str) -> dict:
 
 def _floats(value: str) -> list:
     return [float(p) for p in value.split(",") if p.strip()]
-
-
-def _ints(value: str) -> list:
-    return [int(p) for p in value.split(",") if p.strip()]
 
 
 def _number_or_auto(value: str) -> Optional[float]:
@@ -109,23 +121,6 @@ def build_grid(cfg: dict) -> Grid:
     return Grid(dim=int(cfg["grid.dim"]),
                 half_length=float(cfg["grid.half_length"]),
                 n=int(cfg["grid.n"]))
-
-
-def build_model(cfg: dict) -> ModelFunctions:
-    eta = float(cfg["model.eta"])
-    if _choice(cfg, "model.beta") == "linear":
-        model = linear_model(eta=eta)
-    else:
-        model = porous_medium_model(float(cfg["model.gamma"]), eta=eta)
-    if _choice(cfg, "model.g") == "linear":
-        model.g = linear_saturating_g
-    return model
-
-
-def build_chemical(cfg: dict) -> ChemicalSpec:
-    return ChemicalSpec(diffusivities=_floats(cfg["chem.d"]),
-                        sensitivities=_floats(cfg["chem.a"]),
-                        xi=float(cfg["chem.xi"]))
 
 
 def omega_profile(name: str):
@@ -155,7 +150,7 @@ def build_kernel(cfg: dict, grid: Grid) -> Optional[PeriodizedKernel]:
     return pk
 
 
-def build_initial_datum(cfg: dict, grid: Grid) -> Field:
+def _initial_datum(cfg: dict, grid: Grid) -> Field:
     kind = _choice(cfg, "init.type")
     amp = float(cfg["init.amplitude"])
     width = float(cfg["init.width"])
@@ -183,20 +178,78 @@ def build_initial_datum(cfg: dict, grid: Grid) -> Field:
     return Field(grid, vals)
 
 
-def build_run_config(cfg: dict, grid: Grid) -> RunConfig:
-    return RunConfig(grid=grid,
-                     t_end=float(cfg["run.t_end"]),
-                     dt=_number_or_auto(cfg["run.dt"]),
-                     snapshot_every=_number_or_auto(cfg["run.snapshot_every"]),
-                     cfl_safety=float(cfg["run.cfl_safety"]))
+def _model(cfg: dict) -> ModelFunctions:
+    eta = float(cfg["model.eta"])
+    if _choice(cfg, "model.beta") == "linear":
+        model = linear_model(eta=eta)
+    else:
+        model = porous_medium_model(float(cfg["model.gamma"]), eta=eta)
+    if _choice(cfg, "model.g") == "linear":
+        model.g = linear_saturating_g
+    return model
 
 
-def study_xi_list(cfg: dict) -> list:
-    return _floats(cfg["study.xi"])
+@_config_values
+def build_problem(cfg: dict) -> tuple:
+    """``(model, chem, u0, run_config)``, in the argument order of ``pde.run``.
+
+    ``chem`` is the periodized kernel when ``kernel.type != none`` and the
+    ``ChemicalSpec`` of the ``chem.*`` keys otherwise.
+    """
+    grid = build_grid(cfg)
+    model = _model(cfg)
+    u0 = _initial_datum(cfg, grid)
+    run_config = RunConfig(grid=grid,
+                           t_end=float(cfg["run.t_end"]),
+                           dt=_number_or_auto(cfg["run.dt"]),
+                           snapshot_every=_number_or_auto(cfg["run.snapshot_every"]),
+                           cfl_safety=float(cfg["run.cfl_safety"]))
+    chem = build_kernel(cfg, grid)
+    if chem is None:
+        chem = ChemicalSpec(diffusivities=_floats(cfg["chem.d"]),
+                            sensitivities=_floats(cfg["chem.a"]),
+                            xi=float(cfg["chem.xi"]))
+    return model, chem, u0, run_config
+
+
+def require_kernel(chem, command: str) -> PeriodizedKernel:
+    """The ``chem`` of ``build_problem`` for a command that fits a kernel."""
+    if not isinstance(chem, PeriodizedKernel):
+        raise ConfigError(f"{command} needs kernel.type != none")
+    return chem
+
+
+@_config_values
+def study_list(cfg: dict, key: str, values=None) -> list:
+    """The study axis ``key``, from ``values`` if given, else from the config:
+    ``study.xi`` in (0, 1] and strictly decreasing, or ``study.M`` positive
+    and strictly increasing."""
+    decreasing = key == "study.xi"
+    if values is None:
+        values = [p for p in cfg[key].split(",") if p.strip()]
+    values = [(float if decreasing else int)(v) for v in values]
+    steps = [a - b if decreasing else b - a for a, b in zip(values, values[1:])]
+    if not (values and all(v > 0 for v in values + steps)
+            and (not decreasing or values[0] <= 1.0)):
+        order = "decreasing in (0, 1]" if decreasing else "increasing and positive"
+        raise ConfigError(f"{key} must be strictly {order}")
+    return values
 
 
 def study_m_list(cfg: dict) -> list:
-    return _ints(cfg["study.M"])
+    return study_list(cfg, "study.M")
+
+
+@_config_values
+def study_fit_settings(cfg: dict) -> tuple:
+    """``(d_star, regularization)`` of the Green-basis kernel fits."""
+    d_star = float(cfg["study.d_star"])
+    regularization = float(cfg["study.regularization"])
+    if not 0.0 < d_star < math.inf:
+        raise ConfigError("study.d_star must be positive and finite")
+    if not 0.0 <= regularization < math.inf:
+        raise ConfigError("study.regularization must be non-negative and finite")
+    return d_star, regularization
 
 
 def config_echo(cfg: dict) -> str:

@@ -26,15 +26,16 @@ class ExperimentReport:
     parameter_axis: list
     errors: list
     metadata: str
-    monotone_flag: bool
-    aborted: bool = False
     extra: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.parameter_axis) != len(self.errors):
             raise ValueError("parameter axis and errors length mismatch")
-        if self.monotone_flag != _monotone(self.errors):
-            raise ValueError("monotone_flag inconsistent with recorded errors")
+
+    @property
+    def monotone_flag(self) -> bool:
+        """Whether the errors are non-increasing along the parameter axis."""
+        return all(b <= a * (1.0 + 1e-12) for a, b in zip(self.errors, self.errors[1:]))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -44,10 +45,6 @@ class ExperimentReport:
         for line in self.metadata.splitlines():
             buf.write(f"# {line}\n")
         return buf.getvalue()
-
-
-def _monotone(errors) -> bool:
-    return all(b <= a * (1.0 + 1e-12) for a, b in zip(errors, errors[1:]))
 
 
 def compare_runs(a: SpaceTimeSeries, b: SpaceTimeSeries) -> float:
@@ -65,17 +62,10 @@ def compare_runs(a: SpaceTimeSeries, b: SpaceTimeSeries) -> float:
 
 def study_xi(cfg: dict, xi_list=None) -> ExperimentReport:
     """Distance of the relaxed chemical system to its instantaneous limit."""
-    if xi_list is None:
-        xi_list = cfgmod.study_xi_list(cfg)
-    xi_list = [float(x) for x in xi_list]
-    if any(x2 >= x1 for x1, x2 in zip(xi_list, xi_list[1:])) or any(x <= 0 for x in xi_list):
-        raise ValueError("xi list must be strictly decreasing and positive")
-
-    grid = cfgmod.build_grid(cfg)
-    model = cfgmod.build_model(cfg)
-    u0 = cfgmod.build_initial_datum(cfg, grid)
-    run_cfg = cfgmod.build_run_config(cfg, grid)
-    chem = cfgmod.build_chemical(cfg)
+    xi_list = cfgmod.study_list(cfg, "study.xi", xi_list)
+    model, chem, u0, run_cfg = cfgmod.build_problem(cfg)
+    if isinstance(chem, PeriodizedKernel):
+        raise cfgmod.ConfigError("study-xi needs kernel.type = none")
 
     limit = ChemicalSpec(chem.diffusivities, chem.sensitivities, xi=0.0)
     ref, _ = run(model, limit, u0, run_cfg)
@@ -86,53 +76,34 @@ def study_xi(cfg: dict, xi_list=None) -> ExperimentReport:
         series, _ = run(model, relaxed, u0, run_cfg)
         errors.append(compare_runs(series, ref))
 
-    return ExperimentReport(
-        experiment_id="study-xi",
-        parameter_axis=xi_list,
-        errors=errors,
-        metadata=cfgmod.config_echo(cfg),
-        monotone_flag=_monotone(errors),
-    )
+    return ExperimentReport("study-xi", xi_list, errors, cfgmod.config_echo(cfg))
 
 
 def study_kernel(cfg: dict, W_target: PeriodizedKernel = None, M_list=None,
                  young_slack: float = 1e-8) -> ExperimentReport:
     """Solution error of Green-basis kernel surrogates against the exact kernel.
 
-    For each basis size the target kernel is fitted, the fitted combination is
-    run through the parabolic-elliptic solver (exercising the coincidence with
-    the nonlocal form), and the result is compared with the nonlocal reference
-    run.  The report carries kernel residuals alongside the solution errors and
-    asserts the convolution drift bound on every snapshot.
+    For each basis size the target kernel (by default the config's) is
+    fitted, the fitted combination is run through the parabolic-elliptic
+    solver (exercising the coincidence with the nonlocal form), and the
+    result is compared with the nonlocal reference run.  The convolution
+    drift bound is asserted on every snapshot.  ``extra["fits"]`` holds the
+    ``FitResult`` of each basis size, W11 residual included.
     """
-    grid = cfgmod.build_grid(cfg)
-    model = cfgmod.build_model(cfg)
-    u0 = cfgmod.build_initial_datum(cfg, grid)
-    run_cfg = cfgmod.build_run_config(cfg, grid)
+    model, chem, u0, run_cfg = cfgmod.build_problem(cfg)
     if W_target is None:
-        W_target = cfgmod.build_kernel(cfg, grid)
-        if W_target is None:
-            raise ValueError("study-kernel needs kernel.type != none")
-    if M_list is None:
-        M_list = cfgmod.study_m_list(cfg)
-    M_list = [int(m) for m in M_list]
-    if any(m2 <= m1 for m1, m2 in zip(M_list, M_list[1:])):
-        raise ValueError("M list must be strictly increasing")
-    d_star = float(cfg["study.d_star"])
-    reg = float(cfg["study.regularization"])
+        W_target = cfgmod.require_kernel(chem, "study-kernel")
+    d_star, reg = cfgmod.study_fit_settings(cfg)
+    M_list = cfgmod.study_list(cfg, "study.M", M_list)
 
     ref_series, _ = run(model, W_target, u0, run_cfg)
 
-    errors, kernel_residuals, fit_results = [], [], []
+    errors, fit_results = [], []
     for M in M_list:
         seq = default_diffusivities(M, d_star)
-        basis = GreensBasis.build(grid, seq.values)
+        basis = GreensBasis.build(u0.grid, seq.values)
         result = fit_coefficients(W_target, basis, reg)
         fit_results.append(result)
-        grad_l1 = sum(
-            norm_l1(ga - gb) for ga, gb in
-            zip(gradient(basis.combination(result.coefficients)), gradient(W_target.field)))
-        kernel_residuals.append(grad_l1)
 
         chem = ChemicalSpec(diffusivities=list(seq.values),
                             sensitivities=list(result.coefficients), xi=0.0)
@@ -143,14 +114,8 @@ def study_kernel(cfg: dict, W_target: PeriodizedKernel = None, M_list=None,
         if not all(young_drift_bound_holds(u, W_diff, young_slack) for u in series.snapshots):
             raise AssertionError("drift Young bound violated on a snapshot")
 
-    return ExperimentReport(
-        experiment_id="study-kernel",
-        parameter_axis=[float(m) for m in M_list],
-        errors=errors,
-        metadata=cfgmod.config_echo(cfg),
-        monotone_flag=_monotone(errors),
-        extra={"kernel_residuals": kernel_residuals, "fits": fit_results},
-    )
+    return ExperimentReport("study-kernel", [float(m) for m in M_list], errors,
+                            cfgmod.config_echo(cfg), extra={"fits": fit_results})
 
 
 def young_drift_bound_holds(u: Field, W: Field, slack: float = 1e-8) -> bool:

@@ -47,14 +47,7 @@ def bump(grid, amp=0.8, width=0.4):
 
 
 def run_config(path):
-    cfg = cfgmod.load_config(path)
-    grid = cfgmod.build_grid(cfg)
-    model = cfgmod.build_model(cfg)
-    u0 = cfgmod.build_initial_datum(cfg, grid)
-    rc = cfgmod.build_run_config(cfg, grid)
-    kernel = cfgmod.build_kernel(cfg, grid)
-    chem = kernel if kernel is not None else cfgmod.build_chemical(cfg)
-    return run(model, chem, u0, rc)
+    return run(*cfgmod.build_problem(cfgmod.load_config(path)))
 
 
 def test_criterion_1_bessel_oracle(capsys):

@@ -14,6 +14,8 @@ from greenks.cli import main
 from greenks.domain import Field, Grid, SpaceTimeSeries, norm_l2
 from greenks.harness import (ComparisonError, ExperimentReport, compare_runs,
                              study_kernel, study_xi)
+from greenks.kernel import PeriodizedKernel
+from greenks.pde import InputValidationError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -63,15 +65,18 @@ def test_compare_rejects_mismatches():
 # --- reports --------------------------------------------------------------
 
 def test_report_flag_consistency_enforced():
+    # the flag is derived from the errors, so it cannot disagree with them
+    rep = ExperimentReport("x", [1.0, 2.0], [1.0, 2.0], "")
+    assert not rep.monotone_flag
+    rep.errors[1] = 0.5
+    assert rep.monotone_flag
+    assert ExperimentReport("x", [1.0, 2.0], [1.0, 1.0 + 1e-13], "").monotone_flag
     with pytest.raises(ValueError):
-        ExperimentReport("x", [1.0, 2.0], [1.0, 2.0], "", monotone_flag=True)
-    with pytest.raises(ValueError):
-        ExperimentReport("x", [1.0], [1.0, 2.0], "", monotone_flag=False)
+        ExperimentReport("x", [1.0], [1.0, 2.0], "")
 
 
 def test_report_csv_shape():
-    rep = ExperimentReport("demo", [2.0, 1.0], [0.5, 0.25], "k = v",
-                           monotone_flag=True)
+    rep = ExperimentReport("demo", [2.0, 1.0], [0.5, 0.25], "k = v")
     lines = rep.to_csv().splitlines()
     assert lines[0] == "param,error,monotone"
     assert lines[1].endswith(",true")
@@ -143,6 +148,16 @@ def test_study_kernel_rejects_nonincreasing_m():
         study_kernel(cfg, M_list=[4, 2])
 
 
+def test_study_xi_rejects_a_kernel_config(tmp_path, capsys):
+    cfg = base_cfg(**{"kernel.type": "adhesion"})
+    with pytest.raises(cfgmod.ConfigError, match="kernel.type = none"):
+        study_xi(cfg, xi_list=[1e-2])
+    path = tmp_path / "xi.cfg"
+    path.write_text("grid.n = 32\nkernel.type = adhesion\n")
+    assert main(["study-xi", str(path), "-o", str(tmp_path / "out")]) == 1
+    assert "kernel.type = none" in capsys.readouterr().err
+
+
 # --- config parsing -------------------------------------------------------
 
 def test_config_unknown_key():
@@ -157,20 +172,20 @@ def test_config_comments_and_defaults():
 
 
 def test_initial_datum_validation():
+    # a bad datum is an InputValidationError, not turned into a ConfigError
     cfg = cfgmod.parse_config_text("init.type = constant\ninit.amplitude = 1.4\n")
-    grid = cfgmod.build_grid(cfg)
-    from greenks.pde import InputValidationError
     with pytest.raises(InputValidationError):
-        cfgmod.build_initial_datum(cfg, grid)
+        cfgmod.build_problem(cfg)
 
 
 def test_shipped_configs_parse():
-    for name in os.listdir(CONFIG_DIR):
+    names = sorted(os.listdir(CONFIG_DIR))
+    assert {"study_kernel.cfg", "study_xi.cfg"} <= set(names)
+    for name in names:
         cfg = cfgmod.load_config(os.path.join(CONFIG_DIR, name))
-        grid = cfgmod.build_grid(cfg)
-        cfgmod.build_model(cfg)
-        cfgmod.build_initial_datum(cfg, grid)
-        cfgmod.build_run_config(cfg, grid)
+        model, chem, u0, run_config = cfgmod.build_problem(cfg)
+        assert isinstance(chem, PeriodizedKernel) == (cfg["kernel.type"] != "none"), name
+        assert u0.grid == run_config.grid == cfgmod.build_grid(cfg)
 
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -202,11 +217,7 @@ def test_readme_key_table_matches_config():
 @pytest.mark.parametrize("key", sorted(cfgmod._CHOICES))
 def test_every_enumerated_value_builds(key):
     def build(value):
-        cfg = base_cfg(**{"grid.n": "16", "kernel.type": "adhesion", key: value})
-        grid = cfgmod.build_grid(cfg)
-        cfgmod.build_model(cfg)
-        cfgmod.build_kernel(cfg, grid)
-        cfgmod.build_initial_datum(cfg, grid)
+        cfgmod.build_problem(base_cfg(**{"grid.n": "16", "kernel.type": "adhesion", key: value}))
 
     for value in cfgmod._CHOICES[key]:
         build(value)
@@ -356,3 +367,62 @@ def test_cli_explicit_snapshot_interval_out_of_range(tmp_path, capsys):
     text = "grid.n = 32\nrun.t_end = 0.01\nrun.snapshot_every = 0.05\n"
     assert run_cli(tmp_path, text) == 1
     assert "snapshot_every" in capsys.readouterr().err
+
+
+def test_cli_internal_value_error_is_not_a_user_error(tmp_path, monkeypatch):
+    # only the named input-error classes map to exit 1; a bare ValueError
+    # from inside the program propagates
+    def broken(*args):
+        raise ValueError("internal bug")
+    monkeypatch.setattr("greenks.cli.run_solver", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        run_cli(tmp_path, "grid.n = 32\nrun.t_end = 0.01\n")
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert sum("error:" in line for line in err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("command", ["fit-kernel", "study-kernel"])
+@pytest.mark.parametrize("setting", [
+    "study.d_star = -1", "study.M = 4, 2", "study.regularization = -1", "study.M = 1, x",
+])
+def test_cli_rejects_bad_study_setting(tmp_path, capsys, command, setting):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"grid.n = 32\nrun.t_end = 0.01\nkernel.type = adhesion\n{setting}\n")
+    assert main([command, str(cfg), "-o", str(tmp_path / "out")]) == 1
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("epsilon", ["-1", "0", "nan", "abc"])
+def test_cli_rejects_bad_epsilon(tmp_path, capsys, epsilon):
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("grid.n = 32\nkernel.type = adhesion\n")
+    assert main(["fit-kernel", str(cfg), "--epsilon", epsilon, "-o", str(tmp_path)]) == 1
+    assert_one_error_line(capsys)
+
+
+def test_cli_fit_kernel_of_a_zero_kernel_needs_epsilon(tmp_path, capsys):
+    # the default epsilon, 5% of the kernel norm, is 0 for a zero kernel
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("grid.n = 32\nkernel.type = adhesion\nkernel.scale = 0\n")
+    assert main(["fit-kernel", str(cfg), "-o", str(tmp_path)]) == 1
+    assert_one_error_line(capsys)
+    assert main(["fit-kernel", str(cfg), "--epsilon", "0.1", "-o", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("times", ["index,time\n0,abc\n", "index,time\n0\n", "index,time\n"])
+def test_cli_compare_rejects_a_malformed_times_file(tmp_path, capsys, times):
+    assert run_cli(tmp_path, "grid.n = 8\nrun.t_end = 0.02\n") == 0
+    capsys.readouterr()
+    (tmp_path / "out" / "times.csv").write_text(times)
+    assert main(["compare", str(tmp_path / "out"), str(tmp_path / "out")]) == 1
+    assert_one_error_line(capsys)
+
+
+def test_cli_rejects_an_undecodable_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"grid.n = \xff\n")
+    assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 1
+    assert_one_error_line(capsys)
