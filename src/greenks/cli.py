@@ -199,8 +199,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (cfgmod.ConfigError, InputValidationError, ComparisonError,
-            FileNotFoundError) as e:
+    except (cfgmod.ConfigError, InputValidationError, ComparisonError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericalAbortError, AssertionError) as e:

@@ -190,11 +190,12 @@ def _model(cfg: dict) -> ModelFunctions:
 
 
 @_config_values
-def build_problem(cfg: dict) -> tuple:
+def build_problem(cfg: dict, chem=None) -> tuple:
     """``(model, chem, u0, run_config)``, in the argument order of ``pde.run``.
 
     ``chem`` is the periodized kernel when ``kernel.type != none`` and the
-    ``ChemicalSpec`` of the ``chem.*`` keys otherwise.
+    ``ChemicalSpec`` of the ``chem.*`` keys otherwise.  A ``chem`` passed in
+    replaces that chemical layer, and the config's is then not built.
     """
     grid = build_grid(cfg)
     model = _model(cfg)
@@ -204,7 +205,8 @@ def build_problem(cfg: dict) -> tuple:
                            dt=_number_or_auto(cfg["run.dt"]),
                            snapshot_every=_number_or_auto(cfg["run.snapshot_every"]),
                            cfl_safety=float(cfg["run.cfl_safety"]))
-    chem = build_kernel(cfg, grid)
+    if chem is None:
+        chem = build_kernel(cfg, grid)
     if chem is None:
         chem = ChemicalSpec(diffusivities=_floats(cfg["chem.d"]),
                             sensitivities=_floats(cfg["chem.a"]),

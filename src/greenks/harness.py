@@ -83,16 +83,16 @@ def study_kernel(cfg: dict, W_target: PeriodizedKernel = None, M_list=None,
                  young_slack: float = 1e-8) -> ExperimentReport:
     """Solution error of Green-basis kernel surrogates against the exact kernel.
 
-    For each basis size the target kernel (by default the config's) is
+    The target kernel is ``W_target`` if given (the config's own kernel is
+    then never periodized), else the config's.  For each basis size it is
     fitted, the fitted combination is run through the parabolic-elliptic
     solver (exercising the coincidence with the nonlocal form), and the
     result is compared with the nonlocal reference run.  The convolution
     drift bound is asserted on every snapshot.  ``extra["fits"]`` holds the
     ``FitResult`` of each basis size, W11 residual included.
     """
-    model, chem, u0, run_cfg = cfgmod.build_problem(cfg)
-    if W_target is None:
-        W_target = cfgmod.require_kernel(chem, "study-kernel")
+    model, chem, u0, run_cfg = cfgmod.build_problem(cfg, W_target)
+    W_target = cfgmod.require_kernel(chem, "study-kernel")
     d_star, reg = cfgmod.study_fit_settings(cfg)
     M_list = cfgmod.study_list(cfg, "study.M", M_list)
 

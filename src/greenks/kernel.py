@@ -1,6 +1,6 @@
 """Radial free-space kernels and their periodization onto the torus.
 
-A kernel is described by a radial profile K(r) and its derivative; the
+A kernel is described by a radial profile K(r) and its decay; the
 screened-Poisson Green functions and the adhesion potential built from a
 force profile omega are provided as constructors.  ``periodize`` sums the
 lattice translates K(x - 2L*l) on the offset lattice of a grid (index 0
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .domain import Field, Grid
 from .specfun import bessel_k
@@ -36,14 +37,14 @@ _FACE_ORDER = 40
 class RadialKernel:
     """Free-space radial kernel with decay metadata.
 
-    ``decay = (C, alpha)`` asserts |K(r)| + |K'(r)| <= C (1+r)^(-alpha) away
-    from the origin; ``tail_bound`` may sharpen that for the lattice-sum
-    truncation (the Green kernels decay exponentially).  ``support_radius``
-    marks compact support instead.
+    ``profile(r, out=None)`` evaluates K at the radii ``r``, into ``out`` (an
+    array of r's shape, not r itself) when it is given.  ``decay = (C, alpha)``
+    asserts |K(r)| <= C (1+r)^(-alpha) away from the origin; ``tail_bound``
+    may sharpen that for the lattice-sum truncation (the Green kernels decay
+    exponentially).  ``support_radius`` marks compact support instead.
     """
 
-    profile: Callable[[np.ndarray], np.ndarray]
-    derivative_profile: Callable[[np.ndarray], np.ndarray]
+    profile: Callable[..., np.ndarray]
     decay: Optional[tuple] = None          # (C, alpha), alpha > N
     support_radius: Optional[float] = None
     singular_at_origin: bool = False
@@ -53,9 +54,8 @@ class RadialKernel:
         if self.decay is not None:
             C, alpha = self.decay
             r = np.array(_DECAY_CHECK_RADII)
-            total = np.abs(self.profile(r)) + np.abs(self.derivative_profile(r))
             bound = C * (1.0 + r) ** (-alpha)
-            if np.any(total > bound * (1.0 + 1e-12)):
+            if np.any(np.abs(self.profile(r)) > bound * (1.0 + 1e-12)):
                 raise ValueError("decay metadata violated at the check radii")
 
     def value_at_origin(self) -> float:
@@ -74,6 +74,20 @@ class PeriodizedKernel:
     tail_bound: float = 0.0
 
 
+def _radii_and_out(r, out) -> tuple:
+    """``r`` as a float array, and ``out`` or a new array of its shape."""
+    r = np.asarray(r, dtype=float)
+    return r, (np.empty_like(r) if out is None else out)
+
+
+def _decay_certificate(profile, dim: int, r_max: float) -> tuple:
+    """(C, alpha) with |K(r)| <= C (1+r)^(-alpha), alpha = dim + 1, sampled
+    on [0.5, r_max] with a 1 % margin; exponential decay dominates any power."""
+    alpha = dim + 1.0
+    rr = np.linspace(0.5, r_max, 400)
+    return 1.01 * float((np.abs(profile(rr)) * (1.0 + rr) ** alpha).max()), alpha
+
+
 def greens_free_space(d: float, dim: int) -> RadialKernel:
     """Free-space Green function of -d*Laplace + 1 in `dim` dimensions."""
     if d <= 0:
@@ -83,51 +97,49 @@ def greens_free_space(d: float, dim: int) -> RadialKernel:
     mu = 1.0 / math.sqrt(d)
 
     if dim == 1:
-        def profile(r):
-            return np.exp(-mu * np.asarray(r, dtype=float)) / (2.0 * math.sqrt(d))
-
-        def dprofile(r):
-            return -np.exp(-mu * np.asarray(r, dtype=float)) / (2.0 * d)
+        def profile(r, out=None):
+            r, out = _radii_and_out(r, out)
+            np.exp(np.multiply(r, -mu, out=out), out=out)
+            return np.multiply(out, 0.5 / math.sqrt(d), out=out)
 
         singular = False
     elif dim == 2:
-        def profile(r):
-            return bessel_k(0, np.asarray(r, dtype=float) * mu) / (2.0 * math.pi * d)
+        work = np.empty(0)   # K_0's scratch, grown to the largest argument array
 
-        def dprofile(r):
-            return -mu * bessel_k(1, np.asarray(r, dtype=float) * mu) / (2.0 * math.pi * d)
+        def profile(r, out=None):
+            nonlocal work
+            r, out = _radii_and_out(r, out)
+            if work.size < 3 * r.size:
+                work = np.empty(3 * r.size)
+            bessel_k(0, np.multiply(r, mu, out=out), out=out,
+                     work=work[:3 * r.size].reshape((3,) + r.shape))
+            return np.multiply(out, 1.0 / (2.0 * math.pi * d), out=out)
 
         singular = True
     else:
-        def profile(r):
-            r = np.asarray(r, dtype=float)
-            return np.exp(-mu * r) / (4.0 * math.pi * d * r)
-
-        def dprofile(r):
-            r = np.asarray(r, dtype=float)
-            return -np.exp(-mu * r) * (1.0 + mu * r) / (4.0 * math.pi * d * r * r)
+        def profile(r, out=None):
+            r, out = _radii_and_out(r, out)
+            np.exp(np.multiply(r, -mu, out=out), out=out)
+            np.divide(out, r, out=out)
+            return np.multiply(out, 1.0 / (4.0 * math.pi * d), out=out)
 
         singular = True
 
-    # Algebraic decay certificate: exponential decay dominates any power.
-    alpha = dim + 1.0
-    rr = np.linspace(0.5, 80.0, 400)
-    C = float(((np.abs(profile(rr)) + np.abs(dprofile(rr))) * (1.0 + rr) ** alpha).max())
-
     def tail(r, _mu=mu, _d=d, _dim=dim):
-        # crude but safe for r >= 0.5: |K|+|K'| <= pref * e^{-mu r}
+        # crude but safe for r >= 0.5: |K| <= pref * e^{-mu r}; the prefactors
+        # also cover |K'| and set the pinned shell counts
         r = max(r, 0.5)
         if _dim == 1:
             pref = 1.0 / (2.0 * math.sqrt(_d)) + 1.0 / (2.0 * _d)
             return pref * math.exp(-_mu * r)
         if _dim == 2:
-            # K_0, K_1 <= sqrt(pi/(2 mu r)) e^{-mu r} * (1 + 1/(mu r)) margin
+            # K_0 <= sqrt(pi/(2 mu r)) e^{-mu r} * (1 + 1/(mu r)) margin
             pref = (1.0 + _mu) / (2.0 * math.pi * _d) * math.sqrt(math.pi / (2.0 * _mu * r)) * 2.0
             return pref * math.exp(-_mu * r)
         pref = (1.0 / r + (1.0 + _mu * r) / (r * r)) / (4.0 * math.pi * _d)
         return pref * math.exp(-_mu * r)
 
-    return RadialKernel(profile, dprofile, decay=(C * 1.01, alpha),
+    return RadialKernel(profile, decay=_decay_certificate(profile, dim, 80.0),
                         singular_at_origin=singular, tail_bound=tail)
 
 
@@ -139,23 +151,18 @@ def gaussian_kernel(sigma: float, dim: int) -> RadialKernel:
         raise ValueError("dim must be 1, 2 or 3")
     A = (2.0 * math.pi * sigma * sigma) ** (-0.5 * dim)
 
-    def profile(r):
-        r = np.asarray(r, dtype=float)
-        return A * np.exp(-r * r / (2.0 * sigma * sigma))
-
-    def dprofile(r):
-        r = np.asarray(r, dtype=float)
-        return -(r / (sigma * sigma)) * A * np.exp(-r * r / (2.0 * sigma * sigma))
-
-    alpha = dim + 1.0
-    rr = np.linspace(0.5, 40.0, 400)
-    C = float(((np.abs(profile(rr)) + np.abs(dprofile(rr))) * (1.0 + rr) ** alpha).max())
+    def profile(r, out=None):
+        r, out = _radii_and_out(r, out)
+        np.multiply(r, r, out=out)
+        np.exp(np.divide(out, -2.0 * sigma * sigma, out=out), out=out)
+        return np.multiply(out, A, out=out)
 
     def tail(r, _s=sigma, _A=A):
+        # |K| <= tail; the factor (1 + r/s^2) also covers |K'|
         r = max(r, 0.5)
         return _A * (1.0 + r / (_s * _s)) * math.exp(-r * r / (2.0 * _s * _s))
 
-    return RadialKernel(profile, dprofile, decay=(C * 1.01, alpha), tail_bound=tail)
+    return RadialKernel(profile, decay=_decay_certificate(profile, dim, 40.0), tail_bound=tail)
 
 
 def adhesion_potential(omega: Callable[[np.ndarray], np.ndarray], dim: int,
@@ -183,17 +190,13 @@ def adhesion_potential(omega: Callable[[np.ndarray], np.ndarray], dim: int,
     cum = np.concatenate(([0.0], np.cumsum(pieces)))
     values = cum - cum[-1]   # -int_s^1 omega, exactly 0 at s = 1
 
-    def profile(r):
-        r = np.asarray(r, dtype=float)
-        inside = np.interp(np.clip(r, 0.0, 1.0), s, values)
-        return np.where(r <= 1.0, inside, 0.0)
+    def profile(r, out=None):
+        r, out = _radii_and_out(r, out)
+        out[...] = np.interp(np.clip(r, 0.0, 1.0), s, values)
+        np.copyto(out, 0.0, where=r > 1.0)
+        return out
 
-    def dprofile(r):
-        r = np.asarray(r, dtype=float)
-        inside = np.asarray(omega(np.clip(r, 0.0, 1.0)), dtype=float)
-        return np.where(r <= 1.0, inside, 0.0)
-
-    return RadialKernel(profile, dprofile, support_radius=1.0)
+    return RadialKernel(profile, support_radius=1.0)
 
 
 def _cell_average_origin(k: RadialKernel, grid: Grid) -> float:
@@ -210,18 +213,19 @@ def _cell_average_origin(k: RadialKernel, grid: Grid) -> float:
     [2^(-j-1), 2^(-j)], the last reaching 0, which integrates the log r and
     1/r singularities at an exponential rate; the face rule is tensor
     Gauss-Legendre (in 1D the face is the point R = a).  The R x t nodes are
-    evaluated in batches of at most _BATCH_ELEMENTS, one profile call each.
+    evaluated in batches of at most _BATCH_ELEMENTS, one profile call each,
+    in two buffers that every batch reuses.
     """
     a = grid.h / 2.0
     dim = grid.dim
-    nodes, weights = np.polynomial.legendre.leggauss(_RAY_ORDER)
+    nodes, weights = leggauss(_RAY_ORDER)
     hi = 0.5 ** np.arange(_RAY_PANELS)
     lo = np.append(hi[1:], 0.0)
     half = 0.5 * (hi - lo)[:, None]
     t = (0.5 * (hi + lo)[:, None] + half * nodes).ravel()
     t_weights = (half * weights).ravel() * t ** (dim - 1)
 
-    nodes, weights = np.polynomial.legendre.leggauss(_FACE_ORDER)
+    nodes, weights = leggauss(_FACE_ORDER)
     y2, face_weights = np.zeros(()), np.ones(())
     for _ in range(dim - 1):
         y2 = np.add.outer(y2, (0.5 * a * (nodes + 1.0)) ** 2)
@@ -230,10 +234,13 @@ def _cell_average_origin(k: RadialKernel, grid: Grid) -> float:
     face_weights = face_weights.ravel()
 
     total = 0.0
-    batch = max(1, _BATCH_ELEMENTS // t.size)
+    batch = min(max(1, _BATCH_ELEMENTS // t.size), R.size)
+    buffers = np.empty((2, batch, t.size))
     for start in range(0, R.size, batch):
         rows = slice(start, start + batch)
-        rays = k.profile(np.multiply.outer(R[rows], t)) @ t_weights
+        m = min(batch, R.size - start)
+        r = np.multiply.outer(R[rows], t, out=buffers[0, :m])
+        rays = k.profile(r, out=buffers[1, :m]) @ t_weights
         total += float(face_weights[rows] @ rays)
     return 2 * dim * 2 ** (dim - 1) * a * total / grid.h ** dim
 
@@ -255,7 +262,8 @@ def periodize(k: RadialKernel, grid: Grid, tolerance: float = 1e-10,
     translates, only at the sorted index tuples i_1 <= ... <= i_N and the
     octant is filled from them by permutation.  The Gauss rule for the
     origin cell's smooth translates is folded the same way, each sorted node
-    tuple carrying the summed weights of its permutations.
+    tuple carrying the summed weights of its permutations.  All batches share
+    one pair of buffers, for the radii and the profile values.
     """
     if k.decay is None and k.support_radius is None:
         raise ValueError("kernel needs decay metadata or a declared support radius")
@@ -264,15 +272,19 @@ def periodize(k: RadialKernel, grid: Grid, tolerance: float = 1e-10,
     octant = np.arange(grid.n // 2 + 1) * grid.h
     points, octant_rank = _sorted_tuples(octant.size, dim)
     w = np.zeros(len(points))
+    widest = len(points)
     if k.singular_at_origin:
         origin_value = _cell_average_origin(k, grid)
-        nodes, weights = np.polynomial.legendre.leggauss(_ORIGIN_GAUSS_ORDER)
+        nodes, weights = leggauss(_ORIGIN_GAUSS_ORDER)
         cell_nodes = 0.5 * grid.h * nodes
         cell_weights = np.ones(())
         for _ in range(dim):
             cell_weights = np.multiply.outer(cell_weights, weights / 2.0)
         node_tuples, node_rank = _sorted_tuples(nodes.size, dim)
         cell_weights = np.bincount(node_rank, weights=cell_weights.ravel())
+        widest = max(widest, len(node_tuples))
+    # a batch is whole rows of points, at most _BATCH_ELEMENTS unless one row is more
+    buffers = np.empty((2, max(_BATCH_ELEMENTS, widest)))
 
     shells = 0
     tail = 0.0
@@ -290,14 +302,15 @@ def periodize(k: RadialKernel, grid: Grid, tolerance: float = 1e-10,
             raise ValueError("lattice sum did not converge within max_shells")
         rows = _shell_offsets(s, dim) + s
         centers = 2.0 * L * np.arange(-s, s + 1)[:, None]
-        for r in _batched_radii((octant - centers) ** 2, rows, points):
+        for r, vals in _batched_radii((octant - centers) ** 2, rows, points, buffers):
             if s == 0 and k.singular_at_origin:
                 r[0, 0] = 1.0   # the zero offset; its cell average is stored below
-            w += _profile_in_support(k, r).sum(axis=0)
+            w += _profile_in_support(k, r, vals).sum(axis=0)
         if k.singular_at_origin and s > 0:
             # cell averages over the origin cell of the smooth translates
-            for r in _batched_radii((cell_nodes - centers) ** 2, rows, node_tuples):
-                origin_value += float((_profile_in_support(k, r) @ cell_weights).sum())
+            for r, vals in _batched_radii((cell_nodes - centers) ** 2, rows, node_tuples,
+                                          buffers):
+                origin_value += float((_profile_in_support(k, r, vals) @ cell_weights).sum())
         shells = s
         s += 1
 
@@ -338,13 +351,15 @@ def _shell_offsets(s: int, dim: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _batched_radii(sq: np.ndarray, rows: np.ndarray, points: np.ndarray):
+def _batched_radii(sq: np.ndarray, rows: np.ndarray, points: np.ndarray,
+                   buffers: np.ndarray):
     """Yield |x - 2L*l| at the given points, for batches of translates.
 
     ``sq[i, j]`` is the squared distance along one axis from point coordinate
     j to translate coordinate i; ``rows`` holds one translate and ``points``
     one point per row, both as index tuples into ``sq``.  Each batch has
-    shape (translates, points).
+    shape (translates, points) and is yielded as a pair of views of the two
+    rows of ``buffers``: the radii, and scratch that the caller may overwrite.
     """
     count, dim = rows.shape
     # per axis, the squared distances from every translate coordinate to the points
@@ -352,16 +367,19 @@ def _batched_radii(sq: np.ndarray, rows: np.ndarray, points: np.ndarray):
     batch = max(1, _BATCH_ELEMENTS // len(points))
     for lo in range(0, count, batch):
         idx = rows[lo:lo + batch]
-        r2 = axes[0][idx[:, 0]]
+        shape = (len(idx), len(points))
+        r2, scratch = (b[:shape[0] * shape[1]].reshape(shape) for b in buffers)
+        # mode="clip" writes straight into out; the indices are in range anyway
+        np.take(axes[0], idx[:, 0], axis=0, out=r2, mode="clip")
         for i in range(1, dim):
-            r2 += axes[i][idx[:, i]]
-        yield np.sqrt(r2, out=r2)
+            r2 += np.take(axes[i], idx[:, i], axis=0, out=scratch, mode="clip")
+        yield np.sqrt(r2, out=r2), scratch
 
 
-def _profile_in_support(k: RadialKernel, r: np.ndarray) -> np.ndarray:
-    vals = np.asarray(k.profile(r), dtype=float)
+def _profile_in_support(k: RadialKernel, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    vals = k.profile(r, out=out)
     if k.support_radius is not None:
-        vals = np.where(r > k.support_radius, 0.0, vals)
+        np.copyto(vals, 0.0, where=r > k.support_radius)
     return vals
 
 

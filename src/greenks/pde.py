@@ -16,6 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
+from numpy import fft
 
 # elliptic_solve, gradient, inner_l2, norm_l1 and periodic_convolve are unused
 # here but stay importable from this module: perfbench/tracer.py wraps names of
@@ -227,7 +228,7 @@ class StepPlan:
         if isinstance(chem, PeriodizedKernel):
             if chem.field.grid != grid:
                 raise GridMismatchError("kernel and initial datum on different grids")
-            symbols = [grid.cell_volume * np.fft.rfftn(chem.field.values)]
+            symbols = [grid.cell_volume * fft.rfftn(chem.field.values)]
         else:
             half = (Ellipsis, slice(0, grid.n // 2 + 1))   # rfft half of the lattice
             symbols = [_multiplier(float(d), grid)[half] for d in chem.diffusivities]
@@ -244,12 +245,12 @@ class StepPlan:
 
     # in 1D the plain transforms skip the n-dimensional wrappers' overhead
     def rfft(self, a: np.ndarray) -> np.ndarray:
-        return np.fft.rfft(a) if self.grid.dim == 1 else np.fft.rfftn(a)
+        return fft.rfft(a) if self.grid.dim == 1 else fft.rfftn(a)
 
     def irfft(self, a_hat: np.ndarray) -> np.ndarray:
         if self.grid.dim == 1:
-            return np.fft.irfft(a_hat, self.grid.n)
-        return np.fft.irfftn(a_hat, self.grid.shape, tuple(range(self.grid.dim)))
+            return fft.irfft(a_hat, self.grid.n)
+        return fft.irfftn(a_hat, self.grid.shape, tuple(range(self.grid.dim)))
 
     def shift(self, a: np.ndarray, ax: int, step: int) -> np.ndarray:
         """a[i + step] along axis ``ax`` with periodic wrap, step = 1 or -1."""

@@ -21,7 +21,7 @@ def bessel_k_quadrature(nu: float, r: float) -> float:
     """
     nu = abs(float(nu))
     # e^{-r cosh s} < 1e-30 once cosh s > (69 + 30)/r; the cosh(nu s) growth
-    # (nu <= 1 here) is swallowed by the extra margin
+    # (nu <= 3/2 here) is swallowed by the extra margin
     s_max = math.acosh(max(99.0 / r, 2.0))
     val, err = integrate.quad(
         lambda s: math.exp(-r * math.cosh(s)) * math.cosh(nu * s),

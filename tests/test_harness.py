@@ -135,6 +135,22 @@ def test_study_kernel_span_member_target():
     assert rep.errors[0] < 5e-8
 
 
+def test_study_kernel_with_a_target_skips_the_config_kernel(monkeypatch):
+    cfg = base_cfg(**{"kernel.type": "adhesion"})
+    W = cfgmod.build_kernel(cfg, cfgmod.build_grid(cfg))
+    calls, periodize = [], cfgmod.periodize
+
+    def counting_periodize(*args, **kwargs):
+        calls.append(args)
+        return periodize(*args, **kwargs)
+
+    monkeypatch.setattr(cfgmod, "periodize", counting_periodize)
+    with_target = study_kernel(cfg, W_target=W, M_list=[1])
+    assert calls == []
+    assert study_kernel(cfg, M_list=[1]).errors == with_target.errors
+    assert len(calls) == 1
+
+
 def test_study_kernel_asserts_the_drift_bound():
     # a slack of -1 leaves no room: any nonzero drift difference violates it
     cfg = base_cfg(**{"kernel.type": "adhesion"})
@@ -275,11 +291,11 @@ def test_cli_compare_rejects_a_header_only_snapshot(tmp_path):
 
 
 def test_cli_import_leaves_out_heavy_scipy_modules():
-    # in a fresh interpreter: pytest and tests/oracles.py load scipy.integrate
+    # in a fresh interpreter: pytest and tests/oracles.py load scipy, which
+    # greenks itself does not use at all
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(greenks.__file__)))
-    code = ("import sys, greenks, greenks.cli; print(' '.join(m for m in "
-            "('scipy.integrate', 'scipy.sparse', 'scipy.linalg', 'scipy.optimize') "
-            "if m in sys.modules))")
+    code = ("import sys, greenks, greenks.cli; print(' '.join(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -321,6 +337,16 @@ def test_cli_fit_kernel_requires_kernel(tmp_path):
 
 def test_cli_missing_config_file(tmp_path):
     assert main(["run", str(tmp_path / "nope.cfg"), "-o", str(tmp_path)]) == 1
+
+
+def test_cli_directory_as_config_is_one_error_line(tmp_path):
+    # in a fresh interpreter, so that stderr holds everything the command prints
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(greenks.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "greenks.cli", "run", str(tmp_path),
+                           "-o", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
 # --- CLI exit classes of bad input -------------------------------------------

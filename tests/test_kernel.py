@@ -56,7 +56,7 @@ def test_green_rejects_bad_arguments():
 
 def test_decay_metadata_is_validated():
     with pytest.raises(ValueError):
-        RadialKernel(profile=ONES, derivative_profile=ONES, decay=(0.1, 3.0))
+        RadialKernel(profile=ONES, decay=(0.1, 3.0))
 
 
 # --- adhesion potential ---------------------------------------------------
@@ -66,8 +66,6 @@ def test_adhesion_constant_omega():
     r = np.array([0.0, 0.25, 0.5, 1.0, 1.5])
     expected = np.array([-1.0, -0.75, -0.5, 0.0, 0.0])
     assert np.abs(k.profile(r) - expected).max() < 1e-10
-    assert k.derivative_profile(np.array([0.5]))[0] == pytest.approx(1.0)
-    assert k.derivative_profile(np.array([1.5]))[0] == 0.0
 
 
 def test_adhesion_zero_omega():
@@ -212,7 +210,7 @@ ORIGIN_GRIDS = [(4.0, 8), (0.5, 8), (0.5, 64)]
 
 
 # -log r: a 1D kernel singular at the origin, with support radius 1
-LOG_KERNEL = RadialKernel(profile=lambda r: -np.log(r), derivative_profile=lambda r: -1.0 / r,
+LOG_KERNEL = RadialKernel(profile=lambda r, out=None: np.negative(np.log(r, out=out), out=out),
                           support_radius=1.0, singular_at_origin=True)
 
 
@@ -287,7 +285,7 @@ def test_tail_bound_is_zero_without_a_decay_certificate():
 
 
 def test_periodize_needs_decay_metadata():
-    bare = RadialKernel(profile=ONES, derivative_profile=ONES)
+    bare = RadialKernel(profile=ONES)
     with pytest.raises(ValueError):
         periodize(bare, Grid(1, 1.0, 16))
 

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from greenks.specfun import UnsupportedOrderError, bessel_k, bessel_k_asymptotic
 from oracles import bessel_k_quadrature
 
-SUPPORTED = (0.0, 0.5, -0.5, 1.0)
+SUPPORTED = (0.0, 0.5, -0.5, 1.5)
 
 
 def test_half_integer_closed_form():
@@ -20,7 +21,7 @@ def test_half_integer_closed_form():
 def test_evenness_is_exact():
     for r in (0.01, 0.3, 2.0, 15.0):
         assert bessel_k(-0.5, r) == bessel_k(0.5, r)
-        assert bessel_k(-1.0, r) == bessel_k(1.0, r)
+        assert bessel_k(-1.5, r) == bessel_k(1.5, r)
 
 
 def test_integer_order_zero_reference_value():
@@ -52,7 +53,7 @@ def test_monotone_random_pairs(r, frac):
 
 
 def test_asymptotic_ratio_at_30():
-    for nu in (0.0, 0.5, 1.0):
+    for nu in (0.0, 0.5, 1.5):
         ratio = bessel_k(nu, 30.0) / bessel_k_asymptotic(30.0)
         assert 0.95 <= ratio <= 1.05
 
@@ -65,12 +66,39 @@ def test_rejects_nonpositive_argument():
 
 
 def test_rejects_unsupported_order():
-    with pytest.raises(UnsupportedOrderError):
-        bessel_k(0.3, 1.0)
+    for nu in (0.3, 1.0, -2.0):
+        with pytest.raises(UnsupportedOrderError):
+            bessel_k(nu, 1.0)
+
+
+# the two pieces of K_0 meet at x = 2
+K0_BOUNDARY = 2.0
+
+
+def test_k0_matches_scipy():
+    x = np.concatenate([np.geomspace(1e-12, 700.0, 200_001),
+                        K0_BOUNDARY + np.linspace(-1e-6, 1e-6, 2001)])
+    ref = special.k0(x)
+    assert np.all(np.abs(bessel_k(0, x) - ref) <= 2e-14 * ref)
+
+
+def test_k0_is_finite_and_non_negative_up_to_745():
+    x = np.linspace(1e-3, 745.0, 50_001)
+    vals = bessel_k(0, x)
+    assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
 
 
 def test_array_argument_matches_scalars():
-    r = np.array([0.5, 1.0, 2.0])
-    vals = bessel_k(1.0, r)
-    for ri, vi in zip(r, vals):
-        assert vi == bessel_k(1.0, float(ri))
+    # both pieces of K_0 and its boundary in one array, in mixed order
+    r = np.array([3.0, 0.5, K0_BOUNDARY, 1e-9, np.nextafter(K0_BOUNDARY, 3.0), 40.0, 1.0])
+    for nu in (0.0, 0.5):
+        vals = bessel_k(nu, r)
+        for ri, vi in zip(r, vals):
+            assert vi == bessel_k(nu, float(ri))
+
+
+def test_out_argument_may_be_the_input():
+    r = np.geomspace(0.1, 30.0, 7).reshape(7, 1)
+    expected = bessel_k(0, r)
+    assert bessel_k(0, r, out=r) is r
+    assert np.array_equal(r, expected)
