@@ -110,11 +110,6 @@ def fit_coefficients(W: PeriodizedKernel, basis: GreensBasis,
     smax = float(svals.max())
     singular = bool(np.any(svals <= np.sqrt(_EIG_CUTOFF) * smax))
     cond = (smax / float(svals.min())) ** 2 if svals.min() > 0 else np.inf
-    return _build_result(W, basis, a, regularization, cond, singular)
-
-
-def _build_result(W: PeriodizedKernel, basis: GreensBasis, a: np.ndarray,
-                  regularization: float, cond: float, singular: bool) -> FitResult:
     residual_field = W.field - basis.combination(a)
     return FitResult(
         coefficients=a,

@@ -3,10 +3,11 @@
 Two constructions coexist on purpose.  ``elliptic_solve`` and the basis
 fields invert the operator exactly in the discrete Fourier space (plain
 truncated multiplier), so convolving a density with a basis field and
-solving the chemical equation are the *same* discrete operation.  The
-refined construction in ``greens_periodic_spectral(..., refinement>1)``
-instead targets point samples of the continuum Green function, which is
-what the Bessel lattice sum of :mod:`greenks.kernel` produces; the two are
+solving the chemical equation are the *same* discrete operation.
+``greens_periodic_spectral(..., refinement>1)`` instead returns exact
+samples of the continuum Green function, from its Fourier series summed in
+closed form along one axis.  That is what the Bessel lattice sum of
+:mod:`greenks.kernel` produces by an independent route, so the two are
 cross-checked against each other in the test suite.
 """
 
@@ -40,57 +41,51 @@ def _plain_green_field(d: float, grid: Grid) -> Field:
     return elliptic_solve(d, Field.delta(grid))
 
 
-def _origin_cell_average_fourier(d: float, grid: Grid, kmax: int = 8000) -> float:
-    """Cell average over [-h/2, h/2)^N of the continuum periodic Green
-    function, summed directly in Fourier space with per-mode averaging
-    factors (absolutely convergent for N <= 3)."""
-    L = grid.half_length
-    h = grid.h
-    k = np.arange(-kmax, kmax + 1, dtype=float) * np.pi / L
-    s = np.sinc(k * h / (2.0 * np.pi))  # sin(kh/2)/(kh/2)
-    if grid.dim == 1:
-        return float(np.sum(s / (1.0 + d * k * k))) / (2.0 * L)
-    if grid.dim == 2:
-        total = 0.0
-        block = 512
-        for i0 in range(0, k.size, block):
-            kx = k[i0:i0 + block][:, None]
-            sx = s[i0:i0 + block][:, None]
-            total += float(np.sum(sx * s[None, :] / (1.0 + d * (kx * kx + k[None, :] ** 2))))
-        return total / (2.0 * L) ** 2
-    total = 0.0
-    # 3D decays fast enough for a smaller cutoff
-    kmax3 = min(kmax, 600)
-    k3 = np.arange(-kmax3, kmax3 + 1, dtype=float) * np.pi / L
-    s3 = np.sinc(k3 * h / (2.0 * np.pi))
-    KX, KY = np.meshgrid(k3, k3, indexing="ij")
-    SXY = np.outer(s3, s3)
-    for kz, sz in zip(k3, s3):
-        total += float(np.sum(SXY * sz / (1.0 + d * (KX ** 2 + KY ** 2 + kz * kz))))
-    return total / (2.0 * L) ** 3
+def _continuum_samples(d: float, grid: Grid) -> Field:
+    """Exact samples of the continuum periodic Green function.
 
+    Along the last axis, each transverse frequency k' = pi m/L contributes
+    the 1D periodic Green function of -d*D^2 + c, c = 1 + d|k'|^2, in closed
+    form: (e^{-nu|y|} + e^{-nu(2L-|y|)}) / (-2 d nu expm1(-2 nu L)) with
+    nu = sqrt(c/d).  At lattice points the terms -8n <= m_i < 8n fold onto n
+    bins (m mod n), and one inverse FFT over the transverse axes sums them;
+    they decay like e^{-nu h}, far below rounding at the cutoff.  Points
+    whose last index is 0 take the value of an axis permutation with a
+    nonzero last index.  For N >= 2 the origin holds the cell average over
+    [-a, a]^N, a = h/2, from C_1 = (1 - e(1))/(2a) and
 
-def _refined_samples(d: float, grid: Grid, refinement: int) -> Field:
-    """Continuum Green samples via fine-grid spectral fields restricted to
-    the coarse offset lattice, Richardson-extrapolated in the fine spacing."""
-    if refinement < 2 or refinement % 2 != 0:
-        raise ValueError("refinement must be an even integer >= 2")
+        C_N = C_{N-1}/(2a) - (2L)^{1-N} sum_k' prod sinc(k'_i a) e(c)/(2ac),
 
-    def restricted(ref):
-        fine = Grid(grid.dim, grid.half_length, grid.n * ref)
-        wf = _plain_green_field(d, fine).values
-        sl = tuple(slice(0, None, ref) for _ in range(grid.dim))
-        return wf[sl].copy()
+    e(c) = sinh(nu(L-a))/sinh(nu L), a sum that decays like e^{-nu a}.
+    """
+    n, L, dim = grid.n, grid.half_length, grid.dim
+    a = grid.h / 2.0
 
-    if grid.dim == 1:
-        # the Fourier tail at the kink decays only like 1/n_fine, so use the
-        # full refinement directly instead of extrapolating
-        w = restricted(refinement)
-    else:
-        coarse = restricted(refinement // 2)
-        fine = restricted(refinement)
-        w = (4.0 * fine - coarse) / 3.0  # leading O(h_fine^2) term cancels
-        w[(0,) * grid.dim] = _origin_cell_average_fourier(d, grid)
+    def edge(c):   # e(c), written to stay finite for large nu
+        nu = np.sqrt(c / d)
+        return np.exp(-nu * a) * np.expm1(-2.0 * nu * (L - a)) / np.expm1(-2.0 * nu * L)
+
+    m = np.arange(-8 * n, 8 * n)
+    k2, sinc = np.zeros(()), np.ones(())   # over the transverse frequencies k'
+    origin = (1.0 - edge(1.0)) / (2.0 * a)
+    for level in range(2, dim + 1):
+        k2 = np.add.outer(k2, (np.pi * m / L) ** 2)
+        sinc = np.multiply.outer(sinc, np.sinc(m / n))   # sin(k a)/(k a) at k = pi m/L
+        c = 1.0 + d * k2
+        remainder = float(np.sum(sinc * edge(c) / (2.0 * a * c)))
+        origin = origin / (2.0 * a) - remainder / (2.0 * L) ** (level - 1)
+
+    nu = np.sqrt((1.0 + d * k2) / d)[..., None]
+    y = np.abs(grid.axis_offsets())
+    g = np.exp(-nu * y) + np.exp(-nu * (2.0 * L - y))
+    g /= -2.0 * d * nu * np.expm1(-2.0 * nu * L)
+    folded = g.reshape((16, n) * (dim - 1) + (n,)).sum(axis=tuple(range(0, 2 * dim - 2, 2)))
+    w = np.fft.ifftn(folded, axes=range(dim - 1)).real * (n / (2.0 * L)) ** (dim - 1)
+    for i in range(dim - 1):
+        # where index i is 0 this reads the point itself, so it stays as is
+        w[..., 0] = np.swapaxes(w, i, -1)[..., 0].copy()
+    if dim > 1:
+        w[(0,) * dim] = origin
     return Field(grid, w)
 
 
@@ -98,16 +93,19 @@ def greens_periodic_spectral(d: float, grid: Grid, refinement: int = 1) -> Field
     """Periodic Green function of -d*Laplace + 1 on the offset lattice.
 
     ``refinement=1`` returns the discrete resolvent applied to the discrete
-    delta (the object the solvers convolve with).  ``refinement>1`` returns
-    continuum-accurate samples for cross-checking against the Bessel lattice
-    sum; in two and three dimensions the origin cell then holds the cell
-    average of the (singular) continuum Green function.
+    delta (the object the solvers convolve with).  Any other even integer
+    returns the exact samples of the continuum Green function, the same for
+    every such value, for cross-checking against the Bessel lattice sum; in
+    two and three dimensions the origin cell then holds the cell average of
+    the (singular) continuum Green function.
     """
     if d <= 0:
         raise ValueError("diffusivity d must be positive")
     if refinement == 1:
         return _plain_green_field(d, grid)
-    return _refined_samples(d, grid, refinement)
+    if refinement < 2 or refinement % 2 != 0:
+        raise ValueError("refinement must be an even integer >= 2")
+    return _continuum_samples(d, grid)
 
 
 @dataclass

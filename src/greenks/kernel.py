@@ -126,8 +126,8 @@ def greens_free_space(d: float, dim: int) -> RadialKernel:
         singular = True
 
     def tail(r, _mu=mu, _d=d, _dim=dim):
-        # crude but safe for r >= 0.5: |K| <= pref * e^{-mu r}; the prefactors
-        # also cover |K'| and set the pinned shell counts
+        # crude but safe for r >= 0.5: |K| <= pref * e^{-mu r}; these
+        # prefactors set the pinned shell counts
         r = max(r, 0.5)
         if _dim == 1:
             pref = 1.0 / (2.0 * math.sqrt(_d)) + 1.0 / (2.0 * _d)
@@ -158,7 +158,7 @@ def gaussian_kernel(sigma: float, dim: int) -> RadialKernel:
         return np.multiply(out, A, out=out)
 
     def tail(r, _s=sigma, _A=A):
-        # |K| <= tail; the factor (1 + r/s^2) also covers |K'|
+        # |K| <= tail; the factor (1 + r/s^2) sets the pinned shell counts
         r = max(r, 0.5)
         return _A * (1.0 + r / (_s * _s)) * math.exp(-r * r / (2.0 * _s * _s))
 

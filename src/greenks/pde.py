@@ -18,11 +18,11 @@ from typing import Callable, Optional
 import numpy as np
 from numpy import fft
 
-# elliptic_solve, gradient, inner_l2, norm_l1 and periodic_convolve are unused
-# here but stay importable from this module: perfbench/tracer.py wraps names of
+# elliptic_solve, gradient, inner_l2 and periodic_convolve are unused here but
+# stay importable from this module: perfbench/tracer.py wraps names of
 # greenks.pde by attribute.
 from .domain import (Field, Grid, GridMismatchError, SpaceTimeSeries, gradient,
-                     inner_l2, norm_l1, periodic_convolve)
+                     inner_l2, periodic_convolve)
 from .greens import _multiplier, elliptic_solve
 from .kernel import PeriodizedKernel
 

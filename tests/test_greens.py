@@ -95,11 +95,20 @@ def test_large_domain_matches_free_space():
     assert np.abs(w.values - exact)[mask].max() < 1e-4
 
 
-def test_refined_field_matches_lattice_sum_1d():
-    g = Grid(1, 1.0, 128)
-    ws = greens_periodic_spectral(1.0, g, refinement=8192)
-    wl = lattice_sum_green(1.0, g)
-    assert np.abs(ws.values - wl.field.values).max() < 1e-6
+@pytest.mark.parametrize("d, grid", [
+    (1.0, Grid(1, 1.0, 128)),
+    (1.0, Grid(2, 1.0, 64)),
+    (1.0, Grid(3, 1.0, 16)),
+    (1.0, Grid(3, 2.0, 8)),
+    (0.1, Grid(3, 1.0, 16)),
+    (10.0, Grid(2, 1.0, 128)),
+], ids=["1d-n128", "2d-n64", "3d-n16", "3d-L2-n8", "3d-n16-d0.1", "2d-n128-d10"])
+def test_refined_field_matches_lattice_sum(d, grid):
+    # two independent constructions of the continuum periodic Green field
+    ws = greens_periodic_spectral(d, grid, refinement=32)
+    wl = lattice_sum_green(d, grid)
+    assert np.abs(ws.values - wl.field.values).max() < 1e-9
+    assert np.array_equal(ws.values, greens_periodic_spectral(d, grid, refinement=8192).values)
 
 
 def test_refinement_argument_validation():
