@@ -5,14 +5,16 @@ fluxes with the saturation factor evaluated at the upwind cell, and a
 centered two-point flux for the nonlinear diffusion.  Chemical fields are
 either in instantaneous equilibrium (spectral elliptic solve each step) or
 relaxed with a backward-Euler spectral step, unconditionally stable in the
-relaxation parameter.  ``run`` builds a :class:`StepPlan` once, then steps
-on plain arrays; ``Field`` objects are made for snapshots and the end state.
+relaxation parameter.  ``run_ensemble`` advances several drift layers from
+one datum in lockstep, as one array with a leading member axis; ``run`` is
+its one-member case.  It builds a :class:`StepPlan` once, then steps on plain
+arrays; ``Field`` objects are made for snapshots and the end states.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -177,18 +179,15 @@ class RunConfig:
 
 @dataclass
 class Diagnostics:
-    times: list = dc_field(default_factory=list)
-    mass: list = dc_field(default_factory=list)
-    min_u: list = dc_field(default_factory=list)
-    max_u: list = dc_field(default_factory=list)
-    phi: list = dc_field(default_factory=list)
-    grad_beta_accum: list = dc_field(default_factory=list)
-    drift_accum: list = dc_field(default_factory=list)
+    """One value per state of a run in each column, t = 0 first."""
 
-    def append(self, *row):
-        """Add one row, values in column order."""
-        for column, value in zip(vars(self).values(), row):
-            column.append(value)
+    times: np.ndarray
+    mass: np.ndarray
+    min_u: np.ndarray
+    max_u: np.ndarray
+    phi: np.ndarray
+    grad_beta_accum: np.ndarray
+    drift_accum: np.ndarray
 
     def to_csv(self) -> str:
         rows = map(("{:.17g}," * 6 + "{:.17g}").format, *vars(self).values())
@@ -208,67 +207,109 @@ class SolverState:
 class StepPlan:
     """What every step of a run reuses, built once per run by :meth:`build`.
 
-    ``symbols`` are real-FFT multipliers: h^N rfft(W) (nonlocal), the combined
-    sum_j a_j / (1 + d_j|k|^2) (parabolic-elliptic), or one 1 / (1 + d_j|k|^2)
-    per chemical (parabolic-parabolic, whose chemicals stay in Fourier space).
+    A plan holds S members stacked on a leading axis (S = 1 for :func:`run`).
+    Every array operation below acts on the trailing ``grid.dim`` axes, so a
+    stacked ``(S, *grid.shape)`` array and a single ``grid.shape`` one take
+    the same path.  ``symbols`` are real-FFT multipliers: either one
+    ``(S, nk...)`` stack of per-member symbols, h^N rfft(W) (nonlocal) or the
+    combined sum_j a_j / (1 + d_j|k|^2) (parabolic-elliptic), or one
+    1 / (1 + d_j|k|^2) per chemical, shared by the members (parabolic-parabolic,
+    whose chemicals stay in Fourier space).
     """
 
     grid: Grid
     model: ModelFunctions
     symbols: list
-    sensitivities: list    # a_j of the relaxed chemicals, empty otherwise
-    xi: float              # relaxation time, 0 unless relaxed
+    sensitivities: list    # a_j of the relaxed chemicals (see _per_member); empty otherwise
+    xi: object             # relaxation time (see _per_member); 0 unless relaxed
     ahead: np.ndarray      # index i + 1 (mod n) along one axis
     behind: np.ndarray     # index i - 1 (mod n)
+    axes: tuple            # the grid axes of an array: its trailing grid.dim
 
     @classmethod
     def build(cls, model: ModelFunctions, chem, grid: Grid) -> "StepPlan":
-        """``chem`` is a PeriodizedKernel or a ChemicalSpec, as for :func:`run`."""
-        sensitivities, xi = [], 0.0
-        if isinstance(chem, PeriodizedKernel):
-            if chem.field.grid != grid:
-                raise GridMismatchError("kernel and initial datum on different grids")
-            symbols = [grid.cell_volume * fft.rfftn(chem.field.values)]
+        """``chem`` is a PeriodizedKernel or a ChemicalSpec, as for :func:`run`,
+        or a list of them, one per member, as for :func:`run_ensemble`."""
+        chems = chem if isinstance(chem, list) else [chem]
+        if not chems:
+            raise ValueError("an ensemble needs at least one member")
+        member = (len(chems),) + (1,) * grid.dim   # shape of one value per member
+        relaxed = [isinstance(c, ChemicalSpec) and c.xi > 0 for c in chems]
+        if any(relaxed):
+            if not all(relaxed):
+                raise ValueError("relaxed and non-relaxed members cannot share an ensemble")
+            d = [float(dj) for dj in chems[0].diffusivities]
+            if any([float(dj) for dj in c.diffusivities] != d for c in chems):
+                raise ValueError("relaxed members must share their diffusivities")
+            symbols = [_half_multiplier(dj, grid) for dj in d]
+            sensitivities = [_per_member(a, member) for a in
+                             np.array([c.sensitivities for c in chems], dtype=float).T]
+            xi = _per_member([c.xi for c in chems], member)
         else:
-            half = (Ellipsis, slice(0, grid.n // 2 + 1))   # rfft half of the lattice
-            symbols = [_multiplier(float(d), grid)[half] for d in chem.diffusivities]
-            if chem.xi > 0:
-                sensitivities, xi = [float(a) for a in chem.sensitivities], float(chem.xi)
-            else:
-                symbols = [sum(float(a) * s for a, s in zip(chem.sensitivities, symbols))]
+            symbols, sensitivities, xi = [np.stack([_symbol(c, grid) for c in chems])], [], 0.0
         idx = np.arange(grid.n)
-        return cls(grid, model, symbols, sensitivities, xi, np.roll(idx, -1), np.roll(idx, 1))
+        return cls(grid, model, symbols, sensitivities, xi, np.roll(idx, -1), np.roll(idx, 1),
+                   tuple(range(-grid.dim, 0)))
 
     @property
     def relaxed(self) -> bool:
-        return self.xi > 0.0
+        return bool(self.sensitivities)
 
-    # in 1D the plain transforms skip the n-dimensional wrappers' overhead
+    # the transforms over the grid axes, one axis at a time in the order of
+    # rfftn and irfftn, whose n-dimensional wrappers cost more than the axes
     def rfft(self, a: np.ndarray) -> np.ndarray:
-        return fft.rfft(a) if self.grid.dim == 1 else fft.rfftn(a)
+        a_hat = fft.rfft(a)
+        for ax in self.axes[-2::-1]:
+            a_hat = fft.fft(a_hat, axis=ax)
+        return a_hat
 
     def irfft(self, a_hat: np.ndarray) -> np.ndarray:
-        if self.grid.dim == 1:
-            return fft.irfft(a_hat, self.grid.n)
-        return fft.irfftn(a_hat, self.grid.shape, tuple(range(self.grid.dim)))
+        for ax in self.axes[:-1]:
+            a_hat = fft.ifft(a_hat, axis=ax)
+        return fft.irfft(a_hat, self.grid.n)
 
     def shift(self, a: np.ndarray, ax: int, step: int) -> np.ndarray:
-        """a[i + step] along axis ``ax`` with periodic wrap, step = 1 or -1."""
-        if ax == 0:   # a gather is the cheapest copy along the leading axis only
-            return a.take(self.ahead if step == 1 else self.behind, axis=0)
-        k, lead = step % self.grid.n, (slice(None),) * ax
-        return np.concatenate((a[lead + (slice(k, None),)], a[lead + (slice(0, k),)]), axis=ax)
+        """a[i + step] along grid axis ``ax`` with periodic wrap, step = 1 or -1."""
+        axis = ax - self.grid.dim   # counted from the end
+        if ax == 0:   # a gather is the cheapest copy along the first grid axis only
+            return a.take(self.ahead if step == 1 else self.behind, axis=axis)
+        k, tail = step % self.grid.n, (slice(None),) * (-1 - axis)
+        return np.concatenate((a[(Ellipsis, slice(k, None)) + tail],
+                               a[(Ellipsis, slice(0, k)) + tail]), axis=axis)
 
     def gradient(self, a: np.ndarray) -> list:
-        """Centered second-order periodic differences, one array per axis."""
+        """Centered second-order periodic differences, one array per grid axis."""
         two_h = 2.0 * self.grid.h
-        return [(self.shift(a, ax, 1) - self.shift(a, ax, -1)) / two_h for ax in range(a.ndim)]
+        return [(self.shift(a, ax, 1) - self.shift(a, ax, -1)) / two_h
+                for ax in range(self.grid.dim)]
+
+
+def _symbol(chem, grid: Grid) -> np.ndarray:
+    """The rfft multiplier of one nonlocal or parabolic-elliptic drift layer."""
+    if isinstance(chem, PeriodizedKernel):
+        if chem.field.grid != grid:
+            raise GridMismatchError("kernel and initial datum on different grids")
+        return grid.cell_volume * fft.rfftn(chem.field.values)
+    return sum(float(a) * _half_multiplier(float(d), grid)
+               for d, a in zip(chem.diffusivities, chem.sensitivities))
+
+
+def _per_member(values, member: tuple):
+    """One value per member, shaped ``member`` to broadcast over stacked
+    arrays, or a float when every member has the same value."""
+    values = np.asarray(values, dtype=float)
+    return float(values[0]) if np.all(values == values[0]) else values.reshape(member)
+
+
+def _half_multiplier(d: float, grid: Grid) -> np.ndarray:
+    """1 / (1 + d|k|^2) on the rfft half of the lattice."""
+    return _multiplier(d, grid)[..., :grid.n // 2 + 1]
 
 
 # --- drift and single updates ---------------------------------------------
 
 def drift_velocity_chemo(plan: StepPlan, u_hat: np.ndarray, v_hat: Optional[list] = None) -> list:
-    """Drift velocity grad c, one array per axis, in all three systems.
+    """Drift velocity grad c, one array per grid axis, in all three systems.
 
     c is W*u or sum_j a_j w_j*u, from ``u_hat`` = rfft(u), or in the relaxed
     system sum_j a_j v_j, from the chemicals ``v_hat``.
@@ -284,8 +325,9 @@ def step_u(plan: StepPlan, u: np.ndarray, velocity: list, dt: float,
            beta_vals: np.ndarray, g_vals: np.ndarray) -> np.ndarray:
     """One conservative explicit update of the density values.
 
-    ``beta_vals`` and ``g_vals`` are beta_eff(u) and g(u), which ``run``
-    evaluates once per state and shares with every axis and dt halving.
+    ``beta_vals`` and ``g_vals`` are beta_eff(u) and g(u), which
+    ``run_ensemble`` evaluates once per state and shares with every axis and
+    dt halving.
     """
     h = plan.grid.h
     div = None
@@ -317,13 +359,18 @@ def step_v_parabolic(plan: StepPlan, v_hat: list, u_hat: np.ndarray, dt: float) 
 
 
 def stable_dt(plan: StepPlan, u_max: float, velocity: list, cfl_safety: float) -> float:
-    """CFL step for a state whose largest density value is ``u_max``."""
+    """CFL step for a state whose largest density value is ``u_max``.
+
+    On a stacked plan ``u_max`` is the largest value of any member and the
+    velocities hold every member, so the step suits them all.
+    """
     h, N = plan.grid.h, plan.grid.dim
     top = min(max(u_max, 0.0), 1.0) or 1.0
     max_bp = float(plan.model.beta_prime_eff(top * _UNIT_SPAN).max())
     speeds = [float(np.abs(v).max()) for v in velocity]
     if not math.isfinite(sum(speeds)):   # the sum keeps a NaN that max() may drop
-        raise NumericalAbortError("non-finite drift velocity")
+        finite = np.all([np.isfinite(v).all(axis=plan.axes) for v in velocity], axis=0)
+        raise NumericalAbortError(f"non-finite drift velocity in member {np.argmax(~finite)}")
     dt_diff = h * h / (2.0 * N * max_bp + 1e-300)
     dt_adv = h / (2.0 * N * max(speeds) + 1e-300)
     return cfl_safety * min(dt_diff, dt_adv)
@@ -338,6 +385,16 @@ def _snapshot_times(config: RunConfig) -> np.ndarray:
                     + [t_end])
 
 
+def _sum_squares(arrays: list) -> np.ndarray:
+    """Per member, the sum of squares over the grid axes of stacked arrays, all added."""
+    total = None
+    for a in arrays:
+        flat = a.reshape(len(a), -1)
+        square = np.vecdot(flat, flat)
+        total = square if total is None else total + square
+    return total
+
+
 def run(model: ModelFunctions, chem, u0: Field, config: RunConfig,
         v0: Optional[list] = None):
     """Advance one of the three systems and collect snapshots + diagnostics.
@@ -345,13 +402,33 @@ def run(model: ModelFunctions, chem, u0: Field, config: RunConfig,
     ``chem`` is either a PeriodizedKernel (nonlocal drift) or a ChemicalSpec
     (parabolic-elliptic for xi = 0, parabolic-parabolic otherwise).  ``v0``
     sets the relaxed chemicals at t = 0 (default: equilibrium w_j * u_0).
-    Returns (SpaceTimeSeries, SolverState).
+    Returns (SpaceTimeSeries, SolverState); it is the one-member case of
+    :func:`run_ensemble`.
+    """
+    return run_ensemble(model, [chem], u0, config, v0)[0]
+
+
+def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfig,
+                 v0: Optional[list] = None) -> list:
+    """Advance several drift layers from one datum in lockstep, as one stacked array.
+
+    Each entry of ``chems`` is one member, given as ``chem`` is to :func:`run`.
+    Nonlocal and parabolic-elliptic members mix freely.  Relaxed members may
+    differ in xi and the sensitivities but must share their diffusivities, and
+    cannot be mixed with the others.  Every member takes the same steps: dt is
+    the CFL step for the largest density and the fastest drift of any member,
+    and a bound violation in any member halves it for all.  A member that
+    turns non-finite, or whose mass drifts (checked on every state once the
+    loop ends), aborts the ensemble with its index named.  ``v0`` sets the
+    relaxed chemicals of every member at t = 0.  Returns one
+    (SpaceTimeSeries, SolverState) per member.
     """
     if float(u0.values.min()) < 0.0 or float(u0.values.max()) > 1.0:
         raise InputValidationError("initial density must satisfy 0 <= u_0 <= 1")
     grid, t_end, cv = u0.grid, config.t_end, u0.grid.cell_volume
-    plan = StepPlan.build(model, chem, grid)
-    u = u0.values.copy()
+    plan = StepPlan.build(model, list(chems), grid)
+    axes, members = plan.axes, len(chems)
+    u = np.repeat(u0.values[np.newaxis], members, axis=0)
     v_hat = velocity = None
     if plan.relaxed:
         if v0 is not None and (len(v0) != len(plan.symbols) or any(f.grid != grid for f in v0)):
@@ -361,20 +438,26 @@ def run(model: ModelFunctions, chem, u0: Field, config: RunConfig,
                  else [plan.rfft(f.values) for f in v0])
         velocity = drift_velocity_chemo(plan, u_hat, v_hat)
 
-    t = grad_beta_accum = drift_accum = 0.0
-    mass0, hi = float(u.sum()) * cv, float(u.max())   # hi: max of the current state
-    diag = Diagnostics()
-    diag.append(t, mass0, float(u.min()), hi, float(model.phi_eff(u).sum()) * cv, 0.0, 0.0)
-    snap_times = _snapshot_times(config)
-    snapshots = [Field(grid, u.copy())]
-    next_snap = 1
+    t, u_max = 0.0, float(u.max())   # u_max: the largest value of the current states
+    # per state, its time, the step that reached it and a row of one value per
+    # member each of sum(u), min(u), max(u), sum(phi(u)) and, on the state
+    # before the step, the squared norms of grad beta(u) and of the drift g(u) grad c
+    times, dts = [t], [0.0]
+    record = np.zeros((1024, 6, members))   # the rows, grown by doubling
+    record[0, :4] = (u.sum(axis=axes), u.min(axis=axes), u.max(axis=axes),
+                     model.phi_eff(u).sum(axis=axes))
+    snap_times = _snapshot_times(config).tolist()
+    snapshots = [u.copy()]
     while t < t_end - 1e-14 * t_end:
-        if len(diag.times) > _MAX_STEPS:   # one row per step taken, plus t = 0
+        if len(times) > _MAX_STEPS:   # one row per step taken, plus t = 0
             raise NumericalAbortError("step budget exhausted")
+        if len(times) == len(record):
+            record = np.concatenate((record, np.empty_like(record)))
+        row = record[len(times)]
         u_hat = plan.rfft(u)
         if not plan.relaxed:   # the chemical layer (if any) is slaved to u
             velocity = drift_velocity_chemo(plan, u_hat)
-        dt = config.dt or stable_dt(plan, hi, velocity, config.cfl_safety)   # dt > 0 if set
+        dt = config.dt or stable_dt(plan, u_max, velocity, config.cfl_safety)   # dt > 0 if set
         if dt < _MIN_DT_FRACTION * t_end:
             raise NumericalAbortError(f"time step collapsed to {dt:.3g} at t={t:.6g}")
         dt = min(dt, t_end - t)
@@ -385,11 +468,16 @@ def run(model: ModelFunctions, chem, u0: Field, config: RunConfig,
                 v_hat_new = step_v_parabolic(plan, v_hat, u_hat, dt)
                 vel_new = drift_velocity_chemo(plan, u_hat, v_hat_new)
             u_new = step_u(plan, u, vel_new, dt, beta_u, g_u)
-            lo, hi = float(u_new.min()), float(u_new.max())
-            if lo >= -_BOUND_SLACK and hi <= 1.0 + _BOUND_SLACK:
+            lo = np.minimum.reduce(u_new, axes, out=row[1])
+            hi = np.maximum.reduce(u_new, axes, out=row[2])
+            u_max = float(hi.max())
+            # a member with a NaN has it in lo and hi, and hi.max() keeps it
+            if min(lo.tolist()) >= -_BOUND_SLACK and u_max <= 1.0 + _BOUND_SLACK:
                 break
-            if not (math.isfinite(lo) and math.isfinite(hi)):   # NaN fails both bounds
-                raise NumericalAbortError(f"non-finite density at t={t:.6g}")
+            finite = np.isfinite(lo) & np.isfinite(hi)   # NaN fails both bounds
+            if not finite.all():
+                raise NumericalAbortError(
+                    f"non-finite density in member {np.argmax(~finite)} at t={t:.6g}")
             dt *= 0.5
         else:
             raise NumericalAbortError(
@@ -397,26 +485,33 @@ def run(model: ModelFunctions, chem, u0: Field, config: RunConfig,
         if t + dt == t:
             raise NumericalAbortError(f"time stalled at t={t:.6g} with step {dt:.3g}")
 
-        # energy bookkeeping on the pre-step state
-        grad_beta_accum += sum(float(np.vdot(c, c)) * cv for c in plan.gradient(beta_u)) * dt
-        drift_accum += sum(float(np.vdot(w, w)) * cv for w in (g_u * c for c in vel_new)) * dt
-
+        np.add.reduce(u_new, axes, out=row[0])
+        np.add.reduce(model.phi_eff(u_new), axes, out=row[3])
+        row[4] = _sum_squares(plan.gradient(beta_u))
+        row[5] = _sum_squares([g_u * c for c in vel_new])
         prev_t, prev_u = t, u
         t += dt
+        times.append(t)
+        dts.append(dt)
         u, v_hat, velocity = u_new, v_hat_new, vel_new
-        mass = float(u.sum()) * cv
-        if abs(mass - mass0) > _MASS_TOL * max(abs(mass0), 1.0):
-            raise NumericalAbortError("mass conservation lost")
-        diag.append(t, mass, lo, hi, float(model.phi_eff(u).sum()) * cv,
-                    grad_beta_accum, drift_accum)
 
         # emit snapshots crossed by this step (linear interpolation in time)
-        while next_snap < len(snap_times) and snap_times[next_snap] <= t + 1e-14:
-            theta = min((snap_times[next_snap] - prev_t) / (t - prev_t), 1.0)
-            snapshots.append(Field(grid, (1 - theta) * prev_u + theta * u))
-            next_snap += 1
+        while len(snapshots) < len(snap_times) and snap_times[len(snapshots)] <= t + 1e-14:
+            theta = min((snap_times[len(snapshots)] - prev_t) / (t - prev_t), 1.0)
+            snapshots.append((1 - theta) * prev_u + theta * u)
+    snapshots += [u.copy() for _ in snap_times[len(snapshots):]]
 
-    snapshots += [Field(grid, u.copy()) for _ in snap_times[next_snap:]]
-    return (SpaceTimeSeries(grid=grid, times=snap_times.tolist(), snapshots=snapshots),
-            SolverState(time=t, u=Field(grid, u), diagnostics=diag))
-
+    times = np.array(times)
+    sums, lows, highs, phis, grad_sq, drift_sq = record[:len(times)].transpose(1, 0, 2)
+    mass, weights = sums * cv, (np.array(dts) * cv)[:, np.newaxis]
+    lost = np.abs(mass - mass[0]) > _MASS_TOL * np.maximum(np.abs(mass[0]), 1.0)
+    if lost.any():
+        k, member = np.argwhere(lost)[0]
+        raise NumericalAbortError(
+            f"mass conservation lost in member {member} at t={times[k]:.6g}")
+    columns = (mass, lows, highs, phis * cv, np.cumsum(grad_sq * weights, axis=0),
+               np.cumsum(drift_sq * weights, axis=0))
+    return [(SpaceTimeSeries(grid, list(snap_times), [Field(grid, a[m]) for a in snapshots]),
+             SolverState(time=t, u=Field(grid, u[m]),
+                         diagnostics=Diagnostics(times.copy(), *(c[:, m] for c in columns))))
+            for m in range(members)]

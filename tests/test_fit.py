@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from greenks import config as cfgmod
 from greenks.domain import Grid, inner_h1, norm_w11
 from greenks.fit import (DiffusivitySequence, default_diffusivities,
                          fit_coefficients, fit_to_tolerance)
@@ -106,6 +109,21 @@ def test_singular_flag_on_clustered_basis():
     res = fit_coefficients(W, basis, 0.0)
     assert res.singular
     assert np.isfinite(res.residual_w11)
+
+
+def test_h1_residual_rises_over_nested_bases_only_when_singular():
+    # configs/study_kernel.cfg, M = 1..32 (nested bases): the H1 residual is the
+    # minimized norm, so only truncated singular values can raise it
+    cfg = cfgmod.load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                          "study_kernel.cfg"))
+    W = cfgmod.require_kernel(cfgmod.build_problem(cfg)[1], "fit")
+    d_star, reg = cfgmod.study_fit_settings(cfg)
+    fits = [fit_coefficients(W, GreensBasis.build(W.field.grid,
+                                                  default_diffusivities(M, d_star).values), reg)
+            for M in range(1, 33)]
+    assert sum(not f.singular for f in fits) >= 2
+    for smaller, larger in zip(fits, fits[1:]):
+        assert larger.residual_h1 <= smaller.residual_h1 * (1.0 + 1e-12) or larger.singular
 
 
 def test_regularization_shrinks_coefficients():

@@ -83,6 +83,16 @@ def test_report_csv_shape():
     assert lines[-1] == "# k = v"
 
 
+def test_report_columns_follow_monotone():
+    rep = ExperimentReport("demo", [1.0, 2.0], [0.5, 0.25], "k = v",
+                           columns={"residual": [0.125, float("inf")], "singular": [False, True]})
+    lines = rep.to_csv().splitlines()
+    assert lines[0] == "param,error,monotone,residual,singular"
+    assert lines[1:3] == ["1,0.5,true,0.125,false", "2,0.25,true,inf,true"]
+    with pytest.raises(ValueError):
+        ExperimentReport("demo", [1.0, 2.0], [0.5, 0.25], "", columns={"residual": [0.1]})
+
+
 # --- studies --------------------------------------------------------------
 
 def base_cfg(**overrides):
@@ -133,6 +143,20 @@ def test_study_kernel_span_member_target():
     W = basis.as_kernel([1.5, -0.5])
     rep = study_kernel(cfg, W_target=W, M_list=[2])
     assert rep.errors[0] < 5e-8
+
+
+def test_study_kernel_csv_records_each_fit():
+    cfg = base_cfg(**{"kernel.type": "adhesion"})
+    rep = study_kernel(cfg, M_list=[1, 2, 4])
+    lines = rep.to_csv().splitlines()
+    assert lines[0] == ("param,error,monotone,residual_w11,residual_h1,gram_condition,"
+                        "singular,drift_defect")
+    for line, fit, defect in zip(lines[1:4], rep.extra["fits"], rep.columns["drift_defect"]):
+        cells = line.split(",")
+        assert [float(c) for c in cells[3:6]] == [fit.residual_w11, fit.residual_h1,
+                                                 fit.gram_condition_estimate]
+        assert cells[6] == str(fit.singular).lower()
+        assert float(cells[7]) == defect > 0.0
 
 
 def test_study_kernel_with_a_target_skips_the_config_kernel(monkeypatch):

@@ -10,7 +10,7 @@ from greenks.harness import compare_runs, young_drift_bound_holds
 from greenks.kernel import PeriodizedKernel, adhesion_potential, periodize
 from greenks.pde import (ChemicalSpec, InputValidationError, ModelFunctions,
                          NumericalAbortError, RunConfig, StepPlan, drift_velocity_chemo,
-                         linear_model, porous_medium_model, run, step_u,
+                         linear_model, porous_medium_model, run, run_ensemble, step_u,
                          linear_saturating_g, step_v_parabolic, volume_filling_g)
 
 ONES = lambda r: np.ones_like(np.asarray(r, dtype=float))
@@ -266,9 +266,9 @@ def test_stable_dt_from_the_state_maximum(dim, u_max):
 
 
 def test_diagnostics_csv_bytes():
-    d = pde.Diagnostics()
-    d.append(0.0, 1.0, -0.0, 0.8, 5e-324, 0.0, -1e-300)
-    d.append(1e-3, 1.0 / 3.0, -2.5e-7, 1.0 + 1e-7, 0.1, 7e22, -1.0 / 3.0)
+    values = [(0.0, 1.0, -0.0, 0.8, 5e-324, 0.0, -1e-300),
+              (1e-3, 1.0 / 3.0, -2.5e-7, 1.0 + 1e-7, 0.1, 7e22, -1.0 / 3.0)]
+    d = pde.Diagnostics(*map(list, zip(*values)))
     # the join-per-value writer it replaced
     rows = [",".join(f"{v:.17g}" for v in row) for row in zip(*vars(d).values())]
     expected = "\n".join(["time,mass,min_u,max_u,phi,grad_beta_accum,drift_accum"] + rows)
@@ -465,6 +465,116 @@ def test_parabolic_run_with_explicit_v0():
     series, state = run(linear_model(), ChemicalSpec([1.0], [1.0], 1e-2),
                         bump(g), cfg, v0=v0)
     assert series.times[-1] == pytest.approx(0.02)
+
+
+# --- lockstep ensembles ---------------------------------------------------
+
+def radial_bump(g):
+    r2 = sum(m * m for m in g.meshgrid())
+    return Field(g, 0.1 + 0.6 * np.where(r2 < 0.16, np.cos(0.5 * math.pi * np.sqrt(r2) / 0.4) ** 2,
+                                         0.0))
+
+
+def assert_same_run(got, expected):
+    """Same steps and diagnostics rows, snapshots equal up to FFT rounding."""
+    (series, state), (ref_series, ref_state) = got, expected
+    assert np.array_equal(state.diagnostics.times, ref_state.diagnostics.times)
+    assert series.times == ref_series.times
+    for a, b in zip(series.snapshots + [state.u], ref_series.snapshots + [ref_state.u]):
+        assert np.abs(a.values - b.values).max() <= 1e-12
+    for column, ref in zip(vars(state.diagnostics).values(), vars(ref_state.diagnostics).values()):
+        assert column == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.05])
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 16)])
+def test_ensemble_of_copies_matches_the_solo_run(dim, n, xi):
+    g = Grid(dim, 1.0, n)
+    chem, model = ChemicalSpec([0.5, 2.0], [1.0, -0.5], xi), porous_medium_model(2.0)
+    cfg = RunConfig(g, t_end=0.05, snapshot_every=0.025)
+    solo = run(model, chem, radial_bump(g), cfg)
+    members = run_ensemble(model, [chem] * 3, radial_bump(g), cfg)
+    assert len(members) == 3
+    for member in members:
+        assert_same_run(member, solo)
+
+
+@pytest.mark.parametrize("members", ["relaxed", "nonlocal-and-pe"])
+def test_members_with_a_fixed_dt_match_their_solo_runs(members):
+    # with one prescribed dt every member takes its solo steps
+    g = Grid(1, 1.0, 64)
+    chems = {"relaxed": [ChemicalSpec([0.5, 2.0], [1.0, -0.5], 0.1),
+                         ChemicalSpec([0.5, 2.0], [2.0, 0.5], 0.01)],
+             "nonlocal-and-pe": [_pinned_case("nonlocal-1d")[0],
+                                 ChemicalSpec([0.5, 2.0], [1.0, -0.5], 0.0)]}[members]
+    model, cfg = porous_medium_model(2.0), RunConfig(g, t_end=0.02, dt=1e-4, snapshot_every=0.01)
+    for chem, member in zip(chems, run_ensemble(model, chems, radial_bump(g), cfg)):
+        assert_same_run(member, run(model, chem, radial_bump(g), cfg))
+
+
+def test_an_undershoot_halves_dt_for_every_member():
+    # a fixed dt of 0.75 h^2 takes a one-cell spike of pure diffusion to
+    # 0.5 (1 - 2 * 0.75) < 0 at its centre, while no value exceeds 1
+    g = Grid(1, 1.0, 32)
+    dt = 0.75 * g.h ** 2
+    spike = Field(g, np.where(np.arange(g.n) == 16, 0.5, 0.0))
+    chems = [ChemicalSpec([1.0], [0.0], 0.0), ChemicalSpec([1.0], [0.5], 0.0)]
+    for _, state in run_ensemble(linear_model(), chems, spike, RunConfig(g, t_end=4 * dt, dt=dt)):
+        d = state.diagnostics
+        assert d.times[1] == dt / 2
+        assert min(d.min_u) >= -1e-6 and max(d.max_u) <= 1.0
+
+
+def test_lockstep_coincidence_is_at_rounding_level():
+    # criterion 4's problem; in lockstep both members share every dt, so only
+    # the rounding of the two drift symbols separates them (7.9e-17 measured)
+    grid = Grid(1, 1.0, 256)
+    rc = RunConfig(grid, t_end=0.5, snapshot_every=0.05)
+    kernel = GreensBasis.build(grid, [1.0]).as_kernel([2.0])
+    (s_nl, _), (s_pe, _) = run_ensemble(porous_medium_model(2.0),
+                                        [kernel, ChemicalSpec([1.0], [2.0], 0.0)], bump(grid), rc)
+    assert compare_runs(s_nl, s_pe) < 1e-14
+
+
+# the overflow is the point; inf - inf in the drift then warns of the NaN it makes
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("dt, message", [(None, "non-finite drift velocity in member 1"),
+                                         (1e-4, "non-finite density in member 1")])
+def test_ensemble_names_the_non_finite_member(dt, message):
+    g = Grid(1, 1.0, 32)
+    chems = [ChemicalSpec([1.0], [1.0], 0.0), ChemicalSpec([1.0], [1e308], 0.0),
+             ChemicalSpec([1.0], [1e308], 0.0)]
+    with pytest.raises(NumericalAbortError, match=message):
+        run_ensemble(porous_medium_model(2.0), chems, bump(g), RunConfig(g, t_end=0.01, dt=dt))
+
+
+def test_ensemble_names_the_member_that_loses_mass(monkeypatch):
+    g = Grid(1, 1.0, 32)
+    exact = pde.step_u
+
+    def leaking(*args):
+        out = exact(*args)
+        out[2, 5] += 1e-6   # inside the bounds, but not conservative
+        return out
+
+    monkeypatch.setattr(pde, "step_u", leaking)
+    with pytest.raises(NumericalAbortError, match="mass conservation lost in member 2"):
+        run_ensemble(linear_model(), [ChemicalSpec([1.0], [1.0], 0.0)] * 3, bump(g),
+                     RunConfig(g, t_end=0.01))
+
+
+@pytest.mark.parametrize("chems, message", [
+    ([ChemicalSpec([1.0], [1.0], 0.0), ChemicalSpec([1.0], [1.0], 0.1)], "non-relaxed"),
+    (["kernel", ChemicalSpec([1.0], [1.0], 0.1)], "non-relaxed"),
+    ([ChemicalSpec([1.0], [1.0], 0.1), ChemicalSpec([2.0], [1.0], 0.1)], "diffusivities"),
+    ([], "at least one member"),
+])
+def test_ensemble_rejects_members_that_cannot_share_a_plan(chems, message):
+    g = Grid(1, 1.0, 32)
+    chems = [periodize(adhesion_potential(ONES, 1), g) if c == "kernel" else c for c in chems]
+    with pytest.raises(ValueError, match=message):
+        run_ensemble(linear_model(), chems, bump(g), RunConfig(g, t_end=0.01))
 
 
 # --- pinned outputs -------------------------------------------------------
