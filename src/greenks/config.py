@@ -8,6 +8,7 @@ documents both.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from typing import Optional
@@ -185,7 +186,7 @@ def _model(cfg: dict) -> ModelFunctions:
     else:
         model = porous_medium_model(float(cfg["model.gamma"]), eta=eta)
     if _choice(cfg, "model.g") == "linear":
-        model.g = linear_saturating_g
+        model = dataclasses.replace(model, g=linear_saturating_g)   # validates the new g
     return model
 
 

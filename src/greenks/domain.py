@@ -13,7 +13,7 @@ import contextlib
 import functools
 import io
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -2,42 +2,24 @@
 
 The coefficients minimize the discrete H1 distance (plus optional Tikhonov
 term); the report also carries the W11 residual, which is the norm the
-solution-convergence experiments care about.  Diffusivity sequences cluster
-toward an accumulation point, so the Gram matrix is ill-conditioned by
-design and the solver has to degrade gracefully.
+solution-convergence experiments care about.  The default diffusivities
+cluster toward d_star, so the Gram matrix is ill-conditioned by design and
+the solver has to degrade gracefully.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Field, gradient, inner_h1, norm_h1, norm_l2, norm_w11
+from .domain import Field, gradient, norm_h1, norm_l2, norm_w11
 from .greens import GreensBasis
 from .kernel import PeriodizedKernel
 
 # eigenvalues below this (relative to the largest) are treated as null space
 _EIG_CUTOFF = 1e-14
-
-
-@dataclass
-class DiffusivitySequence:
-    """Distinct positive diffusivities accumulating at a positive point."""
-
-    values: list
-    accumulation_point: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if np.any(v <= 0) or self.accumulation_point <= 0:
-            raise ValueError("diffusivities and accumulation point must be positive")
-        if len(set(v.tolist())) != len(v):
-            raise ValueError("diffusivities must be pairwise distinct")
-        gaps = np.abs(v - self.accumulation_point)
-        if np.any(np.diff(gaps) >= 0):
-            raise ValueError("sequence must approach the accumulation point monotonically")
 
 
 @dataclass
@@ -65,14 +47,13 @@ class FitResult:
         return buf.getvalue()
 
 
-def default_diffusivities(M: int, d_star: float) -> DiffusivitySequence:
+def default_diffusivities(M: int, d_star: float) -> list:
     """d_j = d_star (1 + 1/(j+1)), j = 1..M: distinct, accumulating at d_star."""
     if M < 1:
         raise ValueError("M must be at least 1")
     if d_star <= 0:
         raise ValueError("d_star must be positive")
-    values = [d_star * (1.0 + 1.0 / (j + 1)) for j in range(1, M + 1)]
-    return DiffusivitySequence(values=values, accumulation_point=d_star)
+    return [d_star * (1.0 + 1.0 / (j + 1)) for j in range(1, M + 1)]
 
 
 def _h1_design_column(f: Field) -> np.ndarray:
@@ -143,8 +124,7 @@ def fit_to_tolerance(W: PeriodizedKernel, epsilon: float, M_max: int,
     best = None
     M = 1
     while True:
-        seq = default_diffusivities(M, d_star)
-        basis = GreensBasis.build(W.field.grid, seq.values)
+        basis = GreensBasis.build(W.field.grid, default_diffusivities(M, d_star))
         result = fit_coefficients(W, basis, regularization)
         if best is None or result.residual_w11 < best.residual_w11:
             best = result

@@ -110,11 +110,11 @@ def study_kernel(cfg: dict, W_target: PeriodizedKernel = None, M_list=None,
 
     fits, surrogates, kernel_diffs = [], [], []
     for M in M_list:
-        seq = default_diffusivities(M, d_star)
-        basis = GreensBasis.build(u0.grid, seq.values)
+        d = default_diffusivities(M, d_star)
+        basis = GreensBasis.build(u0.grid, d)
         result = fit_coefficients(W_target, basis, reg)
         fits.append(result)
-        surrogates.append(ChemicalSpec(diffusivities=list(seq.values),
+        surrogates.append(ChemicalSpec(diffusivities=d,
                                        sensitivities=list(result.coefficients), xi=0.0))
         kernel_diffs.append(basis.as_kernel(result.coefficients).field - W_target.field)
 
@@ -142,9 +142,3 @@ def young_drift_sides(u: Field, W: Field) -> tuple:
     gw = gradient(W)
     lhs = float(np.sqrt(sum(norm_l2(periodic_convolve(c, u)) ** 2 for c in gw)))
     return lhs, sum(norm_l1(c) for c in gw) * norm_l2(u)
-
-
-def young_drift_bound_holds(u: Field, W: Field, slack: float = 1e-8) -> bool:
-    """Whether the discrete Young inequality of :func:`young_drift_sides` holds."""
-    lhs, rhs = young_drift_sides(u, W)
-    return lhs <= rhs * (1.0 + slack)

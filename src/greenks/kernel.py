@@ -1,6 +1,6 @@
 """Radial free-space kernels and their periodization onto the torus.
 
-A kernel is described by a radial profile K(r) and its decay; the
+A kernel is described by a radial profile K(r) and a bound on its tail; the
 screened-Poisson Green functions and the adhesion potential built from a
 force profile omega are provided as constructors.  ``periodize`` sums the
 lattice translates K(x - 2L*l) on the offset lattice of a grid (index 0
@@ -21,7 +21,7 @@ from numpy.polynomial.legendre import leggauss
 from .domain import Field, Grid
 from .specfun import bessel_k
 
-_DECAY_CHECK_RADII = (0.5, 1.0, 2.0, 5.0, 10.0)
+_TAIL_CHECK_RADII = (0.5, 1.0, 2.0, 5.0, 10.0)
 # Elements per batch of translates in the lattice sum: each working array
 # of a batch is about 128 KiB of float64 unless one translate needs more.
 _BATCH_ELEMENTS = 2 ** 14
@@ -35,28 +35,25 @@ _FACE_ORDER = 40
 
 @dataclass
 class RadialKernel:
-    """Free-space radial kernel with decay metadata.
+    """Free-space radial kernel with the certificate that truncates its lattice sum.
 
     ``profile(r, out=None)`` evaluates K at the radii ``r``, into ``out`` (an
-    array of r's shape, not r itself) when it is given.  ``decay = (C, alpha)``
-    asserts |K(r)| <= C (1+r)^(-alpha) away from the origin; ``tail_bound``
-    may sharpen that for the lattice-sum truncation (the Green kernels decay
-    exponentially).  ``support_radius`` marks compact support instead.
+    array of r's shape, not r itself) when it is given.  ``tail_bound(r)``
+    asserts |K(r)| <= tail_bound(r) for r >= 0.5 and is checked at a few
+    radii; ``support_radius`` marks compact support instead.
     """
 
     profile: Callable[..., np.ndarray]
-    decay: Optional[tuple] = None          # (C, alpha), alpha > N
     support_radius: Optional[float] = None
     singular_at_origin: bool = False
     tail_bound: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        if self.decay is not None:
-            C, alpha = self.decay
-            r = np.array(_DECAY_CHECK_RADII)
-            bound = C * (1.0 + r) ** (-alpha)
+        if self.tail_bound is not None:
+            r = np.array(_TAIL_CHECK_RADII)
+            bound = np.array([self.tail_bound(x) for x in _TAIL_CHECK_RADII])
             if np.any(np.abs(self.profile(r)) > bound * (1.0 + 1e-12)):
-                raise ValueError("decay metadata violated at the check radii")
+                raise ValueError("tail_bound violated at the check radii")
 
     def value_at_origin(self) -> float:
         if self.singular_at_origin:
@@ -78,14 +75,6 @@ def _radii_and_out(r, out) -> tuple:
     """``r`` as a float array, and ``out`` or a new array of its shape."""
     r = np.asarray(r, dtype=float)
     return r, (np.empty_like(r) if out is None else out)
-
-
-def _decay_certificate(profile, dim: int, r_max: float) -> tuple:
-    """(C, alpha) with |K(r)| <= C (1+r)^(-alpha), alpha = dim + 1, sampled
-    on [0.5, r_max] with a 1 % margin; exponential decay dominates any power."""
-    alpha = dim + 1.0
-    rr = np.linspace(0.5, r_max, 400)
-    return 1.01 * float((np.abs(profile(rr)) * (1.0 + rr) ** alpha).max()), alpha
 
 
 def greens_free_space(d: float, dim: int) -> RadialKernel:
@@ -139,8 +128,7 @@ def greens_free_space(d: float, dim: int) -> RadialKernel:
         pref = (1.0 / r + (1.0 + _mu * r) / (r * r)) / (4.0 * math.pi * _d)
         return pref * math.exp(-_mu * r)
 
-    return RadialKernel(profile, decay=_decay_certificate(profile, dim, 80.0),
-                        singular_at_origin=singular, tail_bound=tail)
+    return RadialKernel(profile, singular_at_origin=singular, tail_bound=tail)
 
 
 def gaussian_kernel(sigma: float, dim: int) -> RadialKernel:
@@ -162,7 +150,7 @@ def gaussian_kernel(sigma: float, dim: int) -> RadialKernel:
         r = max(r, 0.5)
         return _A * (1.0 + r / (_s * _s)) * math.exp(-r * r / (2.0 * _s * _s))
 
-    return RadialKernel(profile, decay=_decay_certificate(profile, dim, 40.0), tail_bound=tail)
+    return RadialKernel(profile, tail_bound=tail)
 
 
 def adhesion_potential(omega: Callable[[np.ndarray], np.ndarray], dim: int,
@@ -249,7 +237,7 @@ def periodize(k: RadialKernel, grid: Grid, tolerance: float = 1e-10,
               max_shells: int = 256) -> PeriodizedKernel:
     """Sum the lattice translates of a radial kernel on the offset lattice.
 
-    Shells |l|_inf = s are accumulated until the decay certificate bounds the
+    Shells |l|_inf = s are accumulated until ``k.tail_bound`` bounds the
     remaining tail below `tolerance` (a compactly supported kernel stops as
     soon as no translate can reach the domain); ``tail_bound`` records the
     certificate that stopped the sum.  For kernels singular at the origin
@@ -265,8 +253,8 @@ def periodize(k: RadialKernel, grid: Grid, tolerance: float = 1e-10,
     tuple carrying the summed weights of its permutations.  All batches share
     one pair of buffers, for the radii and the profile values.
     """
-    if k.decay is None and k.support_radius is None:
-        raise ValueError("kernel needs decay metadata or a declared support radius")
+    if k.tail_bound is None and k.support_radius is None:
+        raise ValueError("kernel needs a tail_bound or a declared support radius")
     L = grid.half_length
     dim = grid.dim
     octant = np.arange(grid.n // 2 + 1) * grid.h
@@ -393,11 +381,7 @@ def _tail_estimate(k: RadialKernel, grid: Grid, s: int) -> float:
         count = (2 * t + 1) ** dim - (2 * t - 1) ** dim
         # worst case over x in Omega: the max-axis distance is at least L(2t-1)
         rmin = max(L * (2 * t - 1), 0.5)
-        if k.tail_bound is not None:
-            term = count * k.tail_bound(rmin)
-        else:
-            C, alpha = k.decay
-            term = count * C * (1.0 + rmin) ** (-alpha)
+        term = count * k.tail_bound(rmin)
         total += term
         if term < 1e-18 * max(total, 1.0) or t > s + 400:
             break

@@ -46,11 +46,12 @@ class NumericalAbortError(RuntimeError):
 
 @dataclass
 class ModelFunctions:
-    """Nonlinearities of the density equation.
+    """Nonlinearities of the density equation, exactly as the solver runs them.
 
     ``beta`` must be strictly increasing with beta(0) = 0 (degenerate slope
     at 0 is fine); ``g`` vanishes outside [0, 1] and is bounded by L_g * s
-    there.  ``eta`` adds the linear regularization eta*s to beta.
+    there.  A regularization eta*s is part of ``beta`` (see
+    :func:`porous_medium_model`), so it is validated with it.
     """
 
     beta: Callable[[np.ndarray], np.ndarray]
@@ -58,12 +59,8 @@ class ModelFunctions:
     phi: Callable[[np.ndarray], np.ndarray]   # antiderivative of beta
     g: Callable[[np.ndarray], np.ndarray]
     L_g: float = 1.0
-    eta: float = 0.0
-    name: str = "custom"
 
     def __post_init__(self):
-        if not math.isfinite(self.eta):
-            raise ValueError("eta must be finite")
         s = np.linspace(0.0, 1.0, 1001)
         b = np.asarray(self.beta(s), dtype=float)
         if abs(b[0]) > 1e-14:
@@ -80,40 +77,37 @@ class ModelFunctions:
             if abs(float(np.asarray(self.g(np.array([probe])), dtype=float)[0])) > 1e-14:
                 raise ValueError("g must vanish outside [0, 1]")
 
-    def beta_eff(self, u: np.ndarray) -> np.ndarray:
-        b = np.asarray(self.beta(u), dtype=float)
-        return b + self.eta * u if self.eta else b
-
-    def beta_prime_eff(self, u: np.ndarray) -> np.ndarray:
-        bp = np.asarray(self.beta_prime(u), dtype=float)
-        return bp + self.eta if self.eta else bp
-
-    def phi_eff(self, u: np.ndarray) -> np.ndarray:
-        p = np.asarray(self.phi(u), dtype=float)
-        return p + 0.5 * self.eta * u * u if self.eta else p
-
 
 def porous_medium_model(gamma: float, eta: float = 0.0) -> ModelFunctions:
-    """beta(u) = u^gamma with the volume-filling g(u) = u(1-u)."""
+    """beta(u) = u^gamma + eta*u with the volume-filling g(u) = u(1-u)."""
     if not gamma >= 1:
         raise ValueError("gamma must be >= 1")
     if gamma == 1:
         return linear_model(eta=eta)
-    return ModelFunctions(
-        beta=lambda u: np.abs(u) ** gamma * np.sign(u),
-        beta_prime=lambda u: gamma * np.abs(u) ** (gamma - 1.0),
+    return _regularized(
+        lambda u: np.abs(u) ** gamma * np.sign(u),
+        lambda u: gamma * np.abs(u) ** (gamma - 1.0),
         # |u|^gamma |u|, not |u|^(gamma+1): at the shipped gamma = 2 numpy squares
         # without its general pow; any other gamma pays one more multiply
-        phi=lambda u: np.abs(u) ** gamma * np.abs(u) / (gamma + 1.0),
-        g=volume_filling_g, eta=eta, name=f"power(gamma={gamma})")
+        lambda u: np.abs(u) ** gamma * np.abs(u) / (gamma + 1.0), eta)
 
 
 def linear_model(eta: float = 0.0) -> ModelFunctions:
-    return ModelFunctions(
-        beta=lambda u: np.asarray(u, dtype=float),
-        beta_prime=lambda u: np.ones_like(np.asarray(u, dtype=float)),
-        phi=lambda u: 0.5 * np.asarray(u, dtype=float) ** 2,
-        g=volume_filling_g, eta=eta, name="linear")
+    """beta(u) = u + eta*u with the volume-filling g(u) = u(1-u)."""
+    return _regularized(lambda u: np.asarray(u, dtype=float),
+                        lambda u: np.ones_like(np.asarray(u, dtype=float)),
+                        lambda u: 0.5 * np.asarray(u, dtype=float) ** 2, eta)
+
+
+def _regularized(beta, beta_prime, phi, eta: float) -> ModelFunctions:
+    """The model of beta, beta' and phi with eta*u, eta and eta*u^2/2 added."""
+    if not math.isfinite(eta):
+        raise ValueError("eta must be finite")
+    if eta:
+        beta = lambda u, b=beta: b(u) + eta * u
+        beta_prime = lambda u, bp=beta_prime: bp(u) + eta
+        phi = lambda u, p=phi: p(u) + 0.5 * eta * u * u
+    return ModelFunctions(beta, beta_prime, phi, volume_filling_g)
 
 
 def volume_filling_g(s: np.ndarray) -> np.ndarray:
@@ -325,7 +319,7 @@ def step_u(plan: StepPlan, u: np.ndarray, velocity: list, dt: float,
            beta_vals: np.ndarray, g_vals: np.ndarray) -> np.ndarray:
     """One conservative explicit update of the density values.
 
-    ``beta_vals`` and ``g_vals`` are beta_eff(u) and g(u), which
+    ``beta_vals`` and ``g_vals`` are beta(u) and g(u), which
     ``run_ensemble`` evaluates once per state and shares with every axis and
     dt halving.
     """
@@ -366,7 +360,7 @@ def stable_dt(plan: StepPlan, u_max: float, velocity: list, cfl_safety: float) -
     """
     h, N = plan.grid.h, plan.grid.dim
     top = min(max(u_max, 0.0), 1.0) or 1.0
-    max_bp = float(plan.model.beta_prime_eff(top * _UNIT_SPAN).max())
+    max_bp = float(plan.model.beta_prime(top * _UNIT_SPAN).max())
     speeds = [float(np.abs(v).max()) for v in velocity]
     if not math.isfinite(sum(speeds)):   # the sum keeps a NaN that max() may drop
         finite = np.all([np.isfinite(v).all(axis=plan.axes) for v in velocity], axis=0)
@@ -445,7 +439,7 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
     times, dts = [t], [0.0]
     record = np.zeros((1024, 6, members))   # the rows, grown by doubling
     record[0, :4] = (u.sum(axis=axes), u.min(axis=axes), u.max(axis=axes),
-                     model.phi_eff(u).sum(axis=axes))
+                     model.phi(u).sum(axis=axes))
     snap_times = _snapshot_times(config).tolist()
     snapshots = [u.copy()]
     while t < t_end - 1e-14 * t_end:
@@ -461,7 +455,7 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
         if dt < _MIN_DT_FRACTION * t_end:
             raise NumericalAbortError(f"time step collapsed to {dt:.3g} at t={t:.6g}")
         dt = min(dt, t_end - t)
-        beta_u, g_u = model.beta_eff(u), model.g(u)
+        beta_u, g_u = model.beta(u), model.g(u)
         for _ in range(_MAX_DT_HALVINGS):
             v_hat_new, vel_new = v_hat, velocity
             if plan.relaxed:
@@ -486,7 +480,7 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
             raise NumericalAbortError(f"time stalled at t={t:.6g} with step {dt:.3g}")
 
         np.add.reduce(u_new, axes, out=row[0])
-        np.add.reduce(model.phi_eff(u_new), axes, out=row[3])
+        np.add.reduce(model.phi(u_new), axes, out=row[3])
         row[4] = _sum_squares(plan.gradient(beta_u))
         row[5] = _sum_squares([g_u * c for c in vel_new])
         prev_t, prev_u = t, u

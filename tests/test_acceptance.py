@@ -148,7 +148,7 @@ def test_criterion_6_xi_limit(capsys):
 def test_criterion_7_kernel_fit(capsys):
     t0 = time.time()
     grid = Grid(1, 2.0, 128)
-    basis = GreensBasis.build(grid, default_diffusivities(3, 1.0).values)
+    basis = GreensBasis.build(grid, default_diffusivities(3, 1.0))
     target = np.array([0.0, 3.0, 0.0])
     res = fit_coefficients(basis.as_kernel(target), basis, 0.0)
     recovery_ok = (res.gram_condition_estimate < 1e12
@@ -158,7 +158,7 @@ def test_criterion_7_kernel_fit(capsys):
     W = periodize(gaussian_kernel(0.3, 1), ggrid)
     residuals = []
     for M in (1, 2, 4, 8, 16):
-        b = GreensBasis.build(ggrid, default_diffusivities(M, 1.0).values)
+        b = GreensBasis.build(ggrid, default_diffusivities(M, 1.0))
         residuals.append(fit_coefficients(W, b, 0.0).residual_w11)
     monotone = all(r2 <= r1 * (1.0 + 1e-12)
                    for r1, r2 in zip(residuals, residuals[1:]))

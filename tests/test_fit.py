@@ -5,8 +5,7 @@ import pytest
 
 from greenks import config as cfgmod
 from greenks.domain import Grid, inner_h1, norm_w11
-from greenks.fit import (DiffusivitySequence, default_diffusivities,
-                         fit_coefficients, fit_to_tolerance)
+from greenks.fit import default_diffusivities, fit_coefficients, fit_to_tolerance
 from greenks.greens import GreensBasis
 from greenks.kernel import adhesion_potential, gaussian_kernel, periodize
 
@@ -20,18 +19,16 @@ GAUSS_W11_RESIDUALS = [3.087620, 1.280864, 0.2272942, 0.03907394, 0.03900050]
 # --- diffusivity sequences ------------------------------------------------
 
 def test_default_sequence_m3():
-    seq = default_diffusivities(3, 1.0)
-    assert seq.values == pytest.approx([1.5, 4.0 / 3.0, 1.25], rel=1e-14)
-    assert seq.accumulation_point == 1.0
+    assert default_diffusivities(3, 1.0) == pytest.approx([1.5, 4.0 / 3.0, 1.25], rel=1e-14)
 
 
 def test_default_sequence_m1():
-    assert default_diffusivities(1, 2.0).values == pytest.approx([3.0])
+    assert default_diffusivities(1, 2.0) == pytest.approx([3.0])
 
 
 def test_default_sequence_distinct():
     for M in (1, 5, 16, 64):
-        vals = default_diffusivities(M, 0.7).values
+        vals = default_diffusivities(M, 0.7)
         assert len(set(vals)) == M
 
 
@@ -40,17 +37,13 @@ def test_sequence_validation():
         default_diffusivities(0, 1.0)
     with pytest.raises(ValueError):
         default_diffusivities(3, -1.0)
-    with pytest.raises(ValueError):
-        DiffusivitySequence([1.0, 1.0], 1.0)
-    with pytest.raises(ValueError):
-        DiffusivitySequence([1.1, 1.5], 1.0)   # not approaching monotonically
 
 
 # --- fit ------------------------------------------------------------------
 
 def test_exact_recovery_of_span_member():
     grid = Grid(1, 2.0, 128)
-    basis = GreensBasis.build(grid, default_diffusivities(3, 1.0).values)
+    basis = GreensBasis.build(grid, default_diffusivities(3, 1.0))
     target = np.array([0.0, 3.0, 0.0])
     W = basis.as_kernel(target)
     res = fit_coefficients(W, basis, 0.0)
@@ -61,7 +54,7 @@ def test_exact_recovery_of_span_member():
 
 def test_zero_target_gives_zero_fit():
     grid = Grid(1, 1.0, 64)
-    basis = GreensBasis.build(grid, default_diffusivities(2, 1.0).values)
+    basis = GreensBasis.build(grid, default_diffusivities(2, 1.0))
     W = basis.as_kernel([0.0, 0.0])
     res = fit_coefficients(W, basis, 0.0)
     assert np.abs(res.coefficients).max() < 1e-12
@@ -73,7 +66,7 @@ def test_gaussian_target_monotone_and_frozen():
     W = periodize(gaussian_kernel(0.3, 1), grid)
     residuals = []
     for M in (1, 2, 4, 8, 16):
-        basis = GreensBasis.build(grid, default_diffusivities(M, 1.0).values)
+        basis = GreensBasis.build(grid, default_diffusivities(M, 1.0))
         residuals.append(fit_coefficients(W, basis, 0.0).residual_w11)
     for a, b in zip(residuals, residuals[1:]):
         assert b <= a * (1.0 + 1e-12)
@@ -84,7 +77,7 @@ def test_first_order_optimality():
     # residual orthogonal to every basis element in the H1 inner product
     grid = Grid(1, 1.0, 64)
     W = periodize(adhesion_potential(ONES, 1), grid)
-    basis = GreensBasis.build(grid, default_diffusivities(3, 0.5).values)
+    basis = GreensBasis.build(grid, default_diffusivities(3, 0.5))
     res = fit_coefficients(W, basis, 0.0)
     resid_field = W.field - basis.combination(res.coefficients)
     from greenks.domain import norm_h1
@@ -96,7 +89,7 @@ def test_first_order_optimality():
 def test_reconstruction_consistency():
     grid = Grid(1, 1.0, 64)
     W = periodize(adhesion_potential(ONES, 1), grid)
-    basis = GreensBasis.build(grid, default_diffusivities(4, 0.5).values)
+    basis = GreensBasis.build(grid, default_diffusivities(4, 0.5))
     res = fit_coefficients(W, basis, 1e-8)
     recomputed = norm_w11(W.field - basis.combination(res.coefficients))
     assert abs(recomputed - res.residual_w11) < 1e-12
@@ -105,7 +98,7 @@ def test_reconstruction_consistency():
 def test_singular_flag_on_clustered_basis():
     grid = Grid(1, 1.0, 64)
     W = periodize(adhesion_potential(ONES, 1), grid)
-    basis = GreensBasis.build(grid, default_diffusivities(16, 0.5).values)
+    basis = GreensBasis.build(grid, default_diffusivities(16, 0.5))
     res = fit_coefficients(W, basis, 0.0)
     assert res.singular
     assert np.isfinite(res.residual_w11)
@@ -119,7 +112,7 @@ def test_h1_residual_rises_over_nested_bases_only_when_singular():
     W = cfgmod.require_kernel(cfgmod.build_problem(cfg)[1], "fit")
     d_star, reg = cfgmod.study_fit_settings(cfg)
     fits = [fit_coefficients(W, GreensBasis.build(W.field.grid,
-                                                  default_diffusivities(M, d_star).values), reg)
+                                                  default_diffusivities(M, d_star)), reg)
             for M in range(1, 33)]
     assert sum(not f.singular for f in fits) >= 2
     for smaller, larger in zip(fits, fits[1:]):
@@ -129,7 +122,7 @@ def test_h1_residual_rises_over_nested_bases_only_when_singular():
 def test_regularization_shrinks_coefficients():
     grid = Grid(1, 1.0, 64)
     W = periodize(adhesion_potential(ONES, 1), grid)
-    basis = GreensBasis.build(grid, default_diffusivities(8, 0.5).values)
+    basis = GreensBasis.build(grid, default_diffusivities(8, 0.5))
     free = fit_coefficients(W, basis, 0.0)
     tamed = fit_coefficients(W, basis, 1e-6)
     assert np.abs(tamed.coefficients).max() < np.abs(free.coefficients).max()
@@ -187,7 +180,7 @@ def test_fit_to_tolerance_validation():
 
 def test_result_csv_summary():
     grid = Grid(1, 1.0, 64)
-    basis = GreensBasis.build(grid, default_diffusivities(2, 1.0).values)
+    basis = GreensBasis.build(grid, default_diffusivities(2, 1.0))
     res = fit_coefficients(basis.as_kernel([1.0, 2.0]), basis, 0.0)
     text = res.to_csv()
     lines = text.splitlines()

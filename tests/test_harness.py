@@ -138,8 +138,7 @@ def test_study_kernel_span_member_target():
     from greenks.fit import default_diffusivities
     cfg = base_cfg()
     grid = cfgmod.build_grid(cfg)
-    seq = default_diffusivities(2, float(cfg["study.d_star"]))
-    basis = GreensBasis.build(grid, seq.values)
+    basis = GreensBasis.build(grid, default_diffusivities(2, float(cfg["study.d_star"])))
     W = basis.as_kernel([1.5, -0.5])
     rep = study_kernel(cfg, W_target=W, M_list=[2])
     assert rep.errors[0] < 5e-8
@@ -371,6 +370,19 @@ def test_cli_directory_as_config_is_one_error_line(tmp_path):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+def test_cli_eta_that_breaks_monotone_beta_is_one_error_line(tmp_path):
+    # beta + eta u = u^2 - u/2 decreases near 0: a config error, not a numerical abort
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.n = 32\nrun.t_end = 0.01\nmodel.eta = -0.5\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(greenks.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "greenks.cli", "run", str(cfg),
+                           "-o", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "strictly increasing" in proc.stderr
 
 
 # --- CLI exit classes of bad input -------------------------------------------

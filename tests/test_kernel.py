@@ -55,8 +55,19 @@ def test_green_rejects_bad_arguments():
 
 
 def test_decay_metadata_is_validated():
-    with pytest.raises(ValueError):
-        RadialKernel(profile=ONES, decay=(0.1, 3.0))
+    # a profile above its own tail_bound at a check radius
+    with pytest.raises(ValueError, match="tail_bound"):
+        RadialKernel(profile=ONES, tail_bound=lambda r: 0.1 * (1.0 + r) ** -3.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("kind,scale", [*(("green", d) for d in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0)),
+                                        *(("gaussian", sigma) for sigma in (0.05, 0.3, 3.0))])
+def test_tail_bound_bounds_the_profile(kind, scale, dim):
+    # the certificate that stops the lattice sum, and so sets the shell counts
+    k = (greens_free_space if kind == "green" else gaussian_kernel)(scale, dim)
+    r = np.linspace(0.5, 80.0, 2000)
+    assert np.all(np.abs(k.profile(r)) <= [k.tail_bound(x) for x in r])
 
 
 # --- adhesion potential ---------------------------------------------------
@@ -278,7 +289,7 @@ def test_tail_bound_records_the_stopping_certificate(dim, n):
     assert loose.tail_bound > tight.tail_bound
 
 
-def test_tail_bound_is_zero_without_a_decay_certificate():
+def test_tail_bound_is_zero_without_a_tail_certificate():
     assert periodize(adhesion_potential(ONES, 2), Grid(2, 0.4, 16)).tail_bound == 0.0
     basis = GreensBasis.build(Grid(1, 1.0, 32), [1.0, 2.0])
     assert basis.as_kernel([1.0, 0.5]).tail_bound == 0.0
