@@ -41,8 +41,8 @@ class Grid:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if self.half_length <= 0:
-            raise ValueError("half_length must be positive")
+        if not 0 < self.half_length < np.inf:
+            raise ValueError("half_length must be positive and finite")
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError(f"n must be even and >= 8, got {self.n}")
 
@@ -71,9 +71,9 @@ class Grid:
         x = np.arange(self.n) * self.h
         return np.where(x >= self.half_length, x - 2.0 * self.half_length, x)
 
-    def meshgrid(self, offsets: bool = False) -> tuple:
-        ax = self.axis_offsets() if offsets else self.axis_centers()
-        return np.meshgrid(*([ax] * self.dim), indexing="ij")
+    def meshgrid(self) -> tuple:
+        """Cell-center coordinate arrays, one per axis."""
+        return np.meshgrid(*([self.axis_centers()] * self.dim), indexing="ij")
 
     def frequencies(self) -> list:
         """Continuous angular frequencies pi*k/L per axis, FFT ordering."""
@@ -229,9 +229,9 @@ _CSV_CHUNK = 512    # cells formatted per write; bounds the temporary strings
 
 
 @functools.lru_cache(maxsize=4)
-def _row_templates(grid: Grid, offsets: bool) -> tuple:
+def _row_templates(grid: Grid) -> tuple:
     """Per chunk, its rows with index and coordinates filled in and a %.17g slot per value."""
-    coords = [c.ravel().tolist() for c in grid.meshgrid(offsets=offsets)]
+    coords = [c.ravel().tolist() for c in grid.meshgrid()]
     row = "{}" + ",{:.17g}" * len(coords) + ",%.17g\n"
     size = len(coords[0])
     return tuple("".join(map(row.format, range(start, min(start + _CSV_CHUNK, size)),
@@ -243,12 +243,12 @@ def _opened(f, mode: str):   # a path is opened and closed, an open file used as
     return open(f, mode) if isinstance(f, str) else contextlib.nullcontext(f)
 
 
-def write_field_csv(f, field: Field, offsets: bool = False):
+def write_field_csv(f, field: Field):
     g = field.grid
     with _opened(f, "w") as f:
         f.write(f"# grid: N={g.dim} L={g.half_length!r} n={g.n}\n")
         values = field.values.ravel()
-        for start, template in zip(range(0, values.size, _CSV_CHUNK), _row_templates(g, offsets)):
+        for start, template in zip(range(0, values.size, _CSV_CHUNK), _row_templates(g)):
             f.write(template % tuple(values[start:start + _CSV_CHUNK].tolist()))
 
 
@@ -272,7 +272,7 @@ def read_field_csv(f) -> Field:
     return Field(grid, out.reshape(grid.shape))
 
 
-def field_csv_string(field: Field, offsets: bool = False) -> str:
+def field_csv_string(field: Field) -> str:
     buf = io.StringIO()
-    write_field_csv(buf, field, offsets=offsets)
+    write_field_csv(buf, field)
     return buf.getvalue()

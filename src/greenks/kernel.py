@@ -37,13 +37,12 @@ _FACE_ORDER = 40
 class RadialKernel:
     """Free-space radial kernel with the certificate that truncates its lattice sum.
 
-    ``profile(r, out=None)`` evaluates K at the radii ``r``, into ``out`` (an
-    array of r's shape, not r itself) when it is given.  ``tail_bound(r)``
-    asserts |K(r)| <= tail_bound(r) for r >= 0.5 and is checked at a few
-    radii; ``support_radius`` marks compact support instead.
+    ``profile(r)`` returns K at the radii ``r`` as a new array of r's shape.
+    ``tail_bound(r)`` asserts |K(r)| <= tail_bound(r) for r >= 0.5 and is
+    checked at a few radii; ``support_radius`` marks compact support instead.
     """
 
-    profile: Callable[..., np.ndarray]
+    profile: Callable[[np.ndarray], np.ndarray]
     support_radius: Optional[float] = None
     singular_at_origin: bool = False
     tail_bound: Optional[Callable[[float], float]] = None
@@ -52,13 +51,9 @@ class RadialKernel:
         if self.tail_bound is not None:
             r = np.array(_TAIL_CHECK_RADII)
             bound = np.array([self.tail_bound(x) for x in _TAIL_CHECK_RADII])
-            if np.any(np.abs(self.profile(r)) > bound * (1.0 + 1e-12)):
+            # written so that a NaN profile or bound fails too
+            if not np.all(np.abs(self.profile(r)) <= bound * (1.0 + 1e-12)):
                 raise ValueError("tail_bound violated at the check radii")
-
-    def value_at_origin(self) -> float:
-        if self.singular_at_origin:
-            raise ValueError("kernel is singular at the origin")
-        return float(self.profile(np.array([0.0]))[0])
 
 
 @dataclass
@@ -71,46 +66,27 @@ class PeriodizedKernel:
     tail_bound: float = 0.0
 
 
-def _radii_and_out(r, out) -> tuple:
-    """``r`` as a float array, and ``out`` or a new array of its shape."""
-    r = np.asarray(r, dtype=float)
-    return r, (np.empty_like(r) if out is None else out)
-
-
 def greens_free_space(d: float, dim: int) -> RadialKernel:
     """Free-space Green function of -d*Laplace + 1 in `dim` dimensions."""
-    if d <= 0:
-        raise ValueError("diffusivity d must be positive")
+    if not 0 < d < math.inf:
+        raise ValueError("diffusivity d must be positive and finite")
     if dim not in (1, 2, 3):
         raise ValueError("dim must be 1, 2 or 3")
     mu = 1.0 / math.sqrt(d)
 
     if dim == 1:
-        def profile(r, out=None):
-            r, out = _radii_and_out(r, out)
-            np.exp(np.multiply(r, -mu, out=out), out=out)
-            return np.multiply(out, 0.5 / math.sqrt(d), out=out)
+        def profile(r):
+            return np.exp(r * -mu) * (0.5 / math.sqrt(d))
 
         singular = False
     elif dim == 2:
-        work = np.empty(0)   # K_0's scratch, grown to the largest argument array
-
-        def profile(r, out=None):
-            nonlocal work
-            r, out = _radii_and_out(r, out)
-            if work.size < 3 * r.size:
-                work = np.empty(3 * r.size)
-            bessel_k(0, np.multiply(r, mu, out=out), out=out,
-                     work=work[:3 * r.size].reshape((3,) + r.shape))
-            return np.multiply(out, 1.0 / (2.0 * math.pi * d), out=out)
+        def profile(r):
+            return bessel_k(0, r * mu) * (1.0 / (2.0 * math.pi * d))
 
         singular = True
     else:
-        def profile(r, out=None):
-            r, out = _radii_and_out(r, out)
-            np.exp(np.multiply(r, -mu, out=out), out=out)
-            np.divide(out, r, out=out)
-            return np.multiply(out, 1.0 / (4.0 * math.pi * d), out=out)
+        def profile(r):
+            return np.exp(r * -mu) / r * (1.0 / (4.0 * math.pi * d))
 
         singular = True
 
@@ -133,17 +109,14 @@ def greens_free_space(d: float, dim: int) -> RadialKernel:
 
 def gaussian_kernel(sigma: float, dim: int) -> RadialKernel:
     """Normalized Gaussian kernel, a smooth non-Green fitting target."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     if dim not in (1, 2, 3):
         raise ValueError("dim must be 1, 2 or 3")
     A = (2.0 * math.pi * sigma * sigma) ** (-0.5 * dim)
 
-    def profile(r, out=None):
-        r, out = _radii_and_out(r, out)
-        np.multiply(r, r, out=out)
-        np.exp(np.divide(out, -2.0 * sigma * sigma, out=out), out=out)
-        return np.multiply(out, A, out=out)
+    def profile(r):
+        return np.exp(r * r / (-2.0 * sigma * sigma)) * A
 
     def tail(r, _s=sigma, _A=A):
         # |K| <= tail; the factor (1 + r/s^2) sets the pinned shell counts
@@ -178,11 +151,8 @@ def adhesion_potential(omega: Callable[[np.ndarray], np.ndarray], dim: int,
     cum = np.concatenate(([0.0], np.cumsum(pieces)))
     values = cum - cum[-1]   # -int_s^1 omega, exactly 0 at s = 1
 
-    def profile(r, out=None):
-        r, out = _radii_and_out(r, out)
-        out[...] = np.interp(np.clip(r, 0.0, 1.0), s, values)
-        np.copyto(out, 0.0, where=r > 1.0)
-        return out
+    def profile(r):   # np.interp holds values[-1] = 0 beyond r = 1
+        return np.interp(r, s, values)
 
     return RadialKernel(profile, support_radius=1.0)
 
@@ -201,8 +171,7 @@ def _cell_average_origin(k: RadialKernel, grid: Grid) -> float:
     [2^(-j-1), 2^(-j)], the last reaching 0, which integrates the log r and
     1/r singularities at an exponential rate; the face rule is tensor
     Gauss-Legendre (in 1D the face is the point R = a).  The R x t nodes are
-    evaluated in batches of at most _BATCH_ELEMENTS, one profile call each,
-    in two buffers that every batch reuses.
+    evaluated in batches of at most _BATCH_ELEMENTS, one profile call each.
     """
     a = grid.h / 2.0
     dim = grid.dim
@@ -222,13 +191,10 @@ def _cell_average_origin(k: RadialKernel, grid: Grid) -> float:
     face_weights = face_weights.ravel()
 
     total = 0.0
-    batch = min(max(1, _BATCH_ELEMENTS // t.size), R.size)
-    buffers = np.empty((2, batch, t.size))
+    batch = max(1, _BATCH_ELEMENTS // t.size)
     for start in range(0, R.size, batch):
         rows = slice(start, start + batch)
-        m = min(batch, R.size - start)
-        r = np.multiply.outer(R[rows], t, out=buffers[0, :m])
-        rays = k.profile(r, out=buffers[1, :m]) @ t_weights
+        rays = k.profile(np.multiply.outer(R[rows], t)) @ t_weights
         total += float(face_weights[rows] @ rays)
     return 2 * dim * 2 ** (dim - 1) * a * total / grid.h ** dim
 
@@ -250,8 +216,7 @@ def periodize(k: RadialKernel, grid: Grid, tolerance: float = 1e-10,
     translates, only at the sorted index tuples i_1 <= ... <= i_N and the
     octant is filled from them by permutation.  The Gauss rule for the
     origin cell's smooth translates is folded the same way, each sorted node
-    tuple carrying the summed weights of its permutations.  All batches share
-    one pair of buffers, for the radii and the profile values.
+    tuple carrying the summed weights of its permutations.
     """
     if k.tail_bound is None and k.support_radius is None:
         raise ValueError("kernel needs a tail_bound or a declared support radius")
@@ -260,7 +225,6 @@ def periodize(k: RadialKernel, grid: Grid, tolerance: float = 1e-10,
     octant = np.arange(grid.n // 2 + 1) * grid.h
     points, octant_rank = _sorted_tuples(octant.size, dim)
     w = np.zeros(len(points))
-    widest = len(points)
     if k.singular_at_origin:
         origin_value = _cell_average_origin(k, grid)
         nodes, weights = leggauss(_ORIGIN_GAUSS_ORDER)
@@ -270,9 +234,6 @@ def periodize(k: RadialKernel, grid: Grid, tolerance: float = 1e-10,
             cell_weights = np.multiply.outer(cell_weights, weights / 2.0)
         node_tuples, node_rank = _sorted_tuples(nodes.size, dim)
         cell_weights = np.bincount(node_rank, weights=cell_weights.ravel())
-        widest = max(widest, len(node_tuples))
-    # a batch is whole rows of points, at most _BATCH_ELEMENTS unless one row is more
-    buffers = np.empty((2, max(_BATCH_ELEMENTS, widest)))
 
     shells = 0
     tail = 0.0
@@ -290,15 +251,14 @@ def periodize(k: RadialKernel, grid: Grid, tolerance: float = 1e-10,
             raise ValueError("lattice sum did not converge within max_shells")
         rows = _shell_offsets(s, dim) + s
         centers = 2.0 * L * np.arange(-s, s + 1)[:, None]
-        for r, vals in _batched_radii((octant - centers) ** 2, rows, points, buffers):
+        for r in _batched_radii((octant - centers) ** 2, rows, points):
             if s == 0 and k.singular_at_origin:
                 r[0, 0] = 1.0   # the zero offset; its cell average is stored below
-            w += _profile_in_support(k, r, vals).sum(axis=0)
+            w += _profile_in_support(k, r).sum(axis=0)
         if k.singular_at_origin and s > 0:
             # cell averages over the origin cell of the smooth translates
-            for r, vals in _batched_radii((cell_nodes - centers) ** 2, rows, node_tuples,
-                                          buffers):
-                origin_value += float((_profile_in_support(k, r, vals) @ cell_weights).sum())
+            for r in _batched_radii((cell_nodes - centers) ** 2, rows, node_tuples):
+                origin_value += float((_profile_in_support(k, r) @ cell_weights).sum())
         shells = s
         s += 1
 
@@ -339,15 +299,14 @@ def _shell_offsets(s: int, dim: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _batched_radii(sq: np.ndarray, rows: np.ndarray, points: np.ndarray,
-                   buffers: np.ndarray):
+def _batched_radii(sq: np.ndarray, rows: np.ndarray, points: np.ndarray):
     """Yield |x - 2L*l| at the given points, for batches of translates.
 
     ``sq[i, j]`` is the squared distance along one axis from point coordinate
     j to translate coordinate i; ``rows`` holds one translate and ``points``
-    one point per row, both as index tuples into ``sq``.  Each batch has
-    shape (translates, points) and is yielded as a pair of views of the two
-    rows of ``buffers``: the radii, and scratch that the caller may overwrite.
+    one point per row, both as index tuples into ``sq``.  Each batch is a new
+    array of shape (translates, points), whole rows of points and at most
+    _BATCH_ELEMENTS elements unless one row is more.
     """
     count, dim = rows.shape
     # per axis, the squared distances from every translate coordinate to the points
@@ -355,17 +314,14 @@ def _batched_radii(sq: np.ndarray, rows: np.ndarray, points: np.ndarray,
     batch = max(1, _BATCH_ELEMENTS // len(points))
     for lo in range(0, count, batch):
         idx = rows[lo:lo + batch]
-        shape = (len(idx), len(points))
-        r2, scratch = (b[:shape[0] * shape[1]].reshape(shape) for b in buffers)
-        # mode="clip" writes straight into out; the indices are in range anyway
-        np.take(axes[0], idx[:, 0], axis=0, out=r2, mode="clip")
+        r2 = axes[0][idx[:, 0]]
         for i in range(1, dim):
-            r2 += np.take(axes[i], idx[:, i], axis=0, out=scratch, mode="clip")
-        yield np.sqrt(r2, out=r2), scratch
+            r2 += axes[i][idx[:, i]]
+        yield np.sqrt(r2, out=r2)
 
 
-def _profile_in_support(k: RadialKernel, r: np.ndarray, out: np.ndarray) -> np.ndarray:
-    vals = k.profile(r, out=out)
+def _profile_in_support(k: RadialKernel, r: np.ndarray) -> np.ndarray:
+    vals = k.profile(r)
     if k.support_radius is not None:
         np.copyto(vals, 0.0, where=r > k.support_radius)
     return vals

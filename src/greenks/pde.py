@@ -44,14 +44,16 @@ class NumericalAbortError(RuntimeError):
     """The time loop could not continue (rejected steps, non-finite values, a stall)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelFunctions:
     """Nonlinearities of the density equation, exactly as the solver runs them.
 
     ``beta`` must be strictly increasing with beta(0) = 0 (degenerate slope
     at 0 is fine); ``g`` vanishes outside [0, 1] and is bounded by L_g * s
     there.  A regularization eta*s is part of ``beta`` (see
-    :func:`porous_medium_model`), so it is validated with it.
+    :func:`porous_medium_model`), so it is validated with it.  Frozen, so that
+    no function is installed after this check; ``dataclasses.replace``
+    builds a validated copy.
     """
 
     beta: Callable[[np.ndarray], np.ndarray]

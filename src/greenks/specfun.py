@@ -60,16 +60,12 @@ def _normalize_order(nu) -> Fraction:
     return abs(frac)
 
 
-def bessel_k(nu, r, out=None, work=None):
+def bessel_k(nu, r):
     """K_nu(r) for nu = 0 or a half-integer, r > 0.
 
-    Accepts a scalar or array argument; returns the same shape.  ``out``, an
-    array of r's shape (it may be r itself), receives the values if given.
-    ``work``, a contiguous float array of shape (3,) + r.shape, is scratch
-    for order 0, which otherwise allocates its own; a caller that evaluates
-    many equal-sized batches passes one, so that no batch allocates.
-    Raises ValueError for r <= 0 (K_nu diverges at the origin for nu >= 0)
-    and UnsupportedOrderError for other orders.
+    Accepts a scalar or array argument and returns a new value of the same
+    shape.  Raises ValueError for r <= 0 (K_nu diverges at the origin for
+    nu >= 0) and UnsupportedOrderError for other orders.
     """
     frac = _normalize_order(nu)
     r_arr = np.asarray(r, dtype=float)
@@ -77,11 +73,7 @@ def bessel_k(nu, r, out=None, work=None):
     r_arr = np.atleast_1d(r_arr)
     if r_arr.size and not (r_arr.min() > 0.0 and r_arr.max() < math.inf):
         raise ValueError("bessel_k requires finite r > 0")
-    out = np.empty_like(r_arr) if out is None else np.atleast_1d(out)
-    if frac == 0:
-        _k0(r_arr, out, np.empty((3,) + r_arr.shape) if work is None else work)
-    else:
-        out[...] = _half_integer(int(frac * 2), r_arr)
+    out = _k0(r_arr) if frac == 0 else _half_integer(int(frac * 2), r_arr)
     return float(out[0]) if scalar else out
 
 
@@ -97,55 +89,50 @@ def _half_integer(p: int, r: np.ndarray) -> np.ndarray:
     return k
 
 
-def _k0(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
-    """K_0(x) into ``out`` (which may be x) for x > 0, with three scratch rows."""
+def _k0(x: np.ndarray) -> np.ndarray:
+    """K_0(x) for x > 0."""
     small = x <= 2.0
     n_small = np.count_nonzero(small)
     if n_small == 0 or n_small == x.size:
-        piece = _k0_series if n_small else _k0_polynomial
-        piece(x, out, work)
-        return
+        return _k0_series(x) if n_small else _k0_polynomial(x)
     # the rare argument arrays that straddle x = 2: each piece on its own part
-    rows = work.reshape(3, -1)
-    for piece, part in ((_k0_series, small), (_k0_polynomial, ~small)):
-        xs = x[part]
-        piece(xs, xs, rows[:, :xs.size])
-        out[part] = xs
+    out = np.empty_like(x)
+    out[small] = _k0_series(x[small])
+    out[~small] = _k0_polynomial(x[~small])
+    return out
 
 
-def _horner(coefs: tuple, t: np.ndarray, y: np.ndarray) -> None:
-    """sum_k coefs[k] t^k into y by Horner's rule."""
-    np.multiply(t, coefs[-1], out=y)
+def _horner(coefs: tuple, t: np.ndarray) -> np.ndarray:
+    """sum_k coefs[k] t^k by Horner's rule, in place in one new array."""
+    y = np.multiply(t, coefs[-1])
     np.add(y, coefs[-2], out=y)
     for c in coefs[-3::-1]:
         np.multiply(y, t, out=y)
         np.add(y, c, out=y)
+    return y
 
 
-def _k0_series(x, out, work) -> None:
-    """K_0 = B(q) - log(x) I_0(x) with q = x^2/4, for x <= 2; out may be x."""
-    q, i0, b = work
-    np.multiply(x, x, out=q)
+def _k0_series(x: np.ndarray) -> np.ndarray:
+    """K_0 = B(q) - log(x) I_0(x) with q = x^2/4, for x <= 2."""
+    q = np.multiply(x, x)
     np.multiply(q, 0.25, out=q)
-    _horner(_I0_SERIES, q, i0)
-    _horner(_B_SERIES, q, b)
+    i0 = _horner(_I0_SERIES, q)
+    b = _horner(_B_SERIES, q)
     np.log(x, out=q)
     np.multiply(q, i0, out=q)
-    np.subtract(b, q, out=out)
+    return np.subtract(b, q, out=b)
 
 
-def _k0_polynomial(x, out, work) -> None:
-    """K_0 = sqrt(u) e^{-x} P(4u - 1) with u = 1/x, for x > 2; out may be x."""
-    u, t, y = work
-    np.divide(1.0, x, out=u)
-    np.multiply(u, 4.0, out=t)
+def _k0_polynomial(x: np.ndarray) -> np.ndarray:
+    """K_0 = sqrt(u) e^{-x} P(4u - 1) with u = 1/x, for x > 2."""
+    u = np.divide(1.0, x)
+    t = np.multiply(u, 4.0)
     np.subtract(t, 1.0, out=t)
-    _horner(_K0E_POLYNOMIAL, t, y)
+    y = _horner(_K0E_POLYNOMIAL, t)
     np.sqrt(u, out=u)
     np.multiply(y, u, out=y)
-    np.negative(x, out=t)
-    np.exp(t, out=t)
-    np.multiply(y, t, out=out)
+    np.exp(np.negative(x, out=t), out=t)
+    return np.multiply(y, t, out=y)
 
 
 def bessel_k_asymptotic(r):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from greenks.domain import (Field, Grid, GridMismatchError, InsufficientDataError,
                             SpaceTimeSeries, field_csv_string, gradient, inner_l2,
                             norm_l1, norm_l2, norm_l2_spacetime, norm_w11,
-                            periodic_convolve, read_field_csv)
+                            periodic_convolve, read_field_csv, write_field_csv)
 from oracles import direct_convolution
 
 
@@ -24,6 +24,9 @@ def test_grid_validation():
         Grid(4, 1.0, 16)
     with pytest.raises(ValueError):
         Grid(1, -1.0, 16)
+    for half_length in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(1, half_length, 16)
     with pytest.raises(ValueError):
         Grid(1, 1.0, 15)   # odd
     with pytest.raises(ValueError):
@@ -216,11 +219,11 @@ def test_csv_header_format():
     assert text.splitlines()[0] == "# grid: N=1 L=1.0 n=8"
 
 
-def per_cell_csv(field, offsets=False):
+def per_cell_csv(field):
     """Reference writer: formats every cell on its own."""
     g = field.grid
     out = [f"# grid: N={g.dim} L={g.half_length!r} n={g.n}\n"]
-    coords = [c.ravel() for c in g.meshgrid(offsets=offsets)]
+    coords = [c.ravel() for c in g.meshgrid()]
     vals = field.values.ravel()
     for i in range(vals.size):
         cols = [str(i)] + [f"{c[i]:.17g}" for c in coords] + [f"{vals[i]:.17g}"]
@@ -228,27 +231,32 @@ def per_cell_csv(field, offsets=False):
     return "".join(out)
 
 
-@pytest.mark.parametrize("offsets", [False, True])
+@pytest.mark.parametrize("to_path", [False, True])
 @pytest.mark.parametrize("grid", [Grid(1, 1.0, 8), Grid(1, 0.3, 4098), Grid(2, 1.0, 46),
                                   Grid(2, 2.5, 64), Grid(3, 0.7, 16)])
-def test_csv_bytes_match_the_per_cell_writer(grid, offsets):
+def test_csv_bytes_match_the_per_cell_writer(grid, to_path, tmp_path):
     # 46^2 = 2116 and 4098 cells leave a partial last chunk of 512 rows, 4096 cells do not
     f = rng_field(grid, 5)
     special = [-0.0, 5e-324, 1e-300, -1e-300, -2.5, 0.1, 1.0 / 3.0, -7e22]
     f.values.flat[:len(special)] = special
+    if to_path:   # the writer opens and closes a path itself, as for the CLI's snapshots
+        write_field_csv(str(tmp_path / "snap.csv"), f)
+        text = (tmp_path / "snap.csv").read_text()
+    else:
+        text = field_csv_string(f)
     # lists of lines, which pytest compares quickly on failure; keepends keeps them lossless
-    got = field_csv_string(f, offsets=offsets).splitlines(keepends=True)
-    assert got == per_cell_csv(f, offsets=offsets).splitlines(keepends=True)
+    got = text.splitlines(keepends=True)
+    assert got == per_cell_csv(f).splitlines(keepends=True)
 
 
-def test_csv_row_templates_are_per_grid_and_offsets():
+def test_csv_row_templates_are_per_grid():
     # the writer caches each grid's index and coordinate text; reusing it must not
-    # mix grids of equal n, offsets off and on, or two fields on one grid
+    # mix grids of equal n, or two fields on one grid
     grids = [Grid(2, 1.0, 46), Grid(2, 2.5, 46), Grid(2, 1.0, 46)]
-    for seed, (grid, offsets) in enumerate([(g, o) for g in grids for o in (False, True, False)]):
+    for seed, grid in enumerate([g for g in grids for _ in range(2)]):
         f = rng_field(grid, seed)
-        got = field_csv_string(f, offsets=offsets).splitlines(keepends=True)
-        assert got == per_cell_csv(f, offsets=offsets).splitlines(keepends=True)
+        got = field_csv_string(f).splitlines(keepends=True)
+        assert got == per_cell_csv(f).splitlines(keepends=True)
 
 
 def snapshot_without(text, drop=(), extra=()):

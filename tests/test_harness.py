@@ -385,6 +385,19 @@ def test_cli_eta_that_breaks_monotone_beta_is_one_error_line(tmp_path):
     assert "strictly increasing" in proc.stderr
 
 
+def test_cli_nan_kernel_d_in_3d_is_one_error_line_at_once(tmp_path):
+    # a NaN tail bound would never stop the 3D lattice sum: the kernel is rejected first
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.dim = 3\ngrid.n = 16\nrun.t_end = 0.01\n"
+                   "kernel.type = greens\nkernel.d = nan\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(greenks.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "greenks.cli", "run", str(cfg),
+                           "-o", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
 # --- CLI exit classes of bad input -------------------------------------------
 
 def run_cli(tmp_path, text):
@@ -397,6 +410,8 @@ def run_cli(tmp_path, text):
     "chem.d = nan", "chem.d = inf", "chem.a = nan", "chem.a = -inf", "chem.xi = nan",
     "run.t_end = nan", "run.t_end = inf", "run.dt = nan", "run.snapshot_every = nan",
     "kernel.type = gaussian\nkernel.scale = nan", "model.eta = nan", "model.gamma = nan",
+    "grid.half_length = nan", "grid.half_length = inf", "kernel.type = greens\nkernel.d = nan",
+    "kernel.type = greens\nkernel.d = inf", "kernel.type = gaussian\nkernel.sigma = nan",
 ])
 def test_cli_rejects_non_finite_parameter(tmp_path, setting):
     assert run_cli(tmp_path, f"grid.n = 32\nrun.t_end = 0.01\n{setting}\n") == 1

@@ -26,7 +26,7 @@ def test_green_1d_closed_form():
 
 def test_green_1d_value_at_origin():
     k = greens_free_space(4.0, 1)
-    assert k.value_at_origin() == pytest.approx(0.25, rel=1e-14)
+    assert k.profile(np.array([0.0]))[0] == pytest.approx(0.25, rel=1e-14)
 
 
 def test_green_3d_closed_form():
@@ -54,10 +54,29 @@ def test_green_rejects_bad_arguments():
         greens_free_space(1.0, 4)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_kernel_parameters_are_rejected(value, dim):
+    # a NaN d or sigma makes the tail bound NaN, which never stops the lattice sum
+    with pytest.raises(ValueError, match="finite"):
+        greens_free_space(value, dim)
+    with pytest.raises(ValueError, match="finite"):
+        gaussian_kernel(value, dim)
+
+
 def test_decay_metadata_is_validated():
     # a profile above its own tail_bound at a check radius
     with pytest.raises(ValueError, match="tail_bound"):
         RadialKernel(profile=ONES, tail_bound=lambda r: 0.1 * (1.0 + r) ** -3.0)
+
+
+@pytest.mark.parametrize("profile,bound", [
+    (lambda r: np.full_like(r, math.nan), lambda r: 1.0),
+    (ONES, lambda r: math.nan),
+])
+def test_nan_profile_or_tail_bound_fails_the_check(profile, bound):
+    with pytest.raises(ValueError, match="tail_bound"):
+        RadialKernel(profile=profile, tail_bound=bound)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -221,8 +240,8 @@ ORIGIN_GRIDS = [(4.0, 8), (0.5, 8), (0.5, 64)]
 
 
 # -log r: a 1D kernel singular at the origin, with support radius 1
-LOG_KERNEL = RadialKernel(profile=lambda r, out=None: np.negative(np.log(r, out=out), out=out),
-                          support_radius=1.0, singular_at_origin=True)
+LOG_KERNEL = RadialKernel(profile=lambda r: -np.log(r), support_radius=1.0,
+                          singular_at_origin=True)
 
 
 @pytest.mark.parametrize("dim,d", [(1, None)] + [(dim, d) for dim in (2, 3)

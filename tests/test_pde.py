@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -84,6 +85,13 @@ def test_model_validation_rejects_unsupported_g():
                        beta_prime=lambda u: np.ones_like(np.asarray(u, dtype=float)),
                        phi=lambda u: 0.5 * np.asarray(u, dtype=float) ** 2,
                        g=lambda s: np.ones_like(np.asarray(s, dtype=float)))
+
+
+def test_model_functions_are_frozen():
+    # a function assigned after construction would skip the checks of __post_init__
+    model = porous_medium_model(2.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.g = lambda s: s
 
 
 def test_chemical_spec_validation():
@@ -226,8 +234,7 @@ def step_u_upwinding_u(plan, u, velocity, dt):
 def test_step_u_with_shared_state_values_is_bit_identical(g_fn, dim):
     # the values run() computes once per state, including slight bound excursions
     g = Grid(dim, 1.0, 8)
-    model = porous_medium_model(2.0, eta=0.05)
-    model.g = g_fn
+    model = dataclasses.replace(porous_medium_model(2.0, eta=0.05), g=g_fn)
     plan = plan_for(g, model=model)
     rng = np.random.default_rng(10 + dim)
     u = rng.random(g.shape)
