@@ -118,15 +118,17 @@ class GreensBasis:
 
     def __post_init__(self):
         d = np.asarray(self.diffusivities, dtype=float)
-        if np.any(d <= 0):
-            raise ValueError("diffusivities must be positive")
+        if not np.all((d > 0) & np.isfinite(d)):
+            raise ValueError("diffusivities must be positive and finite")
         if len(set(d.tolist())) != len(d):
             raise ValueError("diffusivities must be pairwise distinct")
 
     @classmethod
     def build(cls, grid: Grid, diffusivities) -> "GreensBasis":
-        ds = [float(d) for d in diffusivities]
-        return cls(grid=grid, diffusivities=ds, fields=[_plain_green_field(d, grid) for d in ds])
+        # validated before any field is built from them
+        basis = cls(grid=grid, diffusivities=[float(d) for d in diffusivities], fields=[])
+        basis.fields = [_plain_green_field(d, grid) for d in basis.diffusivities]
+        return basis
 
     def combination(self, coefficients) -> Field:
         """Sum a_j w_j as a single field."""

@@ -203,10 +203,12 @@ def periodize(k: RadialKernel, grid: Grid, tolerance: float = 1e-10,
               max_shells: int = 256) -> PeriodizedKernel:
     """Sum the lattice translates of a radial kernel on the offset lattice.
 
-    Shells |l|_inf = s are accumulated until ``k.tail_bound`` bounds the
-    remaining tail below `tolerance` (a compactly supported kernel stops as
-    soon as no translate can reach the domain); ``tail_bound`` records the
-    certificate that stopped the sum.  For kernels singular at the origin
+    Shells |l|_inf = s are accumulated up to the first one whose remaining
+    tail ``k.tail_bound`` bounds below `tolerance` (a compactly supported
+    kernel stops as soon as no translate can reach the domain).  That shell
+    is found before any is summed, so a sum that would need more than
+    ``max_shells`` raises at once; ``tail_bound`` records the certificate
+    that stopped the sum.  For kernels singular at the origin
     the zero-offset cell stores the cell average of the full sum.
 
     The sum is even in every coordinate and 2L-periodic, so it is evaluated
@@ -235,20 +237,19 @@ def periodize(k: RadialKernel, grid: Grid, tolerance: float = 1e-10,
         node_tuples, node_rank = _sorted_tuples(nodes.size, dim)
         cell_weights = np.bincount(node_rank, weights=cell_weights.ravel())
 
-    shells = 0
+    # the first shell left out, found before any is summed
     tail = 0.0
-    s = 0
-    while True:
-        if s > 0:
-            if k.support_radius is not None:
-                if L * (2 * s - 1) > k.support_radius:
-                    break
-            else:
-                tail = _tail_estimate(k, grid, s)
-                if tail < tolerance:
-                    break
-        if s > max_shells:
-            raise ValueError("lattice sum did not converge within max_shells")
+    for stop in range(1, max_shells + 2):
+        if k.support_radius is not None:
+            if L * (2 * stop - 1) > k.support_radius:
+                break
+        else:
+            tail = _tail_estimate(k, grid, stop)
+            if tail < tolerance:
+                break
+    else:
+        raise ValueError("lattice sum did not converge within max_shells")
+    for s in range(stop):
         rows = _shell_offsets(s, dim) + s
         centers = 2.0 * L * np.arange(-s, s + 1)[:, None]
         for r in _batched_radii((octant - centers) ** 2, rows, points):
@@ -259,15 +260,13 @@ def periodize(k: RadialKernel, grid: Grid, tolerance: float = 1e-10,
             # cell averages over the origin cell of the smooth translates
             for r in _batched_radii((cell_nodes - centers) ** 2, rows, node_tuples):
                 origin_value += float((_profile_in_support(k, r) @ cell_weights).sum())
-        shells = s
-        s += 1
 
     if k.singular_at_origin:
         w[0] = origin_value
     w = w[octant_rank].reshape((octant.size,) * dim)
     j = np.arange(grid.n)
     w = w[np.ix_(*[np.minimum(j, grid.n - j)] * dim)]
-    return PeriodizedKernel(field=Field(grid, w), truncation_radius_cells=shells,
+    return PeriodizedKernel(field=Field(grid, w), truncation_radius_cells=stop - 1,
                             tail_bound=tail)
 
 

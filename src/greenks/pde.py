@@ -8,7 +8,10 @@ relaxed with a backward-Euler spectral step, unconditionally stable in the
 relaxation parameter.  ``run_ensemble`` advances several drift layers from
 one datum in lockstep, as one array with a leading member axis; ``run`` is
 its one-member case.  It builds a :class:`StepPlan` once, then steps on plain
-arrays; ``Field`` objects are made for snapshots and the end states.
+arrays.  The stepper makes every per-step decision: dt, the min/max bound check
+and dt halving.  An observer computes the mass, phi and energy sums later, over
+stacked blocks of accepted states.  ``Field`` objects are made for snapshots and
+the end states.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ _MAX_DT_HALVINGS = 20
 _MIN_DT_FRACTION = 1e-10   # a step below this fraction of t_end is a stall
 _MAX_STEPS = 50_000_000
 _UNIT_SPAN = np.linspace(0.0, 1.0, 64)   # stable_dt samples beta' at max(u) * these
+_BLOCK_ELEMENTS = 2 ** 12   # elements of u per block of accepted steps that _observe sums
 
 
 class InputValidationError(ValueError):
@@ -381,14 +385,15 @@ def _snapshot_times(config: RunConfig) -> np.ndarray:
                     + [t_end])
 
 
-def _sum_squares(arrays: list) -> np.ndarray:
-    """Per member, the sum of squares over the grid axes of stacked arrays, all added."""
-    total = None
-    for a in arrays:
-        flat = a.reshape(len(a), -1)
-        square = np.vecdot(flat, flat)
-        total = square if total is None else total + square
-    return total
+def _observe(plan: StepPlan, rows: np.ndarray, pending: list) -> None:
+    """Fill columns 0 and 3-5 of ``rows`` for the K steps (u, beta(u), g(u), *velocity)
+    in ``pending``, stacked to (K, S, *grid) arrays (a view when K = 1)."""
+    u, beta_u, g_u, *velocity = [a[0][np.newaxis] if len(a) == 1 else np.stack(a)
+                                 for a in zip(*pending)]
+    np.add.reduce(u, plan.axes, out=rows[:, 0])
+    np.add.reduce(plan.model.phi(u), plan.axes, out=rows[:, 3])
+    for col, arrays in ((4, plan.gradient(beta_u)), (5, (g_u * c for c in velocity))):
+        rows[:, col] = sum(np.vecdot(f, f) for f in (a.reshape(*a.shape[:2], -1) for a in arrays))
 
 
 def run(model: ModelFunctions, chem, u0: Field, config: RunConfig,
@@ -437,8 +442,10 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
     t, u_max = 0.0, float(u.max())   # u_max: the largest value of the current states
     # per state, its time, the step that reached it and a row of one value per
     # member each of sum(u), min(u), max(u), sum(phi(u)) and, on the state
-    # before the step, the squared norms of grad beta(u) and of the drift g(u) grad c
+    # before the step, the squared norms of grad beta(u) and of the drift g(u) grad c;
+    # the stepper writes min and max, _observe the rest once per block of steps
     times, dts = [t], [0.0]
+    pending, block = [], max(1, _BLOCK_ELEMENTS // u.size)
     record = np.zeros((1024, 6, members))   # the rows, grown by doubling
     record[0, :4] = (u.sum(axis=axes), u.min(axis=axes), u.max(axis=axes),
                      model.phi(u).sum(axis=axes))
@@ -481,14 +488,14 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
         if t + dt == t:
             raise NumericalAbortError(f"time stalled at t={t:.6g} with step {dt:.3g}")
 
-        np.add.reduce(u_new, axes, out=row[0])
-        np.add.reduce(model.phi(u_new), axes, out=row[3])
-        row[4] = _sum_squares(plan.gradient(beta_u))
-        row[5] = _sum_squares([g_u * c for c in vel_new])
         prev_t, prev_u = t, u
         t += dt
         times.append(t)
         dts.append(dt)
+        pending.append((u_new, beta_u, g_u, *vel_new))   # none of these is written again
+        if len(pending) == block:
+            _observe(plan, record[len(times) - block:len(times)], pending)
+            pending = []
         u, v_hat, velocity = u_new, v_hat_new, vel_new
 
         # emit snapshots crossed by this step (linear interpolation in time)
@@ -496,6 +503,8 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
             theta = min((snap_times[len(snapshots)] - prev_t) / (t - prev_t), 1.0)
             snapshots.append((1 - theta) * prev_u + theta * u)
     snapshots += [u.copy() for _ in snap_times[len(snapshots):]]
+    if pending:
+        _observe(plan, record[len(times) - len(pending):len(times)], pending)
 
     times = np.array(times)
     sums, lows, highs, phis, grad_sq, drift_sq = record[:len(times)].transpose(1, 0, 2)

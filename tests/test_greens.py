@@ -134,8 +134,9 @@ def test_basis_validation():
     g = Grid(1, 1.0, 16)
     with pytest.raises(ValueError):
         GreensBasis.build(g, [1.0, 1.0])
-    with pytest.raises(ValueError):
-        GreensBasis.build(g, [1.0, -0.5])
+    for d in (-0.5, math.inf, math.nan):   # rejected before any field is built
+        with pytest.raises(ValueError, match="positive and finite"):
+            GreensBasis.build(g, [1.0, d])
 
 
 def test_combination_and_kernel_wrapper():

@@ -398,6 +398,20 @@ def test_cli_nan_kernel_d_in_3d_is_one_error_line_at_once(tmp_path):
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
+def test_cli_slow_3d_tail_is_one_error_line_at_once(tmp_path):
+    # tail rate 1/sqrt(d) = 0.01 needs more than max_shells shells: the lattice
+    # sum must refuse before summing any, not after all (2s+1)^3 translates
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.dim = 3\ngrid.n = 8\nrun.t_end = 0.01\n"
+                   "kernel.type = greens\nkernel.d = 1e4\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(greenks.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "greenks.cli", "run", str(cfg),
+                           "-o", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: lattice sum did not converge within max_shells\n"
+
+
 # --- CLI exit classes of bad input -------------------------------------------
 
 def run_cli(tmp_path, text):

@@ -644,3 +644,31 @@ def test_pinned_outputs(name):
                drift_accum=d.drift_accum[-1], min_u=d.min_u[-1], max_u=d.max_u[-1])
     for key, value in got.items():
         assert value == pytest.approx(pin[key], rel=1e-12, abs=0.0), key
+
+
+# --- block observation ----------------------------------------------------
+
+LAYOUT_CASES = {
+    "nonlocal-1d": ["nonlocal-1d"], "pe-1d": ["pe-1d"], "pp-1d": ["pp-1d"],
+    "ensemble-2d": ["pe-2d", ChemicalSpec([0.5], [1.5], 0.0)],
+    "relaxed-ensemble": [ChemicalSpec([0.5, 2.0], [1.0, -0.5], 0.1),
+                         ChemicalSpec([0.5, 2.0], [2.0, 0.5], 0.01)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+def test_diagnostics_do_not_depend_on_the_observer_blocks(case, monkeypatch):
+    # the sums over stacked blocks of states equal those taken one state at a time
+    chems = [_pinned_case(c)[0] if isinstance(c, str) else c for c in LAYOUT_CASES[case]]
+    g = Grid(2, 1.0, 16) if case.endswith("2d") else Grid(1, 1.0, 64)
+    model, cfg = porous_medium_model(2.0), RunConfig(g, t_end=0.05, snapshot_every=0.025)
+    blocked = run_ensemble(model, chems, radial_bump(g), cfg)
+    block = pde._BLOCK_ELEMENTS // (len(chems) * g.n ** g.dim)
+    steps = len(blocked[0][1].diagnostics.times) - 1
+    assert 1 < block < steps and steps % block   # full blocks and a partial last one
+    monkeypatch.setattr(pde, "_BLOCK_ELEMENTS", 1)
+    for (_, state), (_, ref) in zip(blocked, run_ensemble(model, chems, radial_bump(g), cfg)):
+        assert np.array_equal(state.u.values, ref.u.values)
+        for column, ref_column in zip(vars(state.diagnostics).values(),
+                                      vars(ref.diagnostics).values()):
+            assert np.array_equal(column, ref_column)
