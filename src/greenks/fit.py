@@ -2,9 +2,9 @@
 
 The coefficients minimize the discrete H1 distance (plus optional Tikhonov
 term); the report also carries the W11 residual, which is the norm the
-solution-convergence experiments care about.  The default diffusivities
-cluster toward d_star, so the Gram matrix is ill-conditioned by design and
-the solver has to degrade gracefully.
+solution-convergence experiments care about.  The fit is posed per Fourier
+mode.  The default diffusivities cluster toward d_star, so the Gram matrix
+is ill-conditioned by design and the solver has to degrade gracefully.
 """
 
 from __future__ import annotations
@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Field, gradient, norm_h1, norm_l2, norm_w11
-from .greens import GreensBasis
+from .domain import norm_h1, norm_l2, norm_w11
+from .greens import GreensBasis, _multiplier
 from .kernel import PeriodizedKernel
 
-# eigenvalues below this (relative to the largest) are treated as null space
+# a Gram eigenvalue below this (relative to the largest) flags the fit
+# singular; it truncates nothing, lstsq's rcond does that
 _EIG_CUTOFF = 1e-14
 
 
@@ -56,42 +57,44 @@ def default_diffusivities(M: int, d_star: float) -> list:
     return [d_star * (1.0 + 1.0 / (j + 1)) for j in range(1, M + 1)]
 
 
-def _h1_design_column(f: Field) -> np.ndarray:
-    """Stack the field and its gradient with quadrature weights so that
-    column inner products reproduce the discrete H1 inner product."""
-    w = np.sqrt(f.grid.cell_volume)
-    parts = [f.values.ravel()] + [g.values.ravel() for g in gradient(f)]
-    return np.concatenate(parts) * w
-
-
 def fit_coefficients(W: PeriodizedKernel, basis: GreensBasis,
                      regularization: float = 0.0) -> FitResult:
     """Minimize ||W - sum a_j w_j||_H1^2 + regularization ||a||^2.
 
-    Solved as a linear least-squares problem on the H1 square-root factor
-    (SVD), which carries only the square root of the Gram condition number;
-    the clustered diffusivity sequences make the Gram system too
-    ill-conditioned for plain normal equations.  Only singular values at
-    machine-precision level are truncated (minimum-norm completion); the
-    result is flagged singular whenever the Gram system is numerically
-    rank-deficient.  The H1 residual is the minimized norm, so it is
-    non-increasing over nested bases as long as the larger fit is not
-    singular.  A singular fit may exceed it slightly (by up to 3e-4 relative
-    on configs/study_kernel.cfg, M <= 32).  The W11 residual is not
-    minimized and may rise over nested bases (there: M = 16 to 32).
+    By Parseval the design has one row per Fourier mode of the full lattice:
+    column j is the root of the H1 weight times the symbol m_j of w_j, the
+    target that root times h^N fftn(W), whose imaginary part only adds a
+    constant to the residual.  SVD (lstsq) carries only the square root of
+    the Gram condition number, which the clustered diffusivities make too
+    large for normal equations.  Singular values are truncated at machine
+    precision, at the cutoff of the (N+1) n^N-row real-space design this
+    replaces, and the fit is flagged singular when the Gram system is
+    numerically rank-deficient; a singular fit is fixed only to rounding.
+    The H1 residual is the minimized norm, so it is non-increasing over
+    nested bases as long as the larger fit is not singular.  A singular fit
+    may exceed it slightly (by up to 3e-4 relative on
+    configs/study_kernel.cfg, M <= 32).  The W11 residual is not minimized
+    and may rise over nested bases (there: M = 16 to 32).
     """
-    if W.field.grid != basis.grid:
+    grid, h = basis.grid, basis.grid.h
+    if W.field.grid != grid:
         raise ValueError("kernel and basis live on different grids")
-    if regularization < 0:
-        raise ValueError("regularization must be nonnegative")
-    M = len(basis.fields)
-    A = np.column_stack([_h1_design_column(f) for f in basis.fields])
-    b = _h1_design_column(W.field)
+    if not 0.0 <= regularization < np.inf:
+        raise ValueError("regularization must be nonnegative and finite")
+    M = len(basis.diffusivities)
+    # ||f||_H1 = ||root * h^N fftn(f)||_2; the weight is the centred-difference symbol
+    mesh = np.meshgrid(*grid.frequencies(), indexing="ij")
+    root = np.sqrt((1.0 + sum(np.sin(k * h) ** 2 for k in mesh) / h ** 2)
+                   / (grid.n ** grid.dim * grid.cell_volume))
+    A = np.column_stack([(root * _multiplier(d, grid)).ravel() for d in basis.diffusivities])
+    b = (root * grid.cell_volume * np.fft.fftn(W.field.values).real).ravel()
     if regularization > 0:
         A = np.vstack([A, np.sqrt(regularization) * np.eye(M)])
         b = np.concatenate([b, np.zeros(M)])
 
-    a, _, _, svals = np.linalg.lstsq(A, b, rcond=None)
+    # the default cutoff of the (N+1) n^N-row real-space design
+    rcond = np.finfo(float).eps * (grid.dim + 1) * grid.n ** grid.dim
+    a, _, _, svals = np.linalg.lstsq(A, b, rcond=rcond)
     smax = float(svals.max())
     singular = bool(np.any(svals <= np.sqrt(_EIG_CUTOFF) * smax))
     cond = (smax / float(svals.min())) ** 2 if svals.min() > 0 else np.inf
@@ -117,7 +120,7 @@ def fit_to_tolerance(W: PeriodizedKernel, epsilon: float, M_max: int,
     behind this construction holds only in the continuum limit, so running
     out of basis size is an outcome, not an error).
     """
-    if epsilon <= 0:
+    if not epsilon > 0:   # also rejects NaN
         raise ValueError("epsilon must be positive")
     if M_max < 1:
         raise ValueError("M_max must be at least 1")

@@ -1,9 +1,9 @@
 """Periodic Green functions of -d*Laplace + 1 and the spectral elliptic solve.
 
 Two constructions coexist on purpose.  ``elliptic_solve`` and the basis
-fields invert the operator exactly in the discrete Fourier space (plain
-truncated multiplier), so convolving a density with a basis field and
-solving the chemical equation are the *same* discrete operation.
+invert the operator exactly in the discrete Fourier space (plain truncated
+multiplier), so convolving a density with a basis field and solving the
+chemical equation are the *same* discrete operation.
 ``greens_periodic_spectral(..., refinement>1)`` instead returns exact
 samples of the continuum Green function, from its Fourier series summed in
 closed form along one axis.  That is what the Bessel lattice sum of
@@ -35,10 +35,6 @@ def elliptic_solve(d: float, u: Field) -> Field:
         raise ValueError("diffusivity d must be positive")
     v = np.fft.ifftn(_multiplier(d, u.grid) * np.fft.fftn(u.values)).real
     return Field(u.grid, v)
-
-
-def _plain_green_field(d: float, grid: Grid) -> Field:
-    return elliptic_solve(d, Field.delta(grid))
 
 
 def _continuum_samples(d: float, grid: Grid) -> Field:
@@ -102,7 +98,7 @@ def greens_periodic_spectral(d: float, grid: Grid, refinement: int = 1) -> Field
     if d <= 0:
         raise ValueError("diffusivity d must be positive")
     if refinement == 1:
-        return _plain_green_field(d, grid)
+        return elliptic_solve(d, Field.delta(grid))
     if refinement < 2 or refinement % 2 != 0:
         raise ValueError("refinement must be an even integer >= 2")
     return _continuum_samples(d, grid)
@@ -110,11 +106,11 @@ def greens_periodic_spectral(d: float, grid: Grid, refinement: int = 1) -> Field
 
 @dataclass
 class GreensBasis:
-    """Discrete Green fields w_j for a family of distinct diffusivities."""
+    """Discrete Green fields w_j of distinct diffusivities d_j, held as the
+    d_j alone: w_j has the Fourier symbol ``_multiplier(d_j, grid) / h^N``."""
 
     grid: Grid
     diffusivities: list
-    fields: list      # list of Field, one per d_j
 
     def __post_init__(self):
         d = np.asarray(self.diffusivities, dtype=float)
@@ -125,19 +121,16 @@ class GreensBasis:
 
     @classmethod
     def build(cls, grid: Grid, diffusivities) -> "GreensBasis":
-        # validated before any field is built from them
-        basis = cls(grid=grid, diffusivities=[float(d) for d in diffusivities], fields=[])
-        basis.fields = [_plain_green_field(d, grid) for d in basis.diffusivities]
-        return basis
+        return cls(grid=grid, diffusivities=[float(d) for d in diffusivities])
 
     def combination(self, coefficients) -> Field:
-        """Sum a_j w_j as a single field."""
-        if len(coefficients) != len(self.fields):
+        """Sum a_j w_j as a single field, from one inverse FFT."""
+        if len(coefficients) != len(self.diffusivities):
             raise ValueError("coefficient count does not match basis size")
-        out = np.zeros(self.grid.shape)
-        for a, f in zip(coefficients, self.fields):
-            out += float(a) * f.values
-        return Field(self.grid, out)
+        symbol = sum((float(a) * _multiplier(d, self.grid)
+                      for a, d in zip(coefficients, self.diffusivities)),
+                     np.zeros(self.grid.shape))
+        return Field(self.grid, np.fft.ifftn(symbol).real / self.grid.cell_volume)
 
     def as_kernel(self, coefficients) -> PeriodizedKernel:
         """Wrap a basis combination as a periodized kernel."""

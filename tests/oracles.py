@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's own evaluation paths: the Bessel
 oracle integrates the defining integral with adaptive quadrature, the
-convolution oracle sums the circular convolution directly, and the lattice
+convolution oracle sums the circular convolution directly, the lattice
 sum oracle adds one translate of a radial kernel at a time on the full
-offset lattice.
+offset lattice, and the fit oracle solves the H1 least-squares problem on
+the stacked real-space values and centred differences.
 """
 
 import math
@@ -42,6 +43,30 @@ def direct_convolution(a: np.ndarray, b: np.ndarray, cell_volume: float) -> np.n
         # roll(b, idx)[m] = b[m - idx]
         out += a[idx] * np.roll(b, idx, axis=axes)
     return out * cell_volume
+
+
+def h1_fit_reference(target: np.ndarray, fields: list, h: float,
+                     regularization: float) -> tuple:
+    """Minimize ||target - sum a_j fields_j||_H1^2 + regularization ||a||^2 in real space.
+
+    Each column stacks a field and its centred differences along every axis,
+    weighted by sqrt(h^N), so column inner products are discrete H1 inner
+    products: an (N+1) n^N-row design, solved by SVD.  Returns the
+    coefficients and the H1 norm of the residual.
+    """
+    dim = target.ndim
+
+    def column(f):
+        parts = [f] + [(np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax)) / (2.0 * h)
+                       for ax in range(dim)]
+        return np.concatenate([p.ravel() for p in parts]) * np.sqrt(h ** dim)
+
+    A = np.column_stack([column(f) for f in fields])
+    b = column(target)
+    M = len(fields)
+    a = np.linalg.lstsq(np.vstack([A, np.sqrt(regularization) * np.eye(M)]),
+                        np.concatenate([b, np.zeros(M)]), rcond=None)[0]
+    return a, float(np.linalg.norm(b - A @ a))
 
 
 def lattice_sum_direct(kernel, grid, shells: int, gauss_order: int = 6) -> np.ndarray:

@@ -1,13 +1,15 @@
+import math
 import os
 
 import numpy as np
 import pytest
 
 from greenks import config as cfgmod
-from greenks.domain import Grid, inner_h1, norm_w11
+from greenks.domain import Field, Grid, inner_h1, norm_h1, norm_w11
 from greenks.fit import default_diffusivities, fit_coefficients, fit_to_tolerance
-from greenks.greens import GreensBasis
-from greenks.kernel import adhesion_potential, gaussian_kernel, periodize
+from greenks.greens import GreensBasis, greens_periodic_spectral
+from greenks.kernel import PeriodizedKernel, adhesion_potential, gaussian_kernel, periodize
+from oracles import h1_fit_reference
 
 ONES = lambda r: np.ones_like(np.asarray(r, dtype=float))
 
@@ -80,9 +82,9 @@ def test_first_order_optimality():
     basis = GreensBasis.build(grid, default_diffusivities(3, 0.5))
     res = fit_coefficients(W, basis, 0.0)
     resid_field = W.field - basis.combination(res.coefficients)
-    from greenks.domain import norm_h1
-    scale = norm_h1(resid_field) * max(norm_h1(f) for f in basis.fields)
-    for f in basis.fields:
+    fields = [greens_periodic_spectral(d, grid) for d in basis.diffusivities]
+    scale = norm_h1(resid_field) * max(norm_h1(f) for f in fields)
+    for f in fields:
         assert abs(inner_h1(resid_field, f)) <= 1e-8 * scale
 
 
@@ -126,8 +128,34 @@ def test_regularization_shrinks_coefficients():
     free = fit_coefficients(W, basis, 0.0)
     tamed = fit_coefficients(W, basis, 1e-6)
     assert np.abs(tamed.coefficients).max() < np.abs(free.coefficients).max()
-    with pytest.raises(ValueError):
-        fit_coefficients(W, basis, -1.0)
+    for reg in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            fit_coefficients(W, basis, reg)
+
+
+def _shifted_gaussian(grid):
+    # not even about the origin, so its transform is not real
+    return PeriodizedKernel(Field.from_function(
+        grid, lambda *x: np.exp(-sum((c - 0.2) ** 2 for c in x) / 0.18)), 0)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
+@pytest.mark.parametrize("reg", [0.0, 1e-6])
+@pytest.mark.parametrize("target", ["gaussian", "shifted"])
+def test_fit_matches_real_space_oracle(dim, n, reg, target):
+    # the per-mode fit against the (N+1) n^N-row real-space H1 design
+    grid = Grid(dim, 1.0, n)
+    W = (periodize(gaussian_kernel(0.3, dim), grid) if target == "gaussian"
+         else _shifted_gaussian(grid))
+    for M in (1, 2, 3):
+        d = default_diffusivities(M, 0.5)
+        res = fit_coefficients(W, GreensBasis.build(grid, d), reg)
+        assert not res.singular
+        coefficients, residual_h1 = h1_fit_reference(
+            W.field.values, [greens_periodic_spectral(dj, grid).values for dj in d],
+            grid.h, reg)
+        assert res.coefficients == pytest.approx(coefficients, rel=1e-8)
+        assert res.residual_h1 == pytest.approx(residual_h1, rel=1e-8)
 
 
 def test_fit_grid_mismatch():
@@ -159,21 +187,26 @@ def test_huge_tolerance_returns_immediately():
 def test_adhesion_five_percent_is_out_of_reach():
     # frozen regression outcome: the accumulating d_j sequence saturates
     # around a 9% W11 residual, so the 5% request exhausts M_max and the
-    # best-effort result comes back explicitly flagged
+    # best-effort result comes back explicitly flagged.  Which M gives the
+    # best fit is decided by rounding (these fits are singular), so the test
+    # checks the contract instead: the smallest W11 residual of M = 1, 2, ..., 64
     grid = Grid(1, 1.0, 64)
     W = periodize(adhesion_potential(ONES, 1), grid)
     eps = 0.05 * norm_w11(W.field)
     res = fit_to_tolerance(W, eps, 64, 0.5)
     assert not res.converged
-    assert len(res.coefficients) == 16
+    seen = [fit_coefficients(W, GreensBasis.build(grid, default_diffusivities(M, 0.5)), 0.0)
+            for M in (1, 2, 4, 8, 16, 32, 64)]
+    assert res.residual_w11 == min(f.residual_w11 for f in seen)
     assert res.residual_w11 == pytest.approx(0.28112, rel=1e-3)
 
 
 def test_fit_to_tolerance_validation():
     grid = Grid(1, 1.0, 64)
     W = periodize(adhesion_potential(ONES, 1), grid)
-    with pytest.raises(ValueError):
-        fit_to_tolerance(W, -1.0, 8, 1.0)
+    for eps in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            fit_to_tolerance(W, eps, 8, 1.0)
     with pytest.raises(ValueError):
         fit_to_tolerance(W, 1.0, 0, 1.0)
 
