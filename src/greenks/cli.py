@@ -177,8 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "fit-kernel":
             sp.add_argument("--epsilon", type=_positive_float, default=None,
                             help="target W11 residual (default: 5%% of the kernel norm)")
+        else:
+            sp.add_argument("--plot", action="store_true", help="emit SVG plots")
         sp.add_argument("--output", "-o", default="out", help="output directory")
-        sp.add_argument("--plot", action="store_true", help="emit SVG plots")
         sp.set_defaults(func=func, study=study)
 
     sp = sub.add_parser("compare", help="L2(Q_T) distance of two run directories")

@@ -54,12 +54,18 @@ _DEFAULTS = {
 }
 
 
+# the force profiles omega(r) of kernel.type = adhesion, by kernel.omega
+_OMEGA = {
+    "const": lambda r: np.ones_like(np.asarray(r, dtype=float)),
+    "hump": lambda r: np.asarray(r, dtype=float) * (1.0 - np.asarray(r, dtype=float)),
+}
+
 # the values each enumerated key accepts
 _CHOICES = {
     "model.beta": ("power", "linear"),
     "model.g": ("volume_filling", "linear"),
     "kernel.type": ("none", "greens", "adhesion", "gaussian"),
-    "kernel.omega": ("const", "hump"),
+    "kernel.omega": tuple(_OMEGA),
     "init.type": ("bump", "two_bumps", "constant", "noise"),
 }
 
@@ -124,14 +130,6 @@ def build_grid(cfg: dict) -> Grid:
                 n=int(cfg["grid.n"]))
 
 
-def omega_profile(name: str):
-    if name == "const":
-        return lambda r: np.ones_like(np.asarray(r, dtype=float))
-    if name == "hump":
-        return lambda r: np.asarray(r, dtype=float) * (1.0 - np.asarray(r, dtype=float))
-    raise ConfigError(f"unknown kernel.omega {name!r}")
-
-
 def build_kernel(cfg: dict, grid: Grid) -> Optional[PeriodizedKernel]:
     kind = _choice(cfg, "kernel.type")
     if kind == "none":
@@ -142,7 +140,7 @@ def build_kernel(cfg: dict, grid: Grid) -> Optional[PeriodizedKernel]:
     if kind == "greens":
         base = greens_free_space(float(cfg["kernel.d"]), grid.dim)
     elif kind == "adhesion":
-        base = adhesion_potential(omega_profile(_choice(cfg, "kernel.omega")), grid.dim)
+        base = adhesion_potential(_OMEGA[_choice(cfg, "kernel.omega")], grid.dim)
     else:
         base = gaussian_kernel(float(cfg["kernel.sigma"]), grid.dim)
     pk = periodize(base, grid)

@@ -58,10 +58,6 @@ class Grid:
     def cell_volume(self) -> float:
         return self.h ** self.dim
 
-    @property
-    def volume(self) -> float:
-        return (2.0 * self.half_length) ** self.dim
-
     def axis_centers(self) -> np.ndarray:
         """Cell-center coordinates along one axis."""
         return -self.half_length + (np.arange(self.n) + 0.5) * self.h
@@ -95,11 +91,6 @@ class Field:
                 f"values shape {self.values.shape} != grid shape {self.grid.shape}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite entries")
-
-    @classmethod
-    def from_function(cls, grid: Grid, f) -> "Field":
-        """Sample f(x) (or f(x, y) / f(x, y, z)) at the cell centers."""
-        return cls(grid, f(*grid.meshgrid()))
 
     @classmethod
     def constant(cls, grid: Grid, c: float) -> "Field":

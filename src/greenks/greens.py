@@ -114,6 +114,8 @@ class GreensBasis:
 
     def __post_init__(self):
         d = np.asarray(self.diffusivities, dtype=float)
+        if d.size == 0:
+            raise ValueError("a Green basis needs at least one diffusivity")
         if not np.all((d > 0) & np.isfinite(d)):
             raise ValueError("diffusivities must be positive and finite")
         if len(set(d.tolist())) != len(d):
@@ -137,6 +139,7 @@ class GreensBasis:
         return PeriodizedKernel(field=self.combination(coefficients), truncation_radius_cells=0)
 
 
-def lattice_sum_green(d: float, grid: Grid, tolerance: float = 1e-10) -> PeriodizedKernel:
-    """Bessel lattice-sum construction of the same periodic Green function."""
-    return periodize(greens_free_space(d, grid.dim), grid, tolerance)
+def lattice_sum_green(d: float, grid: Grid) -> PeriodizedKernel:
+    """Bessel lattice-sum construction of the same periodic Green function,
+    truncated where :func:`greenks.kernel.periodize` certifies its tail."""
+    return periodize(greens_free_space(d, grid.dim), grid)

@@ -15,6 +15,8 @@ from .greens import GreensBasis
 from .kernel import PeriodizedKernel
 from .pde import ChemicalSpec, run, run_ensemble
 
+_YOUNG_SLACK = 1e-8   # relative rounding allowance of the asserted drift bound
+
 
 class ComparisonError(ValueError):
     """Two runs cannot be compared (grid or snapshot-time mismatch)."""
@@ -88,8 +90,7 @@ def study_xi(cfg: dict, xi_list=None) -> ExperimentReport:
     return ExperimentReport("study-xi", xi_list, errors, cfgmod.config_echo(cfg))
 
 
-def study_kernel(cfg: dict, W_target: PeriodizedKernel = None, M_list=None,
-                 young_slack: float = 1e-8) -> ExperimentReport:
+def study_kernel(cfg: dict, W_target: PeriodizedKernel = None, M_list=None) -> ExperimentReport:
     """Solution error of Green-basis kernel surrogates against the exact kernel.
 
     The target kernel is ``W_target`` if given (the config's own kernel is
@@ -123,7 +124,7 @@ def study_kernel(cfg: dict, W_target: PeriodizedKernel = None, M_list=None,
     for (series, _), W_diff in zip(runs, kernel_diffs):
         errors.append(compare_runs(series, ref_series))
         sides = [young_drift_sides(u, W_diff) for u in series.snapshots]
-        if not all(lhs <= rhs * (1.0 + young_slack) for lhs, rhs in sides):
+        if not all(lhs <= rhs * (1.0 + _YOUNG_SLACK) for lhs, rhs in sides):
             raise AssertionError("drift Young bound violated on a snapshot")
         defects.append(max(lhs for lhs, _ in sides))
 

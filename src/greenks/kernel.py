@@ -22,6 +22,11 @@ from .domain import Field, Grid
 from .specfun import bessel_k
 
 _TAIL_CHECK_RADII = (0.5, 1.0, 2.0, 5.0, 10.0)
+# the lattice sum stops at the first shell whose tail bound is below this,
+# and refuses a kernel that needs more than _MAX_SHELLS shells
+_TAIL_TOLERANCE = 1e-10
+_MAX_SHELLS = 256
+_ADHESION_RESOLUTION = 8192   # intervals of an adhesion profile's Simpson table
 # Elements per batch of translates in the lattice sum: each working array
 # of a batch is about 128 KiB of float64 unless one translate needs more.
 _BATCH_ELEMENTS = 2 ** 14
@@ -126,18 +131,16 @@ def gaussian_kernel(sigma: float, dim: int) -> RadialKernel:
     return RadialKernel(profile, tail_bound=tail)
 
 
-def adhesion_potential(omega: Callable[[np.ndarray], np.ndarray], dim: int,
-                       resolution: int = 8192) -> RadialKernel:
+def adhesion_potential(omega: Callable[[np.ndarray], np.ndarray], dim: int) -> RadialKernel:
     """Compactly supported potential with radial derivative omega on [0, 1].
 
     The profile is the continuous representative vanishing at the support
     boundary: K(r) = -int_r^1 omega(s) ds for r <= 1, zero beyond, tabulated
-    by the cumulative Simpson rule on ``resolution`` >= 2 uniform intervals.
+    by the cumulative Simpson rule on _ADHESION_RESOLUTION uniform intervals.
     """
     if dim not in (1, 2, 3):
         raise ValueError("dim must be 1, 2 or 3")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    resolution = _ADHESION_RESOLUTION
     s = np.linspace(0.0, 1.0, resolution + 1)
     w = np.asarray(omega(s), dtype=float) * np.ones_like(s)
     # Cumulative Simpson rule on the uniform grid, as scipy's equal-interval
@@ -199,15 +202,14 @@ def _cell_average_origin(k: RadialKernel, grid: Grid) -> float:
     return 2 * dim * 2 ** (dim - 1) * a * total / grid.h ** dim
 
 
-def periodize(k: RadialKernel, grid: Grid, tolerance: float = 1e-10,
-              max_shells: int = 256) -> PeriodizedKernel:
+def periodize(k: RadialKernel, grid: Grid) -> PeriodizedKernel:
     """Sum the lattice translates of a radial kernel on the offset lattice.
 
     Shells |l|_inf = s are accumulated up to the first one whose remaining
-    tail ``k.tail_bound`` bounds below `tolerance` (a compactly supported
+    tail ``k.tail_bound`` bounds below _TAIL_TOLERANCE (a compactly supported
     kernel stops as soon as no translate can reach the domain).  That shell
     is found before any is summed, so a sum that would need more than
-    ``max_shells`` raises at once; ``tail_bound`` records the certificate
+    _MAX_SHELLS raises at once; ``tail_bound`` records the certificate
     that stopped the sum.  For kernels singular at the origin
     the zero-offset cell stores the cell average of the full sum.
 
@@ -239,13 +241,13 @@ def periodize(k: RadialKernel, grid: Grid, tolerance: float = 1e-10,
 
     # the first shell left out, found before any is summed
     tail = 0.0
-    for stop in range(1, max_shells + 2):
+    for stop in range(1, _MAX_SHELLS + 2):
         if k.support_radius is not None:
             if L * (2 * stop - 1) > k.support_radius:
                 break
         else:
             tail = _tail_estimate(k, grid, stop)
-            if tail < tolerance:
+            if tail < _TAIL_TOLERANCE:
                 break
     else:
         raise ValueError("lattice sum did not converge within max_shells")

@@ -53,8 +53,8 @@ class ModelFunctions:
     """Nonlinearities of the density equation, exactly as the solver runs them.
 
     ``beta`` must be strictly increasing with beta(0) = 0 (degenerate slope
-    at 0 is fine); ``g`` vanishes outside [0, 1] and is bounded by L_g * s
-    there.  A regularization eta*s is part of ``beta`` (see
+    at 0 is fine); ``g`` vanishes outside [0, 1] and |g(s)| <= s there.  A
+    regularization eta*s is part of ``beta`` (see
     :func:`porous_medium_model`), so it is validated with it.  Frozen, so that
     no function is installed after this check; ``dataclasses.replace``
     builds a validated copy.
@@ -64,7 +64,6 @@ class ModelFunctions:
     beta_prime: Callable[[np.ndarray], np.ndarray]
     phi: Callable[[np.ndarray], np.ndarray]   # antiderivative of beta
     g: Callable[[np.ndarray], np.ndarray]
-    L_g: float = 1.0
 
     def __post_init__(self):
         s = np.linspace(0.0, 1.0, 1001)
@@ -77,8 +76,8 @@ class ModelFunctions:
         if np.any(bp <= 0):
             raise ValueError("beta' must be positive on (0, 1]")
         gs = np.asarray(self.g(s), dtype=float) * np.ones_like(s)
-        if abs(gs[-1]) > 1e-14 or np.any(np.abs(gs[1:]) > self.L_g * s[1:] * (1 + 1e-12)):
-            raise ValueError("g must vanish at 1 and satisfy |g(s)| <= L_g s")
+        if abs(gs[-1]) > 1e-14 or np.any(np.abs(gs[1:]) > s[1:] * (1 + 1e-12)):
+            raise ValueError("g must vanish at 1 and satisfy |g(s)| <= s")
         for probe in (-0.5, 1.5):
             if abs(float(np.asarray(self.g(np.array([probe])), dtype=float)[0])) > 1e-14:
                 raise ValueError("g must vanish outside [0, 1]")
@@ -396,21 +395,18 @@ def _observe(plan: StepPlan, rows: np.ndarray, pending: list) -> None:
         rows[:, col] = sum(np.vecdot(f, f) for f in (a.reshape(*a.shape[:2], -1) for a in arrays))
 
 
-def run(model: ModelFunctions, chem, u0: Field, config: RunConfig,
-        v0: Optional[list] = None):
+def run(model: ModelFunctions, chem, u0: Field, config: RunConfig):
     """Advance one of the three systems and collect snapshots + diagnostics.
 
     ``chem`` is either a PeriodizedKernel (nonlocal drift) or a ChemicalSpec
-    (parabolic-elliptic for xi = 0, parabolic-parabolic otherwise).  ``v0``
-    sets the relaxed chemicals at t = 0 (default: equilibrium w_j * u_0).
-    Returns (SpaceTimeSeries, SolverState); it is the one-member case of
-    :func:`run_ensemble`.
+    (parabolic-elliptic for xi = 0, parabolic-parabolic otherwise); relaxed
+    chemicals start in equilibrium, w_j * u_0.  Returns (SpaceTimeSeries,
+    SolverState); it is the one-member case of :func:`run_ensemble`.
     """
-    return run_ensemble(model, [chem], u0, config, v0)[0]
+    return run_ensemble(model, [chem], u0, config)[0]
 
 
-def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfig,
-                 v0: Optional[list] = None) -> list:
+def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfig) -> list:
     """Advance several drift layers from one datum in lockstep, as one stacked array.
 
     Each entry of ``chems`` is one member, given as ``chem`` is to :func:`run`.
@@ -420,8 +416,7 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
     the CFL step for the largest density and the fastest drift of any member,
     and a bound violation in any member halves it for all.  A member that
     turns non-finite, or whose mass drifts (checked on every state once the
-    loop ends), aborts the ensemble with its index named.  ``v0`` sets the
-    relaxed chemicals of every member at t = 0.  Returns one
+    loop ends), aborts the ensemble with its index named.  Returns one
     (SpaceTimeSeries, SolverState) per member.
     """
     if float(u0.values.min()) < 0.0 or float(u0.values.max()) > 1.0:
@@ -431,12 +426,9 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
     axes, members = plan.axes, len(chems)
     u = np.repeat(u0.values[np.newaxis], members, axis=0)
     v_hat = velocity = None
-    if plan.relaxed:
-        if v0 is not None and (len(v0) != len(plan.symbols) or any(f.grid != grid for f in v0)):
-            raise GridMismatchError("v0 needs one field per chemical, on the grid of u0")
+    if plan.relaxed:   # the chemicals start in equilibrium, w_j * u_0
         u_hat = plan.rfft(u)
-        v_hat = ([s * u_hat for s in plan.symbols] if v0 is None
-                 else [plan.rfft(f.values) for f in v0])
+        v_hat = [s * u_hat for s in plan.symbols]
         velocity = drift_velocity_chemo(plan, u_hat, v_hat)
 
     t, u_max = 0.0, float(u.max())   # u_max: the largest value of the current states

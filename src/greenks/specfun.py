@@ -133,9 +133,3 @@ def _k0_polynomial(x: np.ndarray) -> np.ndarray:
     np.multiply(y, u, out=y)
     np.exp(np.negative(x, out=t), out=t)
     return np.multiply(y, t, out=y)
-
-
-def bessel_k_asymptotic(r):
-    """Leading large-argument behaviour sqrt(pi/(2r)) e^{-r}, any order."""
-    r_arr = np.asarray(r, dtype=float)
-    return np.sqrt(math.pi / (2.0 * r_arr)) * np.exp(-r_arr)

@@ -135,8 +135,8 @@ def test_regularization_shrinks_coefficients():
 
 def _shifted_gaussian(grid):
     # not even about the origin, so its transform is not real
-    return PeriodizedKernel(Field.from_function(
-        grid, lambda *x: np.exp(-sum((c - 0.2) ** 2 for c in x) / 0.18)), 0)
+    return PeriodizedKernel(Field(
+        grid, np.exp(-sum((c - 0.2) ** 2 for c in grid.meshgrid()) / 0.18)), 0)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])

@@ -24,7 +24,7 @@ def test_constants_are_fixed_points():
 def test_single_mode_symbol():
     g = Grid(1, 1.0, 64)
     d = 0.8
-    u = Field.from_function(g, lambda x: np.cos(math.pi * x / g.half_length))
+    u = Field(g, np.cos(math.pi * g.axis_centers() / g.half_length))
     v = elliptic_solve(d, u)
     factor = 1.0 / (1.0 + d * math.pi ** 2 / g.half_length ** 2)
     assert np.abs(v.values - factor * u.values).max() < 1e-13
@@ -137,6 +137,8 @@ def test_basis_validation():
     for d in (-0.5, math.inf, math.nan):   # rejected before any field is built
         with pytest.raises(ValueError, match="positive and finite"):
             GreensBasis.build(g, [1.0, d])
+    with pytest.raises(ValueError, match="at least one diffusivity"):
+        GreensBasis.build(g, [])
 
 
 def test_combination_and_kernel_wrapper():

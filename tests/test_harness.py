@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import greenks
-from greenks import config as cfgmod
+from greenks import config as cfgmod, harness
 from greenks.cli import main
 from greenks.domain import Field, Grid, SpaceTimeSeries, norm_l2
 from greenks.harness import (ComparisonError, ExperimentReport, compare_runs,
@@ -44,7 +44,7 @@ def test_compare_single_offset_snapshot():
     a = series_of(g, [0.0, T / 2, T], [base, base.copy(), base.copy()])
     b = series_of(g, [0.0, T / 2, T],
                   [base.copy(), Field.constant(g, 0.5 + c), base.copy()])
-    expected = c * math.sqrt(g.volume * T / 2.0)
+    expected = c * math.sqrt(2.0 * g.half_length * T / 2.0)
     assert compare_runs(a, b) == pytest.approx(expected, rel=1e-12)
 
 
@@ -174,11 +174,12 @@ def test_study_kernel_with_a_target_skips_the_config_kernel(monkeypatch):
     assert len(calls) == 1
 
 
-def test_study_kernel_asserts_the_drift_bound():
+def test_study_kernel_asserts_the_drift_bound(monkeypatch):
     # a slack of -1 leaves no room: any nonzero drift difference violates it
+    monkeypatch.setattr(harness, "_YOUNG_SLACK", -1.0)
     cfg = base_cfg(**{"kernel.type": "adhesion"})
     with pytest.raises(AssertionError, match="Young bound"):
-        study_kernel(cfg, M_list=[1], young_slack=-1.0)
+        study_kernel(cfg, M_list=[1])
 
 
 def test_study_kernel_rejects_nonincreasing_m():
@@ -278,12 +279,31 @@ def test_cli_run_and_compare(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("grid.n = 32\nrun.t_end = 0.05\nrun.snapshot_every = 0.025\n")
     out = tmp_path / "out"
-    assert main(["run", str(cfg), "-o", str(out), "--plot"]) == 0
+    assert main(["run", str(cfg), "-o", str(out)]) == 0
     assert (out / "diagnostics.csv").exists()
     assert (out / "config.txt").exists()
     assert (out / "snapshots" / "snap_00000.csv").exists()
-    assert (out / "diagnostics.svg").exists()
     assert main(["compare", str(out), str(out)]) == 0
+
+
+@pytest.mark.parametrize("command,plot", [
+    ("run", "diagnostics.svg"), ("study-xi", "study-xi.svg"),
+    ("study-kernel", "study-kernel.svg"), ("fit-kernel", None)])
+def test_cli_plot(tmp_path, capsys, command, plot):
+    # fit-kernel draws nothing, so --plot is a usage error there
+    kernel = "kernel.type = adhesion\n" if command in ("study-kernel", "fit-kernel") else ""
+    cfg = tmp_path / "plot.cfg"
+    cfg.write_text("grid.n = 32\nrun.t_end = 0.02\nrun.snapshot_every = 0.01\n"
+                   "study.xi = 1e-1, 1e-2\nstudy.M = 1, 2\n" + kernel)
+    out = tmp_path / "out"
+    code = main([command, str(cfg), "-o", str(out), "--plot"])
+    if plot is None:
+        assert code == 1
+        assert "unrecognized arguments: --plot" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert code == 0
+        assert (out / plot).read_text().startswith("<svg")
 
 
 def test_cli_compare_rejects_a_truncated_snapshot(tmp_path, capsys):
@@ -399,7 +419,7 @@ def test_cli_nan_kernel_d_in_3d_is_one_error_line_at_once(tmp_path):
 
 
 def test_cli_slow_3d_tail_is_one_error_line_at_once(tmp_path):
-    # tail rate 1/sqrt(d) = 0.01 needs more than max_shells shells: the lattice
+    # tail rate 1/sqrt(d) = 0.01 needs more than _MAX_SHELLS shells: the lattice
     # sum must refuse before summing any, not after all (2s+1)^3 translates
     cfg = tmp_path / "run.cfg"
     cfg.write_text("grid.dim = 3\ngrid.n = 8\nrun.t_end = 0.01\n"

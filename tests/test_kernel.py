@@ -112,14 +112,15 @@ def test_adhesion_hump_omega():
 
 @pytest.mark.parametrize("resolution", [8192, 64, 10, 7, 2])
 @pytest.mark.parametrize("name", ["const", "hump", "cos"])
-def test_adhesion_profile_matches_scipy_simpson(name, resolution):
+def test_adhesion_profile_matches_scipy_simpson(name, resolution, monkeypatch):
     omega = {"const": ONES,
              "hump": lambda r: np.asarray(r) * (1.0 - np.asarray(r)),
              "cos": lambda r: np.cos(7.0 * np.asarray(r))}[name]
     s = np.linspace(0.0, 1.0, resolution + 1)
     w = omega(s) * np.ones_like(s)
     cum = integrate.cumulative_simpson(w, x=s, initial=0.0)
-    k = adhesion_potential(omega, 2, resolution)
+    monkeypatch.setattr(kernel, "_ADHESION_RESOLUTION", resolution)
+    k = adhesion_potential(omega, 2)
     # the rule itself: scipy's cumulative Simpson, shifted to vanish at s = 1
     assert np.abs(k.profile(s) - (cum - cum[-1])).max() <= 1e-14
     # against scipy's separate total, up to the a-priori rounding bound of a
@@ -127,12 +128,6 @@ def test_adhesion_profile_matches_scipy_simpson(name, resolution):
     bound = max(1e-14, resolution * np.finfo(float).eps * np.abs(w).mean())
     assert np.abs(-k.profile(s) - (integrate.simpson(w, x=s) - cum)).max() <= bound
     assert k.profile(np.array([1.0]))[0] == 0.0
-
-
-@pytest.mark.parametrize("resolution", [1, 0, -4])
-def test_adhesion_rejects_too_coarse_resolution(resolution):
-    with pytest.raises(ValueError, match="resolution"):
-        adhesion_potential(ONES, 1, resolution)
 
 
 # --- periodization --------------------------------------------------------
@@ -289,20 +284,25 @@ def test_green_lattice_sum_pins(key):
     assert pk.truncation_radius_cells == shells
 
 
-def test_truncation_radius_is_converged():
+def periodize_at(tolerance, k, g, monkeypatch):
+    monkeypatch.setattr(kernel, "_TAIL_TOLERANCE", tolerance)
+    return periodize(k, g)
+
+
+def test_truncation_radius_is_converged(monkeypatch):
     g = Grid(1, 1.0, 64)
     k = greens_free_space(1.0, 1)
-    loose = periodize(k, g, tolerance=1e-6)
-    tight = periodize(k, g, tolerance=1e-12)
+    loose = periodize_at(1e-6, k, g, monkeypatch)
+    tight = periodize_at(1e-12, k, g, monkeypatch)
     assert np.abs(loose.field.values - tight.field.values).max() < 1e-6
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
-def test_tail_bound_records_the_stopping_certificate(dim, n):
+def test_tail_bound_records_the_stopping_certificate(dim, n, monkeypatch):
     g = Grid(dim, 1.0, n)
     k = greens_free_space(1.0, dim)
-    loose = periodize(k, g, tolerance=1e-6)
-    tight = periodize(k, g, tolerance=1e-12)
+    loose = periodize_at(1e-6, k, g, monkeypatch)
+    tight = periodize_at(1e-12, k, g, monkeypatch)
     assert 0.0 < loose.tail_bound < 1e-6
     assert 0.0 < tight.tail_bound < 1e-12
     assert loose.tail_bound > tight.tail_bound
@@ -321,9 +321,9 @@ def test_periodize_needs_decay_metadata():
 
 
 def test_periodize_rejects_unconverged_sum():
-    # sqrt(d) = 10 on L = 1: the tail stays above 1e-10 past two shells
+    # sqrt(d) = 100 on L = 1: the tail certificate needs about 1,200 shells
     with pytest.raises(ValueError, match="max_shells"):
-        periodize(greens_free_space(100.0, 1), Grid(1, 1.0, 16), max_shells=2)
+        periodize(greens_free_space(1e4, 1), Grid(1, 1.0, 8))
 
 
 # --- gaussian -------------------------------------------------------------

@@ -42,7 +42,6 @@ def test_porous_medium_presets():
     assert np.allclose(m.beta(u), u ** 2)
     assert np.allclose(m.beta_prime(u), 2 * u)
     assert np.allclose(m.phi(u), u ** 3 / 3.0)
-    assert m.L_g == 1.0
 
 
 def test_gamma_one_is_linear():
@@ -475,15 +474,6 @@ def test_young_drift_bound_sums_the_gradient_components():
     lhs = math.sqrt(sum(p * p for p in parts))
     assert max(parts) < 0.99 * lhs
     assert young_drift_sides(u, W) == pytest.approx((lhs, rhs), rel=1e-12, abs=0.0)
-
-
-def test_parabolic_run_with_explicit_v0():
-    g = Grid(1, 1.0, 32)
-    cfg = RunConfig(g, t_end=0.02, snapshot_every=0.01)
-    v0 = [Field.constant(g, 0.1)]
-    series, state = run(linear_model(), ChemicalSpec([1.0], [1.0], 1e-2),
-                        bump(g), cfg, v0=v0)
-    assert series.times[-1] == pytest.approx(0.02)
 
 
 # --- lockstep ensembles ---------------------------------------------------
