@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from .domain import (Field, Grid, SpaceTimeSeries, gradient, norm_w11,
+from .domain import (Field, Grid, SpaceTimeSeries, csv_table, gradient, norm_w11,
                      periodic_convolve, read_field_csv, write_field_csv)
 from .fit import fit_to_tolerance
 from .greens import elliptic_solve, greens_periodic_spectral, lattice_sum_green
@@ -33,13 +33,13 @@ def _write(path: str, text: str):
 
 
 def _save_series(outdir: str, series: SpaceTimeSeries):
+    """The snapshot files and ``times.csv``, a ``csv_table`` of their indices and times."""
     snapdir = os.path.join(outdir, "snapshots")
     os.makedirs(snapdir, exist_ok=True)
-    lines = ["index,time"]
-    for i, (t, snap) in enumerate(zip(series.times, series.snapshots)):
+    for i, snap in enumerate(series.snapshots):
         write_field_csv(os.path.join(snapdir, f"snap_{i:05d}.csv"), snap)
-        lines.append(f"{i},{t:.17g}")
-    _write(os.path.join(outdir, "times.csv"), "\n".join(lines) + "\n")
+    _write(os.path.join(outdir, "times.csv"),
+           csv_table({"index": range(len(series.times)), "time": series.times}))
 
 
 def _load_series(outdir: str) -> SpaceTimeSeries:

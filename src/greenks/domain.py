@@ -210,11 +210,11 @@ def norm_l2_spacetime(series: SpaceTimeSeries) -> float:
     return float(np.sqrt(np.trapezoid(sq, np.asarray(series.times))))
 
 
-# --- CSV snapshot format -------------------------------------------------
+# --- CSV: the snapshot format and the tables -------------------------------
 #
-# Header: "# grid: N=<dim> L=<L> n=<n>", then one row per cell in row-major
-# order: flat index, coordinates, value.  17 significant digits give a
-# bit-exact round trip.
+# Snapshot header: "# grid: N=<dim> L=<L> n=<n>", then one row per cell in
+# row-major order: flat index, coordinates, value.  17 significant digits
+# give a bit-exact round trip.  Every other CSV file is a csv_table.
 
 _CSV_CHUNK = 512    # cells formatted per write; bounds the temporary strings
 
@@ -267,3 +267,19 @@ def field_csv_string(field: Field) -> str:
     buf = io.StringIO()
     write_field_csv(buf, field)
     return buf.getvalue()
+
+
+def csv_table(columns: dict, comments=()) -> str:
+    """A header of the column names, one row per index of the equal-length
+    columns, then each comment as a ``# `` line.  A float cell is written as
+    %.17g (a bit-exact round trip), an int as its digits, a bool as true or
+    false.  Columns of unequal length raise ``ValueError``."""
+    cells = [[_csv_cell(v) for v in values] for values in columns.values()]
+    rows = map(",".join, zip(*cells, strict=True))
+    return "\n".join([",".join(columns), *rows, *(f"# {c}" for c in comments)]) + "\n"
+
+
+def _csv_cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v) if isinstance(v, int) else "%.17g" % v

@@ -9,12 +9,11 @@ is ill-conditioned by design and the solver has to degrade gracefully.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import norm_h1, norm_l2, norm_w11
+from .domain import csv_table, norm_h1, norm_l2, norm_w11
 from .greens import GreensBasis, _multiplier
 from .kernel import PeriodizedKernel
 
@@ -36,16 +35,15 @@ class FitResult:
     singular: bool = False
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("j,d_j,a_j\n")
-        for j, (d, a) in enumerate(zip(self.diffusivities, self.coefficients), start=1):
-            buf.write(f"{j},{d:.17g},{a:.17g}\n")
-        buf.write(f"# M={len(self.coefficients)} residual_w11={self.residual_w11:.17g} "
-                  f"residual_l2={self.residual_l2:.17g} residual_h1={self.residual_h1:.17g} "
-                  f"condition={self.gram_condition_estimate:.6g} "
-                  f"regularization={self.regularization_weight:.6g} "
-                  f"converged={self.converged}\n")
-        return buf.getvalue()
+        """A ``domain.csv_table`` with one row ``j,d_j,a_j`` per basis field and a
+        ``# M=...`` summary comment; unequal diffusivities and coefficients raise."""
+        M = len(self.coefficients)
+        summary = (f"M={M} residual_w11={self.residual_w11:.17g} "
+                   f"residual_l2={self.residual_l2:.17g} residual_h1={self.residual_h1:.17g} "
+                   f"condition={self.gram_condition_estimate:.6g} "
+                   f"regularization={self.regularization_weight:.6g} converged={self.converged}")
+        return csv_table({"j": range(1, M + 1), "d_j": self.diffusivities,
+                          "a_j": self.coefficients}, [summary])
 
 
 def default_diffusivities(M: int, d_star: float) -> list:

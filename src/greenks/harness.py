@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from . import config as cfgmod
-from .domain import (Field, SpaceTimeSeries, gradient, norm_l1, norm_l2,
+from .domain import (Field, SpaceTimeSeries, csv_table, gradient, norm_l1, norm_l2,
                      norm_l2_spacetime, periodic_convolve)
 from .fit import default_diffusivities, fit_coefficients
 from .greens import GreensBasis
@@ -34,8 +33,9 @@ class ExperimentReport:
     def __post_init__(self):
         if len(self.parameter_axis) != len(self.errors):
             raise ValueError("parameter axis and errors length mismatch")
-        if any(len(values) != len(self.errors) for values in self.columns.values()):
-            raise ValueError("every column needs one value per parameter")
+        if ({"param", "error", "monotone"} & set(self.columns)
+                or any(len(values) != len(self.errors) for values in self.columns.values())):
+            raise ValueError("every column needs a name of its own and one value per parameter")
 
     @property
     def monotone_flag(self) -> bool:
@@ -43,20 +43,12 @@ class ExperimentReport:
         return all(b <= a * (1.0 + 1e-12) for a, b in zip(self.errors, self.errors[1:]))
 
     def to_csv(self) -> str:
-        """One row per parameter; the extra ``columns`` follow ``monotone``."""
-        buf = io.StringIO()
-        buf.write(",".join(["param", "error", "monotone", *self.columns]) + "\n")
-        flag = str(self.monotone_flag).lower()
-        for i, (p, e) in enumerate(zip(self.parameter_axis, self.errors)):
-            cells = [_csv_cell(values[i]) for values in self.columns.values()]
-            buf.write(",".join([f"{p:.17g}", f"{e:.17g}", flag, *cells]) + "\n")
-        for line in self.metadata.splitlines():
-            buf.write(f"# {line}\n")
-        return buf.getvalue()
-
-
-def _csv_cell(value) -> str:
-    return str(value).lower() if isinstance(value, bool) else f"{value:.17g}"
+        """A ``domain.csv_table`` with one row per parameter: ``param``, ``error``,
+        the ``monotone`` flag repeated, then the extra ``columns``; each
+        metadata line becomes a comment."""
+        flags = [self.monotone_flag] * len(self.errors)
+        return csv_table({"param": self.parameter_axis, "error": self.errors,
+                          "monotone": flags, **self.columns}, self.metadata.splitlines())
 
 
 def compare_runs(a: SpaceTimeSeries, b: SpaceTimeSeries) -> float:

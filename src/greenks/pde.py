@@ -26,8 +26,8 @@ from numpy import fft
 # elliptic_solve, gradient, inner_l2 and periodic_convolve are unused here but
 # stay importable from this module: perfbench/tracer.py wraps names of
 # greenks.pde by attribute.
-from .domain import (Field, Grid, GridMismatchError, SpaceTimeSeries, gradient,
-                     inner_l2, periodic_convolve)
+from .domain import (Field, Grid, GridMismatchError, SpaceTimeSeries, csv_table,
+                     gradient, inner_l2, periodic_convolve)
 from .greens import _multiplier, elliptic_solve
 from .kernel import PeriodizedKernel
 
@@ -178,7 +178,7 @@ class RunConfig:
 
 @dataclass
 class Diagnostics:
-    """One value per state of a run in each column, t = 0 first."""
+    """One value per state in each column, t = 0 first; in the CSV ``times`` is ``time``."""
 
     times: np.ndarray
     mass: np.ndarray
@@ -189,8 +189,7 @@ class Diagnostics:
     drift_accum: np.ndarray
 
     def to_csv(self) -> str:
-        rows = map(("{:.17g}," * 6 + "{:.17g}").format, *vars(self).values())
-        return "\n".join(["time,mass,min_u,max_u,phi,grad_beta_accum,drift_accum", *rows]) + "\n"
+        return csv_table({("time" if k == "times" else k): v for k, v in vars(self).items()})
 
 
 @dataclass
@@ -419,6 +418,8 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
     loop ends), aborts the ensemble with its index named.  Returns one
     (SpaceTimeSeries, SolverState) per member.
     """
+    if config.grid != u0.grid:
+        raise GridMismatchError("run config and initial datum on different grids")
     if float(u0.values.min()) < 0.0 or float(u0.values.max()) > 1.0:
         raise InputValidationError("initial density must satisfy 0 <= u_0 <= 1")
     grid, t_end, cv = u0.grid, config.t_end, u0.grid.cell_volume

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from greenks.domain import (Field, Grid, GridMismatchError, InsufficientDataError,
-                            SpaceTimeSeries, field_csv_string, gradient, inner_l2,
+                            SpaceTimeSeries, csv_table, field_csv_string, gradient, inner_l2,
                             norm_l1, norm_l2, norm_l2_spacetime, norm_w11,
                             periodic_convolve, read_field_csv, write_field_csv)
 from oracles import direct_convolution
@@ -293,6 +293,31 @@ def test_csv_reads_rows_in_any_order():
 def test_csv_rejects_missing_header():
     with pytest.raises(ValueError):
         read_field_csv(io.StringIO("0,0.0,1.0\n"))
+
+
+def test_csv_table_cells_and_comments():
+    text = csv_table({"n": [1, 20], "x": [0.1, -0.0], "flag": [True, False]}, ["a = 1", "b"])
+    assert text == "n,x,flag\n1,0.10000000000000001,true\n20,-0,false\n# a = 1\n# b\n"
+
+
+def test_csv_table_round_trips_random_doubles():
+    rng = np.random.default_rng(19)
+    bits = rng.integers(0, 2 ** 63, size=2000, dtype=np.uint64)
+    bits |= rng.integers(0, 2, size=bits.size, dtype=np.uint64) << np.uint64(63)
+    values = bits.view(np.float64)
+    values = np.concatenate([values[np.isfinite(values)], rng.standard_normal(500),
+                             [5e-324, -0.0, 1e308, np.inf, -np.inf]])
+    lines = csv_table({"v": values}).splitlines()
+    assert lines[0] == "v"
+    back = np.array([float(c) for c in lines[1:]])
+    assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
+
+
+def test_csv_table_rejects_unequal_columns():
+    with pytest.raises(ValueError):
+        csv_table({"a": [1.0, 2.0], "b": [1.0]})
+    with pytest.raises(ValueError):
+        csv_table({"a": [], "b": [True]})
 
 
 def test_field_rejects_nonfinite():

@@ -6,7 +6,7 @@ import pytest
 
 from greenks import config as cfgmod
 from greenks.domain import Field, Grid, inner_h1, norm_h1, norm_w11
-from greenks.fit import default_diffusivities, fit_coefficients, fit_to_tolerance
+from greenks.fit import FitResult, default_diffusivities, fit_coefficients, fit_to_tolerance
 from greenks.greens import GreensBasis, greens_periodic_spectral
 from greenks.kernel import PeriodizedKernel, adhesion_potential, gaussian_kernel, periodize
 from oracles import h1_fit_reference
@@ -220,3 +220,21 @@ def test_result_csv_summary():
     assert lines[0] == "j,d_j,a_j"
     assert len(lines) == 4   # header + 2 rows + summary
     assert lines[-1].startswith("# M=2 ")
+
+
+def test_result_csv_text():
+    # the footer is parsed by CI: "converged=False" stays Python's spelling
+    res = FitResult(np.array([1.5, -2.0 / 3.0]), [0.75, 2.0 / 3.0], 0.1, 0.2, 1.0 / 3.0,
+                    12345.678901, 1e-8, converged=False)
+    assert res.to_csv() == (
+        "j,d_j,a_j\n1,0.75,1.5\n2,0.66666666666666663,-0.66666666666666663\n"
+        "# M=2 residual_w11=0.10000000000000001 residual_l2=0.20000000000000001 "
+        "residual_h1=0.33333333333333331 condition=12345.7 regularization=1e-08 "
+        "converged=False\n")
+
+
+def test_result_csv_rejects_unequal_lengths():
+    # a diffusivity without a coefficient raises instead of being dropped
+    res = FitResult(np.array([1.5]), [0.75, 2.0 / 3.0], 0.1, 0.2, 0.3, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        res.to_csv()

@@ -10,7 +10,7 @@ import pytest
 
 import greenks
 from greenks import config as cfgmod, harness
-from greenks.cli import main
+from greenks.cli import _save_series as save_series, main
 from greenks.domain import Field, Grid, SpaceTimeSeries, norm_l2
 from greenks.harness import (ComparisonError, ExperimentReport, compare_runs,
                              study_kernel, study_xi)
@@ -91,6 +91,18 @@ def test_report_columns_follow_monotone():
     assert lines[1:3] == ["1,0.5,true,0.125,false", "2,0.25,true,inf,true"]
     with pytest.raises(ValueError):
         ExperimentReport("demo", [1.0, 2.0], [0.5, 0.25], "", columns={"residual": [0.1]})
+    with pytest.raises(ValueError):   # it would replace the parameter axis in the CSV
+        ExperimentReport("demo", [1.0, 2.0], [0.5, 0.25], "", columns={"param": [3.0, 4.0]})
+
+
+def test_report_csv_text():
+    rep = ExperimentReport("demo", [1e-1, 1e-2], [0.5, 0.75], "grid.n = 8\nseed = 0",
+                           columns={"residual": [1.0 / 3.0, math.inf], "singular": [False, True]})
+    assert rep.to_csv() == (
+        "param,error,monotone,residual,singular\n"
+        "0.10000000000000001,0.5,false,0.33333333333333331,false\n"
+        "0.01,0.75,false,inf,true\n"
+        "# grid.n = 8\n# seed = 0\n")
 
 
 # --- studies --------------------------------------------------------------
@@ -472,6 +484,15 @@ def test_cli_default_snapshot_interval_clamps_to_t_end(tmp_path):
     assert run_cli(tmp_path, "grid.n = 32\nrun.t_end = 0.01\n") == 0
     times = (tmp_path / "out" / "times.csv").read_text().splitlines()[1:]
     assert [float(line.split(",")[1]) for line in times] == [0.0, 0.01]
+
+
+def test_times_csv_text(tmp_path):
+    g = Grid(1, 1.0, 8)
+    series = SpaceTimeSeries(g, [0.0, 0.1, 1.0 / 3.0], [Field.constant(g, 0.5)] * 3)
+    save_series(str(tmp_path), series)
+    assert (tmp_path / "times.csv").read_text() == (
+        "index,time\n0,0\n1,0.10000000000000001\n2,0.33333333333333331\n")
+    assert sorted(os.listdir(tmp_path / "snapshots")) == [f"snap_0000{i}.csv" for i in range(3)]
 
 
 def test_cli_explicit_snapshot_interval_out_of_range(tmp_path, capsys):

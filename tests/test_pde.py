@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from greenks import pde
-from greenks.domain import Field, Grid, gradient, norm_l1, norm_l2, periodic_convolve
+from greenks.domain import (Field, Grid, GridMismatchError, gradient, norm_l1, norm_l2,
+                            periodic_convolve)
 from greenks.greens import GreensBasis, elliptic_solve
 from greenks.harness import compare_runs, young_drift_sides
 from greenks.kernel import PeriodizedKernel, adhesion_potential, periodize
@@ -295,6 +296,19 @@ def test_diagnostics_csv_bytes():
     assert "-0," in d.to_csv() and "4.9406564584124654e-324" in d.to_csv()
 
 
+def test_diagnostics_csv_text():
+    # the bytes perfbench reads: header "time" over the field ``times``
+    d = pde.Diagnostics(np.array([0.0, 0.1]), np.array([1.0, 1.0 / 3.0]),
+                        np.array([-0.0, 2.5e-7]), np.array([0.8, 1.0 + 1e-7]),
+                        np.array([5e-324, 0.1]), np.array([0.0, 7e22]),
+                        np.array([-1e-300, math.inf]))
+    assert d.to_csv() == (
+        "time,mass,min_u,max_u,phi,grad_beta_accum,drift_accum\n"
+        "0,1,-0,0.80000000000000004,4.9406564584124654e-324,0,-1e-300\n"
+        "0.10000000000000001,0.33333333333333331,2.4999999999999999e-07,"
+        "1.0000001000000001,0.10000000000000001,7.0000000000000004e+22,inf\n")
+
+
 @pytest.mark.parametrize("gamma", [1.5, 2.0, 3.7])
 def test_porous_medium_phi_matches_the_antiderivative(gamma):
     eta = 0.3
@@ -571,6 +585,13 @@ def test_ensemble_names_the_member_that_loses_mass(monkeypatch):
     with pytest.raises(NumericalAbortError, match="mass conservation lost in member 2"):
         run_ensemble(linear_model(), [ChemicalSpec([1.0], [1.0], 0.0)] * 3, bump(g),
                      RunConfig(g, t_end=0.01))
+
+
+def test_run_rejects_a_config_on_another_grid():
+    u0 = Field.constant(Grid(1, 1.0, 32), 0.5)
+    with pytest.raises(GridMismatchError, match="run config"):
+        run(porous_medium_model(2.0), ChemicalSpec([1.0], [1.0]), u0,
+            RunConfig(Grid(2, 5.0, 64), t_end=0.01))
 
 
 @pytest.mark.parametrize("chems, message", [
