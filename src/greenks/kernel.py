@@ -26,6 +26,11 @@ _TAIL_CHECK_RADII = (0.5, 1.0, 2.0, 5.0, 10.0)
 # and refuses a kernel that needs more than _MAX_SHELLS shells
 _TAIL_TOLERANCE = 1e-10
 _MAX_SHELLS = 256
+# shells past a candidate stop whose translates the tail bound charges one by
+# one, each at its own distance; the shells beyond are charged per shell
+_TAIL_WINDOW = 3
+# the per-shell series of the tail bound ends this many shells past the stop
+_TAIL_SERIES_SHELLS = 400
 _ADHESION_RESOLUTION = 8192   # intervals of an adhesion profile's Simpson table
 # Elements per batch of translates in the lattice sum: each working array
 # of a batch is about 128 KiB of float64 unless one translate needs more.
@@ -43,19 +48,22 @@ class RadialKernel:
     """Free-space radial kernel with the certificate that truncates its lattice sum.
 
     ``profile(r)`` returns K at the radii ``r`` as a new array of r's shape.
-    ``tail_bound(r)`` asserts |K(r)| <= tail_bound(r) for r >= 0.5 and is
-    checked at a few radii; ``support_radius`` marks compact support instead.
+    ``tail_bound(r)`` takes an array of radii the same way; it asserts
+    |K(r)| <= tail_bound(r) for r >= 0.5, must be non-increasing on
+    [0.5, inf), since the lattice sum evaluates it only at the nearest
+    distance of each translate it leaves out, and is checked at a few radii.
+    ``support_radius`` marks compact support instead.
     """
 
     profile: Callable[[np.ndarray], np.ndarray]
     support_radius: Optional[float] = None
     singular_at_origin: bool = False
-    tail_bound: Optional[Callable[[float], float]] = None
+    tail_bound: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.tail_bound is not None:
             r = np.array(_TAIL_CHECK_RADII)
-            bound = np.array([self.tail_bound(x) for x in _TAIL_CHECK_RADII])
+            bound = self.tail_bound(r)
             # written so that a NaN profile or bound fails too
             if not np.all(np.abs(self.profile(r)) <= bound * (1.0 + 1e-12)):
                 raise ValueError("tail_bound violated at the check radii")
@@ -83,31 +91,30 @@ def greens_free_space(d: float, dim: int) -> RadialKernel:
         def profile(r):
             return np.exp(r * -mu) * (0.5 / math.sqrt(d))
 
+        majorant = profile
         singular = False
     elif dim == 2:
         def profile(r):
             return bessel_k(0, r * mu) * (1.0 / (2.0 * math.pi * d))
+
+        def majorant(r):
+            # K_0(x) < K_{1/2}(x) = sqrt(pi/(2x)) e^{-x}
+            x = r * mu
+            return np.sqrt(1.0 / x) * math.sqrt(math.pi / 2.0) * np.exp(-x) * (
+                1.0 / (2.0 * math.pi * d))
 
         singular = True
     else:
         def profile(r):
             return np.exp(r * -mu) / r * (1.0 / (4.0 * math.pi * d))
 
+        majorant = profile
         singular = True
 
-    def tail(r, _mu=mu, _d=d, _dim=dim):
-        # crude but safe for r >= 0.5: |K| <= pref * e^{-mu r}; these
-        # prefactors set the pinned shell counts
-        r = max(r, 0.5)
-        if _dim == 1:
-            pref = 1.0 / (2.0 * math.sqrt(_d)) + 1.0 / (2.0 * _d)
-            return pref * math.exp(-_mu * r)
-        if _dim == 2:
-            # K_0 <= sqrt(pi/(2 mu r)) e^{-mu r} * (1 + 1/(mu r)) margin
-            pref = (1.0 + _mu) / (2.0 * math.pi * _d) * math.sqrt(math.pi / (2.0 * _mu * r)) * 2.0
-            return pref * math.exp(-_mu * r)
-        pref = (1.0 / r + (1.0 + _mu * r) / (r * r)) / (4.0 * math.pi * _d)
-        return pref * math.exp(-_mu * r)
+    def tail(r):
+        # |K| itself (in 2D the K_{1/2} majorant), with room for the profile
+        # and the bound rounding differently, down to the subnormal range
+        return majorant(r) * (1.0 + 1e-12) + 1e-300
 
     return RadialKernel(profile, singular_at_origin=singular, tail_bound=tail)
 
@@ -123,10 +130,10 @@ def gaussian_kernel(sigma: float, dim: int) -> RadialKernel:
     def profile(r):
         return np.exp(r * r / (-2.0 * sigma * sigma)) * A
 
-    def tail(r, _s=sigma, _A=A):
-        # |K| <= tail; the factor (1 + r/s^2) sets the pinned shell counts
-        r = max(r, 0.5)
-        return _A * (1.0 + r / (_s * _s)) * math.exp(-r * r / (2.0 * _s * _s))
+    def tail(r):
+        # |K| <= tail; max(r, 1) keeps it non-increasing on [0.5, 1) for any sigma
+        return A * (1.0 + np.maximum(r, 1.0) / (sigma * sigma)) * np.exp(
+            r * r / (-2.0 * sigma * sigma))
 
     return RadialKernel(profile, tail_bound=tail)
 
@@ -205,13 +212,14 @@ def _cell_average_origin(k: RadialKernel, grid: Grid) -> float:
 def periodize(k: RadialKernel, grid: Grid) -> PeriodizedKernel:
     """Sum the lattice translates of a radial kernel on the offset lattice.
 
-    Shells |l|_inf = s are accumulated up to the first one whose remaining
-    tail ``k.tail_bound`` bounds below _TAIL_TOLERANCE (a compactly supported
-    kernel stops as soon as no translate can reach the domain).  That shell
-    is found before any is summed, so a sum that would need more than
-    _MAX_SHELLS raises at once; ``tail_bound`` records the certificate
-    that stopped the sum.  For kernels singular at the origin
-    the zero-offset cell stores the cell average of the full sum.
+    Shells |l|_inf = s are accumulated up to the first shell whose tail
+    bound, ``_tail_estimate``, is below _TAIL_TOLERANCE: it charges each
+    translate left out at its own distance from the points the sum is
+    evaluated at (a compactly supported kernel stops as soon as no translate
+    can reach the domain).  That shell is found before any is summed, so a
+    sum that would need more than _MAX_SHELLS raises at once; ``tail_bound``
+    records the certificate that stopped the sum.  For kernels singular at
+    the origin the zero-offset cell stores the cell average of the full sum.
 
     The sum is even in every coordinate and 2L-periodic, so it is evaluated
     on the octant |x_i| in {0, h, ..., L} only and reflection fills the rest
@@ -239,18 +247,7 @@ def periodize(k: RadialKernel, grid: Grid) -> PeriodizedKernel:
         node_tuples, node_rank = _sorted_tuples(nodes.size, dim)
         cell_weights = np.bincount(node_rank, weights=cell_weights.ravel())
 
-    # the first shell left out, found before any is summed
-    tail = 0.0
-    for stop in range(1, _MAX_SHELLS + 2):
-        if k.support_radius is not None:
-            if L * (2 * stop - 1) > k.support_radius:
-                break
-        else:
-            tail = _tail_estimate(k, grid, stop)
-            if tail < _TAIL_TOLERANCE:
-                break
-    else:
-        raise ValueError("lattice sum did not converge within max_shells")
+    stop, tail = _stopping_shell(k, grid)
     for s in range(stop):
         rows = _shell_offsets(s, dim) + s
         centers = 2.0 * L * np.arange(-s, s + 1)[:, None]
@@ -328,19 +325,73 @@ def _profile_in_support(k: RadialKernel, r: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _tail_estimate(k: RadialKernel, grid: Grid, s: int) -> float:
-    """Upper bound on everything beyond shells < s."""
+def _stopping_shell(k: RadialKernel, grid: Grid) -> tuple:
+    """The first shell the lattice sum leaves out, and its tail certificate.
+
+    A compactly supported kernel stops at the first shell out of its reach,
+    with certificate 0.  Otherwise the tail bound holds only from r = 0.5, so
+    the nearest translate left out, at L(2s - 1), must be that far.  The
+    first shell whose cruder ``_shell_series`` is below _TAIL_TOLERANCE is
+    found first, in one vectorized call per candidate, and a kernel whose
+    series needs more than _MAX_SHELLS shells is refused.  Since
+    ``_tail_estimate`` is at most that series and does not grow with s,
+    stepping down while it stays below the tolerance then finds the first
+    shell it certifies.
+    """
     L = grid.half_length
-    dim = grid.dim
-    total = 0.0
-    t = s
-    while True:
-        count = (2 * t + 1) ** dim - (2 * t - 1) ** dim
-        # worst case over x in Omega: the max-axis distance is at least L(2t-1)
-        rmin = max(L * (2 * t - 1), 0.5)
-        term = count * k.tail_bound(rmin)
-        total += term
-        if term < 1e-18 * max(total, 1.0) or t > s + 400:
-            break
-        t += 1
-    return total
+    if k.support_radius is None:
+        first = max(1, math.ceil(0.25 / L + 0.5))
+        shells = {}
+        for stop in range(first, _MAX_SHELLS + 2):
+            if _shell_series(k, grid, stop, stop + _TAIL_SERIES_SHELLS) < _TAIL_TOLERANCE:
+                tail = _tail_estimate(k, grid, stop, shells)
+                while stop > first:
+                    lower = _tail_estimate(k, grid, stop - 1, shells)
+                    if not lower < _TAIL_TOLERANCE:
+                        break
+                    stop, tail = stop - 1, lower
+                return stop, tail
+    else:
+        for stop in range(1, _MAX_SHELLS + 2):
+            if L * (2 * stop - 1) > k.support_radius:
+                return stop, 0.0
+    raise ValueError("lattice sum did not converge within max_shells")
+
+
+def _shell_series(k: RadialKernel, grid: Grid, first: int, last: int) -> float:
+    """Bound on the shells first <= t <= last that charges every translate of
+    shell t at the shell's nearest distance L(2t - 1) from the domain."""
+    t = np.arange(first, last + 1, dtype=float)
+    counts = (2.0 * t + 1.0) ** grid.dim - (2.0 * t - 1.0) ** grid.dim
+    return float(counts @ k.tail_bound(grid.half_length * (2.0 * t - 1.0)))
+
+
+def _tail_estimate(k: RadialKernel, grid: Grid, s: int, shells: dict) -> float:
+    """Upper bound on |sum of K(x - 2L*l) over |l|_inf >= s| at the evaluated points.
+
+    Those points lie in the box x_i in [-h/2, L]: the octant, and for a
+    singular kernel the Gauss nodes of the origin cell.  Translate l is at
+    least L*|d(l)| from the box, with d_i = 2 l_i - 1 for l_i > 0,
+    2 |l_i| - h/(2L) for l_i < 0 and 0 for l_i = 0; since ``tail_bound`` is
+    non-increasing, the shells s <= t < s + _TAIL_WINDOW are charged one
+    translate at a time at that distance.  ``shells`` caches these sums by t.
+    The shells beyond are charged by ``_shell_series``, which ends
+    _TAIL_SERIES_SHELLS shells past s, so a tail that decays too slowly to
+    be negligible there is not bounded.
+    """
+    L = grid.half_length
+    near = 0.0
+    for t in range(s, s + _TAIL_WINDOW):
+        if t not in shells:
+            # per axis, (L d_i)^2 for l_i = -t, ..., t, gathered by index l_i + t
+            l = np.arange(-t, t + 1)
+            d = np.where(l > 0, 2.0 * l - 1.0, np.where(l < 0, -2.0 * l - grid.h / (2.0 * L), 0.0))
+            sq = (L * d) ** 2
+            rows = _shell_offsets(t, grid.dim)
+            rows += t
+            r2 = sq[rows[:, 0]]
+            for i in range(1, grid.dim):
+                r2 += sq[rows[:, i]]
+            shells[t] = float(np.sum(k.tail_bound(np.sqrt(r2, out=r2))))
+        near += shells[t]
+    return near + _shell_series(k, grid, s + _TAIL_WINDOW, s + _TAIL_SERIES_SHELLS)

@@ -10,8 +10,11 @@ _ML, _MR, _MT, _MB = 70, 20, 30, 50
 
 def _span(lo: float, hi: float) -> tuple:
     """The axis range; one within rounding of its magnitude is drawn flat, as
-    [lo, lo + 1], since ticks could not step through it."""
-    return (lo, lo + 1.0) if hi - lo <= 1e-12 * max(abs(lo), abs(hi)) else (lo, hi)
+    [lo, lo + max(1, |lo|)], since ticks could not step through it (a width
+    of 1 is lost to rounding once |lo| >= 2**53)."""
+    if hi - lo <= 1e-12 * max(abs(lo), abs(hi)):
+        return lo, lo + max(1.0, abs(lo))
+    return lo, hi
 
 
 def _ticks(lo: float, hi: float, count: int = 5):

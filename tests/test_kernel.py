@@ -83,10 +83,12 @@ def test_nan_profile_or_tail_bound_fails_the_check(profile, bound):
 @pytest.mark.parametrize("kind,scale", [*(("green", d) for d in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0)),
                                         *(("gaussian", sigma) for sigma in (0.05, 0.3, 3.0))])
 def test_tail_bound_bounds_the_profile(kind, scale, dim):
-    # the certificate that stops the lattice sum, and so sets the shell counts
+    # the certificate that stops the lattice sum, and so sets the shell counts;
+    # it is evaluated only at each left-out translate's nearest distance
     k = (greens_free_space if kind == "green" else gaussian_kernel)(scale, dim)
     r = np.linspace(0.5, 80.0, 2000)
     assert np.all(np.abs(k.profile(r)) <= [k.tail_bound(x) for x in r])
+    assert np.all(np.diff(k.tail_bound(r)) <= 0.0)
 
 
 # --- adhesion potential ---------------------------------------------------
@@ -267,8 +269,8 @@ def test_periodize_is_batch_invariant(monkeypatch, batch):
 # Green lattice sums for d = 1, as pinned by the benchmark's green-lattice
 # workload: (dim, L, n) -> origin cell, integral, weighted checksum, shells.
 LATTICE_PINS = {
-    (2, 1.0, 16): (0.6377158524608284, 0.99938661413043, 0.1331878539564604, 13),
-    (3, 2.0, 8): (0.3109622272318816, 0.9913443790277665, 0.008161169664938135, 6),
+    (2, 1.0, 16): (0.6377158524608284, 0.99938661413043, 0.1331878539564604, 11),
+    (3, 2.0, 8): (0.3109622272318816, 0.9913443790277665, 0.008161169664938135, 5),
 }
 
 
@@ -306,6 +308,31 @@ def test_tail_bound_records_the_stopping_certificate(dim, n, monkeypatch):
     assert 0.0 < loose.tail_bound < 1e-6
     assert 0.0 < tight.tail_bound < 1e-12
     assert loose.tail_bound > tight.tail_bound
+
+
+@pytest.mark.parametrize("kind,scale,dim,L,n", [
+    *(("green", d, 1, 1.0, 16) for d in (0.1, 1.0, 10.0)),
+    ("green", 0.1, 2, 1.0, 8), ("green", 1.0, 2, 1.0, 8), ("green", 10.0, 2, 2.0, 8),
+    ("green", 0.1, 3, 1.0, 8), ("green", 1.0, 3, 2.0, 8), ("green", 10.0, 3, 4.0, 8),
+    ("gaussian", 0.05, 1, 0.25, 16), ("gaussian", 0.3, 2, 0.5, 8), ("gaussian", 0.3, 3, 0.5, 8),
+    # a bound that holds only from r = 0.5, as RadialKernel allows: with L = 0.25
+    # the first shell is 0.25 away, so the sum must not stop there
+    ("from-0.5", 0.05, 1, 0.25, 16),
+])
+def test_tail_bound_bounds_what_the_sum_leaves_out(kind, scale, dim, L, n):
+    # three more shells of the direct sum are all but the whole tail: at every
+    # cell, the origin cell's average included, they stay within the certificate;
+    # the two sums add the same translates in different orders, hence the rounding
+    kernel = (greens_free_space if kind == "green" else gaussian_kernel)(scale, dim)
+    if kind == "from-0.5":
+        bound = kernel.tail_bound
+        kernel = RadialKernel(kernel.profile, tail_bound=lambda r: bound(np.maximum(r, 0.5)))
+    grid = Grid(dim, L, n)
+    pk = periodize(kernel, grid)
+    ref = lattice_sum_direct(kernel, grid, pk.truncation_radius_cells + 3)
+    rounding = 1e-14 * np.abs(ref).max()
+    assert 0.0 < pk.tail_bound < 1e-10
+    assert np.all(np.abs(pk.field.values - ref) <= pk.tail_bound + rounding)
 
 
 def test_tail_bound_is_zero_without_a_tail_certificate():

@@ -3,6 +3,8 @@ import resource
 import subprocess
 import sys
 
+import pytest
+
 import greenks
 from greenks.svgplot import line_chart
 
@@ -31,6 +33,13 @@ def test_flat_series_within_rounding_is_drawn():
                              "{'y': ([0.0, 1.0], [1.0, 1.0 + 2 ** -52])}).count('<line '))"])
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) > 2   # ticks on both axes besides the legend line
+
+
+@pytest.mark.parametrize("level", [1e20, -1e20, 2.0 ** 53])
+def test_flat_series_at_a_large_magnitude_is_drawn(level):
+    # a flat axis [lo, lo + 1] collapsed to [lo, lo] here, and its ticks took log10(0)
+    svg = line_chart({"y": ([0.0, 1.0], [level, level])})
+    assert svg.count("<line ") > 2
 
 
 def test_cli_plots_a_flat_run(tmp_path):
