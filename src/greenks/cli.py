@@ -90,7 +90,7 @@ def _cmd_fit_kernel(args) -> int:
                               d_star=d_star, regularization=regularization)
     _write(os.path.join(args.output, "fit.csv"), result.to_csv())
     print(f"fit: M={len(result.coefficients)} residual_w11={result.residual_w11:.6g} "
-          f"converged={result.converged}")
+          f"converged={result.converged} singular={result.singular}")
     return EXIT_OK
 
 

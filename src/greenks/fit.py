@@ -36,12 +36,14 @@ class FitResult:
 
     def to_csv(self) -> str:
         """A ``domain.csv_table`` with one row ``j,d_j,a_j`` per basis field and a
-        ``# M=...`` summary comment; unequal diffusivities and coefficients raise."""
+        ``# M=...`` summary comment that ends with the converged and singular
+        flags; unequal diffusivities and coefficients raise."""
         M = len(self.coefficients)
         summary = (f"M={M} residual_w11={self.residual_w11:.17g} "
                    f"residual_l2={self.residual_l2:.17g} residual_h1={self.residual_h1:.17g} "
                    f"condition={self.gram_condition_estimate:.6g} "
-                   f"regularization={self.regularization_weight:.6g} converged={self.converged}")
+                   f"regularization={self.regularization_weight:.6g} converged={self.converged} "
+                   f"singular={self.singular}")
         return csv_table({"j": range(1, M + 1), "d_j": self.diffusivities,
                           "a_j": self.coefficients}, [summary])
 

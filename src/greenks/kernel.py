@@ -10,13 +10,13 @@ is the midpoint-rule nonlocal term.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .domain import Field, Grid
 from .specfun import bessel_k
@@ -35,6 +35,7 @@ _ADHESION_RESOLUTION = 8192   # intervals of an adhesion profile's Simpson table
 # Elements per batch of translates in the lattice sum: each working array
 # of a batch is about 128 KiB of float64 unless one translate needs more.
 _BATCH_ELEMENTS = 2 ** 14
+# even, so that the origin cell's Gauss nodes pair up as +-xi
 _ORIGIN_GAUSS_ORDER = 6
 # Pyramid rule of the singular origin cell: Gauss-Legendre points per graded
 # panel of the ray parameter t, graded panels, and points per face axis.
@@ -180,25 +181,23 @@ def _cell_average_origin(k: RadialKernel, grid: Grid) -> float:
     The t rule is composite Gauss-Legendre on the graded panels
     [2^(-j-1), 2^(-j)], the last reaching 0, which integrates the log r and
     1/r singularities at an exponential rate; the face rule is tensor
-    Gauss-Legendre (in 1D the face is the point R = a).  The R x t nodes are
-    evaluated in batches of at most _BATCH_ELEMENTS, one profile call each.
+    Gauss-Legendre (in 1D the face is the point R = a), folded by permutation
+    since R(y) is invariant under permuting the face axes: 820 face nodes
+    instead of 1,600 in 3D.  The R x t nodes are evaluated in batches of at
+    most _BATCH_ELEMENTS, one profile call each.
     """
     a = grid.h / 2.0
     dim = grid.dim
-    nodes, weights = leggauss(_RAY_ORDER)
+    nodes, weights = _gauss_legendre(_RAY_ORDER)
     hi = 0.5 ** np.arange(_RAY_PANELS)
     lo = np.append(hi[1:], 0.0)
     half = 0.5 * (hi - lo)[:, None]
     t = (0.5 * (hi + lo)[:, None] + half * nodes).ravel()
     t_weights = (half * weights).ravel() * t ** (dim - 1)
 
-    nodes, weights = leggauss(_FACE_ORDER)
-    y2, face_weights = np.zeros(()), np.ones(())
-    for _ in range(dim - 1):
-        y2 = np.add.outer(y2, (0.5 * a * (nodes + 1.0)) ** 2)
-        face_weights = np.multiply.outer(face_weights, 0.5 * a * weights)
-    R = np.sqrt(a * a + y2).ravel()
-    face_weights = face_weights.ravel()
+    nodes, weights = _gauss_legendre(_FACE_ORDER)
+    y, face_weights = _folded_rule(0.5 * a * (nodes + 1.0), 0.5 * a * weights, dim - 1)
+    R = np.sqrt(a * a + np.sum(y * y, axis=1))
 
     total = 0.0
     batch = max(1, _BATCH_ELEMENTS // t.size)
@@ -212,61 +211,95 @@ def _cell_average_origin(k: RadialKernel, grid: Grid) -> float:
 def periodize(k: RadialKernel, grid: Grid) -> PeriodizedKernel:
     """Sum the lattice translates of a radial kernel on the offset lattice.
 
-    Shells |l|_inf = s are accumulated up to the first shell whose tail
-    bound, ``_tail_estimate``, is below _TAIL_TOLERANCE: it charges each
-    translate left out at its own distance from the points the sum is
-    evaluated at (a compactly supported kernel stops as soon as no translate
-    can reach the domain).  That shell is found before any is summed, so a
-    sum that would need more than _MAX_SHELLS raises at once; ``tail_bound``
-    records the certificate that stopped the sum.  For kernels singular at
-    the origin the zero-offset cell stores the cell average of the full sum.
+    The translates summed form one cube |l|_inf < stop, where stop is the
+    first shell |l|_inf = s whose tail bound, ``_tail_estimate``, is below
+    _TAIL_TOLERANCE: it charges each translate left out at its own distance
+    from the points the sum is evaluated at (a compactly supported kernel
+    stops as soon as no translate can reach the domain).  That shell is
+    found before anything is summed, so a sum that would need more than
+    _MAX_SHELLS raises at once; ``tail_bound`` records the certificate that
+    stopped the sum.  For kernels singular at the origin the zero-offset
+    cell stores the cell average of the full sum.
 
     The sum is even in every coordinate and 2L-periodic, so it is evaluated
     on the octant |x_i| in {0, h, ..., L} only and reflection fills the rest
-    of the lattice.  Every shell is invariant under permuting the axes of the
-    cubic grid, so on the octant each shell is summed, in batches of
-    translates, only at the sorted index tuples i_1 <= ... <= i_N and the
-    octant is filled from them by permutation.  The Gauss rule for the
-    origin cell's smooth translates is folded the same way, each sorted node
-    tuple carrying the summed weights of its permutations.
+    of the lattice.  The cube is invariant under permuting the axes of the
+    cubic grid, so on the octant it is summed only at the sorted index
+    tuples i_1 <= ... <= i_N and the octant is filled from them by
+    permutation.  The cube without its zero translate is also symmetric
+    under reflecting any axis, so the Gauss rule for the origin cell's
+    smooth translates needs only the nodes |xi_i|, each with the weight of
+    both signs, before it is folded by permutation: 10 node tuples instead
+    of 56 in 3D and 6 instead of 21 in 2D.
     """
     if k.tail_bound is None and k.support_radius is None:
         raise ValueError("kernel needs a tail_bound or a declared support radius")
-    L = grid.half_length
     dim = grid.dim
     octant = np.arange(grid.n // 2 + 1) * grid.h
     points, octant_rank = _sorted_tuples(octant.size, dim)
-    w = np.zeros(len(points))
-    if k.singular_at_origin:
-        origin_value = _cell_average_origin(k, grid)
-        nodes, weights = leggauss(_ORIGIN_GAUSS_ORDER)
-        cell_nodes = 0.5 * grid.h * nodes
-        cell_weights = np.ones(())
-        for _ in range(dim):
-            cell_weights = np.multiply.outer(cell_weights, weights / 2.0)
-        node_tuples, node_rank = _sorted_tuples(nodes.size, dim)
-        cell_weights = np.bincount(node_rank, weights=cell_weights.ravel())
-
     stop, tail = _stopping_shell(k, grid)
-    for s in range(stop):
-        rows = _shell_offsets(s, dim) + s
-        centers = 2.0 * L * np.arange(-s, s + 1)[:, None]
-        for r in _batched_radii((octant - centers) ** 2, rows, points):
-            if s == 0 and k.singular_at_origin:
-                r[0, 0] = 1.0   # the zero offset; its cell average is stored below
-            w += _profile_in_support(k, r).sum(axis=0)
-        if k.singular_at_origin and s > 0:
-            # cell averages over the origin cell of the smooth translates
-            for r in _batched_radii((cell_nodes - centers) ** 2, rows, node_tuples):
-                origin_value += float((_profile_in_support(k, r) @ cell_weights).sum())
-
+    centers = 2.0 * grid.half_length * np.arange(1 - stop, stop)
     if k.singular_at_origin:
-        w[0] = origin_value
+        # the zero offset's own translate is left out: its cell average is stored
+        w = _cube_sum(k, octant[points], centers, skip=slice(0, 1))
+        nodes, weights = _gauss_legendre(_ORIGIN_GAUSS_ORDER)
+        positive = slice(_ORIGIN_GAUSS_ORDER // 2, None)
+        cell_nodes, cell_weights = _folded_rule(0.5 * grid.h * nodes[positive],
+                                                weights[positive], dim)
+        w[0] = _cell_average_origin(k, grid) + float(
+            _cube_sum(k, cell_nodes, centers, skip=slice(None)) @ cell_weights)
+    else:
+        w = _cube_sum(k, octant[points], centers)
     w = w[octant_rank].reshape((octant.size,) * dim)
     j = np.arange(grid.n)
     w = w[np.ix_(*[np.minimum(j, grid.n - j)] * dim)]
     return PeriodizedKernel(field=Field(grid, w), truncation_radius_cells=stop - 1,
                             tail_bound=tail)
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(m: int) -> tuple:
+    """Nodes, ascending, and weights of the m-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on P_m from the guesses cos(pi (j - 1/4)/(m + 1/2)),
+    with P_m and P_m' from the three-term recurrence (Hale and Townsend,
+    SIAM J. Sci. Comput. 35, 2013); the rule is then made exactly symmetric.
+    The arrays are cached and read-only.
+    """
+    x = np.cos(np.pi * (np.arange(m, 0, -1) - 0.25) / (m + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(m, x)
+        step = p / dp
+        x = x - step
+        if np.abs(step).max() <= 4.0 * np.finfo(float).eps:
+            break
+    dp = _legendre(m, x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _legendre(m: int, x: np.ndarray) -> tuple:
+    """P_m(x) and P_m'(x) for |x| < 1 by the three-term recurrence."""
+    previous, p = np.ones_like(x), x
+    for j in range(2, m + 1):
+        previous, p = p, ((2 * j - 1) * x * p - (j - 1) * previous) / j
+    return p, m * (x * p - previous) / (x * x - 1.0)
+
+
+def _folded_rule(nodes: np.ndarray, weights: np.ndarray, dim: int) -> tuple:
+    """The tensor rule of ``nodes`` and ``weights`` per axis in ``dim``
+    dimensions, for an integrand invariant under permuting the axes: one row
+    of node coordinates per sorted index tuple, each with the summed weight
+    of its permutations."""
+    if dim == 0:
+        return np.zeros((1, 0)), np.ones(1)
+    tuples, rank = _sorted_tuples(nodes.size, dim)
+    tensor = np.ones(())
+    for _ in range(dim):
+        tensor = np.multiply.outer(tensor, weights)
+    return nodes[tuples], np.bincount(rank, weights=tensor.ravel())
 
 
 def _sorted_tuples(m: int, dim: int) -> tuple:
@@ -280,42 +313,47 @@ def _sorted_tuples(m: int, dim: int) -> tuple:
     return tuples, rank[tuple(np.sort(np.indices(rank.shape).reshape(dim, -1), axis=0))]
 
 
-def _shell_offsets(s: int, dim: int) -> np.ndarray:
-    """Integer translates l with |l|_inf == s, one row each.
+def _cube_sum(k: RadialKernel, x: np.ndarray, centers: np.ndarray,
+              skip: Optional[slice] = None) -> np.ndarray:
+    """Sum of K(|x - c|) over the cube of translates c, at each row of ``x``.
 
-    Block i holds the translates whose first coordinate of modulus s is l_i,
-    so every translate appears once and the inner cube is never built.
+    ``centers`` holds the translate coordinates along one axis, the zero
+    translate in the middle; at the points ``skip`` the zero translate is
+    left out.  Per axis, the table (x_i - c)^2 has one row per coordinate;
+    each batch of translates is one broadcast add of those tables, so that
+    the trailing axes of the cube are whole in every batch and each working
+    array has at most _BATCH_ELEMENTS elements unless one translate needs
+    more.
     """
-    if s == 0:
-        return np.zeros((1, dim), dtype=int)
-    blocks = []
-    for i in range(dim):
-        axes = ([np.arange(1 - s, s)] * i + [np.array([-s, s])]
-                + [np.arange(-s, s + 1)] * (dim - 1 - i))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        blocks.append(np.stack([c.ravel() for c in mesh], axis=1))
-    return np.concatenate(blocks)
-
-
-def _batched_radii(sq: np.ndarray, rows: np.ndarray, points: np.ndarray):
-    """Yield |x - 2L*l| at the given points, for batches of translates.
-
-    ``sq[i, j]`` is the squared distance along one axis from point coordinate
-    j to translate coordinate i; ``rows`` holds one translate and ``points``
-    one point per row, both as index tuples into ``sq``.  Each batch is a new
-    array of shape (translates, points), whole rows of points and at most
-    _BATCH_ELEMENTS elements unless one row is more.
-    """
-    count, dim = rows.shape
-    # per axis, the squared distances from every translate coordinate to the points
-    axes = [sq[:, points[:, i]] for i in range(dim)]
-    batch = max(1, _BATCH_ELEMENTS // len(points))
-    for lo in range(0, count, batch):
-        idx = rows[lo:lo + batch]
-        r2 = axes[0][idx[:, 0]]
-        for i in range(1, dim):
-            r2 += axes[i][idx[:, i]]
-        yield np.sqrt(r2, out=r2)
+    count, dim = x.shape
+    m = centers.size
+    tables = [np.subtract.outer(centers, x[:, i]) ** 2 for i in range(dim)]
+    whole = 0   # trailing axes that every batch spans
+    while whole < dim - 1 and m ** (whole + 1) * count <= _BATCH_ELEMENTS:
+        whole += 1
+    cut = dim - 1 - whole   # the axis batches are cut along, `rows` at a time
+    rows = max(1, _BATCH_ELEMENTS // (m ** whole * count))
+    trailing = [tables[i].reshape((m,) + (1,) * (dim - 1 - i) + (count,))
+                for i in range(cut + 1, dim)]
+    zero = m // 2
+    total = np.zeros(count)
+    for lead in itertools.product(range(m), repeat=cut):
+        base = sum(tables[i][l] for i, l in enumerate(lead))
+        for lo in range(0, m, rows):
+            # the shape grows one axis per add, so only the last is full size
+            r = tables[cut][lo:lo + rows].reshape((-1,) + (1,) * whole + (count,)) + base
+            for p in trailing:
+                r = r + p
+            np.sqrt(r, out=r)
+            at = None
+            if skip is not None and lead == (zero,) * cut and lo <= zero < lo + rows:
+                at = (zero - lo,) + (zero,) * whole + (skip,)
+                r[at] = 1.0   # any radius the profile takes; the value is dropped
+            vals = _profile_in_support(k, r)
+            if at is not None:
+                vals[at] = 0.0
+            total += vals.reshape(-1, count).sum(axis=0)
+    return total
 
 
 def _profile_in_support(k: RadialKernel, r: np.ndarray) -> np.ndarray:
@@ -332,41 +370,56 @@ def _stopping_shell(k: RadialKernel, grid: Grid) -> tuple:
     with certificate 0.  Otherwise the tail bound holds only from r = 0.5, so
     the nearest translate left out, at L(2s - 1), must be that far.  The
     first shell whose cruder ``_shell_series`` is below _TAIL_TOLERANCE is
-    found first, in one vectorized call per candidate, and a kernel whose
-    series needs more than _MAX_SHELLS shells is refused.  Since
+    found first, from one tail_bound call over every candidate, and a kernel
+    whose series needs more than _MAX_SHELLS shells is refused.  Since
     ``_tail_estimate`` is at most that series and does not grow with s,
     stepping down while it stays below the tolerance then finds the first
     shell it certifies.
     """
     L = grid.half_length
-    if k.support_radius is None:
-        first = max(1, math.ceil(0.25 / L + 0.5))
-        shells = {}
-        for stop in range(first, _MAX_SHELLS + 2):
-            if _shell_series(k, grid, stop, stop + _TAIL_SERIES_SHELLS) < _TAIL_TOLERANCE:
-                tail = _tail_estimate(k, grid, stop, shells)
-                while stop > first:
-                    lower = _tail_estimate(k, grid, stop - 1, shells)
-                    if not lower < _TAIL_TOLERANCE:
-                        break
-                    stop, tail = stop - 1, lower
-                return stop, tail
-    else:
+    if k.support_radius is not None:
         for stop in range(1, _MAX_SHELLS + 2):
             if L * (2 * stop - 1) > k.support_radius:
                 return stop, 0.0
-    raise ValueError("lattice sum did not converge within max_shells")
+        raise ValueError("lattice sum did not converge within max_shells")
+    first = max(1, math.ceil(0.25 / L + 0.5))
+    series = _shell_series(k, grid, first)
+    stops = np.arange(first, _MAX_SHELLS + 2)
+    below = np.flatnonzero(series(stops, stops + _TAIL_SERIES_SHELLS) < _TAIL_TOLERANCE)
+    if not below.size:
+        raise ValueError("lattice sum did not converge within max_shells")
+    stop = first + int(below[0])
+    shells = {}
+    tail = _tail_estimate(k, grid, stop, shells, series)
+    while stop > first:
+        lower = _tail_estimate(k, grid, stop - 1, shells, series)
+        if not lower < _TAIL_TOLERANCE:
+            break
+        stop, tail = stop - 1, lower
+    return stop, tail
 
 
-def _shell_series(k: RadialKernel, grid: Grid, first: int, last: int) -> float:
-    """Bound on the shells first <= t <= last that charges every translate of
-    shell t at the shell's nearest distance L(2t - 1) from the domain."""
-    t = np.arange(first, last + 1, dtype=float)
+def _shell_series(k: RadialKernel, grid: Grid, first: int) -> Callable:
+    """``series(a, b)``: the bound on the shells a <= t <= b, for
+    first <= a and b <= _MAX_SHELLS + 1 + _TAIL_SERIES_SHELLS, that charges
+    every translate of shell t at the shell's nearest distance L(2t - 1)
+    from the domain.
+
+    One tail_bound call covers every shell.  A window is the difference of
+    the sums from its two ends to the last shell, accumulated from the last
+    shell on, so a window whose tail beyond is smaller keeps its relative
+    accuracy.
+    """
+    t = np.arange(first, _MAX_SHELLS + 2 + _TAIL_SERIES_SHELLS, dtype=float)
     counts = (2.0 * t + 1.0) ** grid.dim - (2.0 * t - 1.0) ** grid.dim
-    return float(counts @ k.tail_bound(grid.half_length * (2.0 * t - 1.0)))
+    terms = counts * k.tail_bound(grid.half_length * (2.0 * t - 1.0))
+    # beyond[j]: the shells t >= first + j
+    beyond = np.append(np.cumsum(terms[::-1])[::-1], 0.0)
+    return lambda a, b: beyond[a - first] - beyond[b + 1 - first]
 
 
-def _tail_estimate(k: RadialKernel, grid: Grid, s: int, shells: dict) -> float:
+def _tail_estimate(k: RadialKernel, grid: Grid, s: int, shells: dict,
+                   series: Callable) -> float:
     """Upper bound on |sum of K(x - 2L*l) over |l|_inf >= s| at the evaluated points.
 
     Those points lie in the box x_i in [-h/2, L]: the octant, and for a
@@ -375,23 +428,22 @@ def _tail_estimate(k: RadialKernel, grid: Grid, s: int, shells: dict) -> float:
     2 |l_i| - h/(2L) for l_i < 0 and 0 for l_i = 0; since ``tail_bound`` is
     non-increasing, the shells s <= t < s + _TAIL_WINDOW are charged one
     translate at a time at that distance.  ``shells`` caches these sums by t.
-    The shells beyond are charged by ``_shell_series``, which ends
-    _TAIL_SERIES_SHELLS shells past s, so a tail that decays too slowly to
-    be negligible there is not bounded.
+    The shells beyond are charged by ``series`` from ``_shell_series``,
+    which ends _TAIL_SERIES_SHELLS shells past s, so a tail that decays too
+    slowly to be negligible there is not bounded.
     """
     L = grid.half_length
     near = 0.0
     for t in range(s, s + _TAIL_WINDOW):
         if t not in shells:
-            # per axis, (L d_i)^2 for l_i = -t, ..., t, gathered by index l_i + t
+            # per axis, (L d_i)^2 for l_i = -t, ..., t; shell t is the blocks
+            # |l_j| < t before axis i, |l_i| = t, any l_j after it
             l = np.arange(-t, t + 1)
             d = np.where(l > 0, 2.0 * l - 1.0, np.where(l < 0, -2.0 * l - grid.h / (2.0 * L), 0.0))
             sq = (L * d) ** 2
-            rows = _shell_offsets(t, grid.dim)
-            rows += t
-            r2 = sq[rows[:, 0]]
-            for i in range(1, grid.dim):
-                r2 += sq[rows[:, i]]
-            shells[t] = float(np.sum(k.tail_bound(np.sqrt(r2, out=r2))))
+            blocks = [functools.reduce(np.add.outer, [sq[1:-1]] * i + [sq[[0, -1]]]
+                                       + [sq] * (grid.dim - 1 - i)).ravel()
+                      for i in range(grid.dim)]
+            shells[t] = float(np.sum(k.tail_bound(np.sqrt(np.concatenate(blocks)))))
         near += shells[t]
-    return near + _shell_series(k, grid, s + _TAIL_WINDOW, s + _TAIL_SERIES_SHELLS)
+    return near + float(series(s + _TAIL_WINDOW, s + _TAIL_SERIES_SHELLS))

@@ -225,12 +225,12 @@ def test_result_csv_summary():
 def test_result_csv_text():
     # the footer is parsed by CI: "converged=False" stays Python's spelling
     res = FitResult(np.array([1.5, -2.0 / 3.0]), [0.75, 2.0 / 3.0], 0.1, 0.2, 1.0 / 3.0,
-                    12345.678901, 1e-8, converged=False)
+                    12345.678901, 1e-8, converged=False, singular=True)
     assert res.to_csv() == (
         "j,d_j,a_j\n1,0.75,1.5\n2,0.66666666666666663,-0.66666666666666663\n"
         "# M=2 residual_w11=0.10000000000000001 residual_l2=0.20000000000000001 "
         "residual_h1=0.33333333333333331 condition=12345.7 regularization=1e-08 "
-        "converged=False\n")
+        "converged=False singular=True\n")
 
 
 def test_result_csv_rejects_unequal_lengths():

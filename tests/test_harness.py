@@ -375,13 +375,18 @@ def test_cli_invalid_initial_datum(tmp_path, capsys):
     assert "0 <= u_0 <= 1" in capsys.readouterr().err
 
 
-def test_cli_fit_kernel(tmp_path):
+def test_cli_fit_kernel(tmp_path, capsys):
     cfg = tmp_path / "fit.cfg"
     cfg.write_text("grid.n = 32\nkernel.type = adhesion\nstudy.M = 1, 2, 4\n"
                    "study.d_star = 0.5\n")
     out = tmp_path / "out"
     assert main(["fit-kernel", str(cfg), "-o", str(out)]) == 0
-    assert (out / "fit.csv").read_text().startswith("j,d_j,a_j")
+    text = (out / "fit.csv").read_text()
+    assert text.startswith("j,d_j,a_j")
+    # the footer and the stdout line both end with the fit's singular flag
+    flag = text.rstrip().rsplit(" ", 1)[1]
+    assert flag in ("singular=True", "singular=False")
+    assert capsys.readouterr().out.rstrip().endswith(flag)
 
 
 def test_cli_fit_kernel_requires_kernel(tmp_path):

@@ -251,12 +251,21 @@ def test_cell_average_origin_matches_oracle(dim, d):
         assert kernel._cell_average_origin(k, g) == pytest.approx(ref, rel=1e-13)
 
 
+@pytest.mark.parametrize("m", [1, 6, 10, 40])
+def test_gauss_legendre_matches_numpy(m):
+    from numpy.polynomial.legendre import leggauss
+    nodes, weights = kernel._gauss_legendre(m)
+    ref_nodes, ref_weights = leggauss(m)
+    assert np.all(np.abs(nodes - ref_nodes) <= 1e-15)
+    assert np.all(np.abs(weights - ref_weights) <= 1e-14)
+
+
 @pytest.mark.parametrize("batch", [1, 37, 3000])
 def test_periodize_is_batch_invariant(monkeypatch, batch):
     # 3000 leaves a remainder batch in the lattice sum and the origin rule.
-    # Batching changes only the order of the float64 sums (2,197 positive
-    # translates per cell in 3D): one translate per batch moves a cell by
-    # 1.3e-14 relative, so the bound is 1e-13, far below (m - 1) eps.
+    # Batching changes only the order of the float64 sums (a cube of 1,331
+    # positive translates per cell in 3D): one translate per batch moves a
+    # cell by 6.3e-15 relative, so the bound is 1e-13, far below (m - 1) eps.
     cases = [(greens_free_space(1.0, 2), Grid(2, 1.0, 16)),
              (greens_free_space(1.0, 3), Grid(3, 2.0, 8))]
     default = [periodize(k, g).field.values for k, g in cases]
@@ -333,6 +342,23 @@ def test_tail_bound_bounds_what_the_sum_leaves_out(kind, scale, dim, L, n):
     rounding = 1e-14 * np.abs(ref).max()
     assert 0.0 < pk.tail_bound < 1e-10
     assert np.all(np.abs(pk.field.values - ref) <= pk.tail_bound + rounding)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_tail_window_charges_every_translate_of_a_shell_once(dim):
+    # the window shells, summed by broadcasting, against one translate at a time
+    grid = Grid(dim, 1.0, 8)
+    k = greens_free_space(1.0, dim)
+    shells = {}
+    kernel._tail_estimate(k, grid, 1, shells, lambda a, b: 0.0)
+    L, h = grid.half_length, grid.h
+    for t, got in shells.items():
+        ref = 0.0
+        for l in itertools.product(range(-t, t + 1), repeat=dim):
+            if max(map(abs, l)) == t:
+                d = [2 * li - 1 if li > 0 else (-2 * li - h / (2 * L) if li < 0 else 0) for li in l]
+                ref += float(k.tail_bound(np.array([L * math.hypot(*d)]))[0])
+        assert got == pytest.approx(ref, rel=1e-13)
 
 
 def test_tail_bound_is_zero_without_a_tail_certificate():

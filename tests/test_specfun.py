@@ -72,13 +72,19 @@ def test_rejects_unsupported_order():
             bessel_k(nu, 1.0)
 
 
-# the two pieces of K_0 meet at x = 2
-K0_BOUNDARY = 2.0
+@pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf, 0.5000001])
+def test_rejects_non_finite_or_nearly_half_integer_order(nu):
+    with pytest.raises(UnsupportedOrderError):
+        bessel_k(nu, 1.0)
+
+
+# the three pieces of K_0 meet at x = 2 and x = 8
+K0_BOUNDARIES = (2.0, 8.0)
 
 
 def test_k0_matches_scipy():
-    x = np.concatenate([np.geomspace(1e-12, 700.0, 200_001),
-                        K0_BOUNDARY + np.linspace(-1e-6, 1e-6, 2001)])
+    x = np.concatenate([np.geomspace(1e-12, 700.0, 200_001)]
+                       + [b + np.linspace(-1e-6, 1e-6, 2001) for b in K0_BOUNDARIES])
     ref = special.k0(x)
     assert np.all(np.abs(bessel_k(0, x) - ref) <= 2e-14 * ref)
 
@@ -90,8 +96,9 @@ def test_k0_is_finite_and_non_negative_up_to_745():
 
 
 def test_array_argument_matches_scalars():
-    # both pieces of K_0 and its boundary in one array, in mixed order
-    r = np.array([3.0, 0.5, K0_BOUNDARY, 1e-9, np.nextafter(K0_BOUNDARY, 3.0), 40.0, 1.0])
+    # the three pieces of K_0 and their boundaries in one array, in mixed order
+    r = np.array([3.0, 0.5, 2.0, 1e-9, np.nextafter(2.0, 3.0), 40.0, 1.0,
+                  8.0, np.nextafter(8.0, 9.0), 5.0])
     for nu in (0.0, 0.5):
         vals = bessel_k(nu, r)
         for ri, vi in zip(r, vals):
