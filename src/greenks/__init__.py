@@ -10,6 +10,6 @@ from .kernel import (PeriodizedKernel, RadialKernel, adhesion_potential,
 from .pde import (ChemicalSpec, ModelFunctions, RunConfig, SolverState,
                   linear_model, porous_medium_model, run)
 from .specfun import bessel_k
-from .harness import ExperimentReport, compare_runs, study_kernel, study_xi
+from .harness import ExperimentReport, basis_fits, compare_runs, study_kernel, study_xi
 
 __version__ = "0.1.0"

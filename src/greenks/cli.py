@@ -17,7 +17,7 @@ from .domain import (Field, Grid, SpaceTimeSeries, csv_table, gradient, norm_w11
                      periodic_convolve, read_field_csv, write_field_csv)
 from .fit import fit_to_tolerance
 from .greens import elliptic_solve, greens_periodic_spectral, lattice_sum_green
-from .harness import ComparisonError, compare_runs, study_kernel, study_xi
+from .harness import ComparisonError, basis_fits, compare_runs, study_kernel, study_xi
 from .pde import InputValidationError, NumericalAbortError, run as run_solver
 from .svgplot import line_chart
 
@@ -82,12 +82,10 @@ def _cmd_run(args) -> int:
 def _cmd_fit_kernel(args) -> int:
     cfg = cfgmod.load_config(args.config)
     W = cfgmod.require_kernel(cfgmod.build_problem(cfg)[1], "fit-kernel")
-    d_star, regularization = cfgmod.study_fit_settings(cfg)
     epsilon = args.epsilon if args.epsilon is not None else 0.05 * norm_w11(W.field)
     if epsilon == 0.0:
         raise cfgmod.ConfigError("the kernel is zero; fit-kernel needs --epsilon")
-    result = fit_to_tolerance(W, epsilon=epsilon, M_max=max(cfgmod.study_m_list(cfg)),
-                              d_star=d_star, regularization=regularization)
+    result = fit_to_tolerance(basis_fits(cfg, W), epsilon)
     _write(os.path.join(args.output, "fit.csv"), result.to_csv())
     print(f"fit: M={len(result.coefficients)} residual_w11={result.residual_w11:.6g} "
           f"converged={result.converged} singular={result.singular}")

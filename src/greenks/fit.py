@@ -111,30 +111,25 @@ def fit_coefficients(W: PeriodizedKernel, basis: GreensBasis,
     )
 
 
-def fit_to_tolerance(W: PeriodizedKernel, epsilon: float, M_max: int,
-                     d_star: float, regularization: float = 0.0) -> FitResult:
-    """Double M until the W11 residual drops below epsilon.
+def fit_to_tolerance(fits, epsilon: float) -> FitResult:
+    """The first fit whose W11 residual is below epsilon.
 
-    Returns the first fit meeting the tolerance; if M_max is exhausted, the
-    best fit seen is returned with ``converged=False`` (the existence result
-    behind this construction holds only in the continuum limit, so running
-    out of basis size is an outcome, not an error).
+    ``fits`` yields ``(basis, FitResult)`` pairs by growing basis size, as
+    ``harness.basis_fits`` does, and is read no further than that fit.  If no
+    fit meets the tolerance, the best one is returned with
+    ``converged=False`` (the existence result behind this construction holds
+    only in the continuum limit, so running out of basis sizes is an outcome,
+    not an error).  Empty ``fits`` raise.
     """
     if not epsilon > 0:   # also rejects NaN
         raise ValueError("epsilon must be positive")
-    if M_max < 1:
-        raise ValueError("M_max must be at least 1")
     best = None
-    M = 1
-    while True:
-        basis = GreensBasis.build(W.field.grid, default_diffusivities(M, d_star))
-        result = fit_coefficients(W, basis, regularization)
+    for _, result in fits:
+        if result.residual_w11 < epsilon:
+            return result
         if best is None or result.residual_w11 < best.residual_w11:
             best = result
-        if result.residual_w11 < epsilon:
-            result.converged = True
-            return result
-        if M >= M_max:
-            best.converged = False
-            return best
-        M = min(2 * M, M_max)
+    if best is None:
+        raise ValueError("no fits to choose from")
+    best.converged = False
+    return best

@@ -27,7 +27,6 @@ class ExperimentReport:
     parameter_axis: list
     errors: list
     metadata: str
-    extra: dict = dc_field(default_factory=dict)
     columns: dict = dc_field(default_factory=dict)   # name -> one value per parameter
 
     def __post_init__(self):
@@ -82,40 +81,43 @@ def study_xi(cfg: dict, xi_list=None) -> ExperimentReport:
     return ExperimentReport("study-xi", xi_list, errors, cfgmod.config_echo(cfg))
 
 
+def basis_fits(cfg: dict, W: PeriodizedKernel, M_list=None):
+    """The one place that turns the ``study.*`` keys into fits of ``W``: for
+    each size of ``study.M`` (or ``M_list``) in order, yields the basis of the
+    default diffusivities of ``study.d_star`` and its ``FitResult`` with
+    ``study.regularization``.  The keys are checked at the first fit, and a
+    consumer that stops early fits no larger basis."""
+    d_star, regularization = cfgmod.study_fit_settings(cfg)
+    for M in cfgmod.study_list(cfg, "study.M", M_list):
+        basis = GreensBasis.build(W.field.grid, default_diffusivities(M, d_star))
+        yield basis, fit_coefficients(W, basis, regularization)
+
+
 def study_kernel(cfg: dict, W_target: PeriodizedKernel = None, M_list=None) -> ExperimentReport:
     """Solution error of Green-basis kernel surrogates against the exact kernel.
 
     The target kernel is ``W_target`` if given (the config's own kernel is
-    then never periodized), else the config's.  It is fitted at every basis
-    size, then the nonlocal reference and the fitted combinations, run
-    through the parabolic-elliptic solver (exercising the coincidence with
-    the nonlocal form), advance as one lockstep ensemble, so every error is
-    measured on one shared time grid.  The convolution drift bound is
-    asserted on every snapshot.  ``extra["fits"]`` holds the ``FitResult``
-    of each basis size; the report's columns record its residuals, Gram
-    condition and singular flag, and the drift defect: the largest left side
-    of the drift bound over the surrogate's snapshots.
+    then never periodized), else the config's.  It is fitted at every size of
+    ``basis_fits``, then the nonlocal reference and the fitted combinations,
+    run through the parabolic-elliptic solver (exercising the coincidence
+    with the nonlocal form), advance as one lockstep ensemble, so every error
+    is measured on one shared time grid.  The convolution drift bound is
+    asserted on every snapshot.  The report's columns record each fit's
+    residuals, Gram condition and singular flag, and the drift defect: the
+    largest left side of the drift bound over the surrogate's snapshots.
     """
     model, chem, u0, run_cfg = cfgmod.build_problem(cfg, W_target)
     W_target = cfgmod.require_kernel(chem, "study-kernel")
-    d_star, reg = cfgmod.study_fit_settings(cfg)
-    M_list = cfgmod.study_list(cfg, "study.M", M_list)
-
-    fits, surrogates, kernel_diffs = [], [], []
-    for M in M_list:
-        d = default_diffusivities(M, d_star)
-        basis = GreensBasis.build(u0.grid, d)
-        result = fit_coefficients(W_target, basis, reg)
-        fits.append(result)
-        surrogates.append(ChemicalSpec(diffusivities=d,
-                                       sensitivities=list(result.coefficients), xi=0.0))
-        kernel_diffs.append(basis.as_kernel(result.coefficients).field - W_target.field)
+    pairs = list(basis_fits(cfg, W_target, M_list))
+    fits = [fit for _, fit in pairs]
+    surrogates = [ChemicalSpec(basis.diffusivities, list(fit.coefficients)) for basis, fit in pairs]
 
     (ref_series, _), *runs = run_ensemble(model, [W_target, *surrogates], u0, run_cfg)
     errors, defects = [], []
-    for (series, _), W_diff in zip(runs, kernel_diffs):
+    for (series, _), (basis, fit) in zip(runs, pairs):
         errors.append(compare_runs(series, ref_series))
-        sides = [young_drift_sides(u, W_diff) for u in series.snapshots]
+        W_diff = basis.combination(fit.coefficients) - W_target.field
+        sides = young_drift_sides(series.snapshots, W_diff)
         if not all(lhs <= rhs * (1.0 + _YOUNG_SLACK) for lhs, rhs in sides):
             raise AssertionError("drift Young bound violated on a snapshot")
         defects.append(max(lhs for lhs, _ in sides))
@@ -125,13 +127,15 @@ def study_kernel(cfg: dict, W_target: PeriodizedKernel = None, M_list=None) -> E
                "gram_condition": [f.gram_condition_estimate for f in fits],
                "singular": [f.singular for f in fits],
                "drift_defect": defects}
-    return ExperimentReport("study-kernel", [float(m) for m in M_list], errors,
-                            cfgmod.config_echo(cfg), extra={"fits": fits}, columns=columns)
+    return ExperimentReport("study-kernel", [float(len(f.coefficients)) for f in fits], errors,
+                            cfgmod.config_echo(cfg), columns=columns)
 
 
-def young_drift_sides(u: Field, W: Field) -> tuple:
+def young_drift_sides(snapshots, W: Field) -> list:
     """Both sides of the discrete Young inequality
-    sqrt(sum_i ||d_i W * u||_L2^2) <= ||grad W||_L1 ||u||_L2."""
+    sqrt(sum_i ||d_i W * u||_L2^2) <= ||grad W||_L1 ||u||_L2 for each snapshot u;
+    the gradient of W and its L1 norm are built once."""
     gw = gradient(W)
-    lhs = float(np.sqrt(sum(norm_l2(periodic_convolve(c, u)) ** 2 for c in gw)))
-    return lhs, sum(norm_l1(c) for c in gw) * norm_l2(u)
+    gw_l1 = sum(norm_l1(c) for c in gw)
+    return [(float(np.sqrt(sum(norm_l2(periodic_convolve(c, u)) ** 2 for c in gw))),
+             gw_l1 * norm_l2(u)) for u in snapshots]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from greenks import config as cfgmod
+from greenks.harness import basis_fits
 from greenks.domain import Field, Grid, inner_h1, norm_h1, norm_w11
 from greenks.fit import FitResult, default_diffusivities, fit_coefficients, fit_to_tolerance
 from greenks.greens import GreensBasis, greens_periodic_spectral
@@ -112,10 +113,7 @@ def test_h1_residual_rises_over_nested_bases_only_when_singular():
     cfg = cfgmod.load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
                                           "study_kernel.cfg"))
     W = cfgmod.require_kernel(cfgmod.build_problem(cfg)[1], "fit")
-    d_star, reg = cfgmod.study_fit_settings(cfg)
-    fits = [fit_coefficients(W, GreensBasis.build(W.field.grid,
-                                                  default_diffusivities(M, d_star)), reg)
-            for M in range(1, 33)]
+    fits = [fit for _, fit in basis_fits(cfg, W, range(1, 33))]
     assert sum(not f.singular for f in fits) >= 2
     for smaller, larger in zip(fits, fits[1:]):
         assert larger.residual_h1 <= smaller.residual_h1 * (1.0 + 1e-12) or larger.singular
@@ -168,47 +166,49 @@ def test_fit_grid_mismatch():
 # --- fit_to_tolerance -----------------------------------------------------
 
 def test_tolerance_met_at_m1_for_basis_member():
-    grid = Grid(1, 1.0, 64)
-    basis = GreensBasis.build(grid, [1.5])   # d_1 of the default sequence
-    W = basis.as_kernel([1.0])
-    res = fit_to_tolerance(W, 1e-6, 8, 1.0)
-    assert len(res.coefficients) == 1
+    # every default size spans the target; the first fit under epsilon is returned
+    W = GreensBasis.build(Grid(1, 1.0, 64), [1.5]).as_kernel([1.0])   # d_1 of d_star = 1
+    fits = list(basis_fits(cfgmod.parse_config_text(""), W))
+    res = fit_to_tolerance(fits, 1e-6)
+    assert res is fits[0][1]
     assert res.converged
 
 
 def test_huge_tolerance_returns_immediately():
-    grid = Grid(1, 1.0, 64)
-    W = periodize(adhesion_potential(ONES, 1), grid)
-    res = fit_to_tolerance(W, 10.0 * norm_w11(W.field), 8, 1.0)
+    W = periodize(adhesion_potential(ONES, 1), Grid(1, 1.0, 64))
+
+    def first_fit_only():
+        yield next(basis_fits(cfgmod.parse_config_text(""), W))
+        raise AssertionError("read past the fit that meets the tolerance")
+
+    res = fit_to_tolerance(first_fit_only(), 10.0 * norm_w11(W.field))
     assert len(res.coefficients) == 1
     assert res.converged
 
 
 def test_adhesion_five_percent_is_out_of_reach():
     # frozen regression outcome: the accumulating d_j sequence saturates
-    # around a 9% W11 residual, so the 5% request exhausts M_max and the
+    # around a 9% W11 residual, so the 5% request exhausts the sizes and the
     # best-effort result comes back explicitly flagged.  Which M gives the
     # best fit is decided by rounding (these fits are singular), so the test
-    # checks the contract instead: the smallest W11 residual of M = 1, 2, ..., 64
-    grid = Grid(1, 1.0, 64)
-    W = periodize(adhesion_potential(ONES, 1), grid)
-    eps = 0.05 * norm_w11(W.field)
-    res = fit_to_tolerance(W, eps, 64, 0.5)
+    # checks the contract instead: the first smallest W11 residual of the sizes
+    W = periodize(adhesion_potential(ONES, 1), Grid(1, 1.0, 64))
+    cfg = cfgmod.parse_config_text("study.M = 1, 2, 4, 8, 16, 32, 64\nstudy.d_star = 0.5\n")
+    fits = list(basis_fits(cfg, W))
+    res = fit_to_tolerance(fits, 0.05 * norm_w11(W.field))
     assert not res.converged
-    seen = [fit_coefficients(W, GreensBasis.build(grid, default_diffusivities(M, 0.5)), 0.0)
-            for M in (1, 2, 4, 8, 16, 32, 64)]
-    assert res.residual_w11 == min(f.residual_w11 for f in seen)
+    assert res is min((fit for _, fit in fits), key=lambda f: f.residual_w11)
     assert res.residual_w11 == pytest.approx(0.28112, rel=1e-3)
 
 
 def test_fit_to_tolerance_validation():
-    grid = Grid(1, 1.0, 64)
-    W = periodize(adhesion_potential(ONES, 1), grid)
+    W = periodize(adhesion_potential(ONES, 1), Grid(1, 1.0, 64))
+    fits = list(basis_fits(cfgmod.parse_config_text("study.M = 1\n"), W))
     for eps in (-1.0, math.nan):
         with pytest.raises(ValueError, match="epsilon"):
-            fit_to_tolerance(W, eps, 8, 1.0)
-    with pytest.raises(ValueError):
-        fit_to_tolerance(W, 1.0, 0, 1.0)
+            fit_to_tolerance(fits, eps)
+    with pytest.raises(ValueError, match="no fits"):
+        fit_to_tolerance([], 1.0)
 
 
 def test_result_csv_summary():

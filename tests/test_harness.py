@@ -159,11 +159,14 @@ def test_study_kernel_span_member_target():
 def test_study_kernel_csv_records_each_fit():
     cfg = base_cfg(**{"kernel.type": "adhesion"})
     rep = study_kernel(cfg, M_list=[1, 2, 4])
+    W = cfgmod.build_kernel(cfg, cfgmod.build_grid(cfg))
+    fits = [fit for _, fit in harness.basis_fits(cfg, W, [1, 2, 4])]
     lines = rep.to_csv().splitlines()
     assert lines[0] == ("param,error,monotone,residual_w11,residual_h1,gram_condition,"
                         "singular,drift_defect")
-    for line, fit, defect in zip(lines[1:4], rep.extra["fits"], rep.columns["drift_defect"]):
+    for line, fit, defect in zip(lines[1:4], fits, rep.columns["drift_defect"]):
         cells = line.split(",")
+        assert cells[0] == str(len(fit.coefficients))
         assert [float(c) for c in cells[3:6]] == [fit.residual_w11, fit.residual_h1,
                                                  fit.gram_condition_estimate]
         assert cells[6] == str(fit.singular).lower()
@@ -243,20 +246,32 @@ def test_shipped_configs_parse():
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
-def readme_key_table():
-    """{key: (default, backticked names in the meaning column)} from the README."""
+def readme_key_table(text):
+    """{key: (default, backticked names in the meaning column)} of the rows
+    under the ``| Key | Default | Meaning |`` header, up to the first line
+    that is not a table row."""
+    lines = text.splitlines()
     rows = {}
-    with open(README) as f:
-        for line in f:
-            cells = [c.strip() for c in line.strip().strip("|").split("|")]
-            if len(cells) == 3 and cells[0].startswith("`"):
-                rows[cells[0].strip("`")] = (cells[1].strip("`"),
-                                             set(re.findall(r"`([^`]+)`", cells[2])))
+    for line in lines[lines.index("| Key | Default | Meaning |") + 2:]:   # past the rule
+        if not line.startswith("|"):
+            break
+        key, default, meaning = (c.strip() for c in line.strip().strip("|").split("|"))
+        rows[key.strip("`")] = (default.strip("`"), set(re.findall(r"`([^`]+)`", meaning)))
     return rows
 
 
+def test_readme_key_table_reads_only_the_table():
+    # a prose line that wraps to begin with a backticked |x_i| splits into three
+    # cells on "|", the first a lone backtick; it is not a row
+    prose = "`|x_i|` wraps to the start of a line\n"
+    text = (prose + "| Key | Default | Meaning |\n| --- | --- | --- |\n"
+            "| `grid.n` | `128` | cells per axis, see `grid.dim` |\n\n" + prose)
+    assert readme_key_table(text) == {"grid.n": ("128", {"grid.dim"})}
+
+
 def test_readme_key_table_matches_config():
-    rows = readme_key_table()
+    with open(README) as f:
+        rows = readme_key_table(f.read())
     assert set(rows) == set(cfgmod._DEFAULTS)
     for key, (default, names) in rows.items():
         assert default == cfgmod._DEFAULTS[key], key
@@ -387,6 +402,22 @@ def test_cli_fit_kernel(tmp_path, capsys):
     flag = text.rstrip().rsplit(" ", 1)[1]
     assert flag in ("singular=True", "singular=False")
     assert capsys.readouterr().out.rstrip().endswith(flag)
+
+
+def test_cli_fit_kernel_tries_the_study_sizes(tmp_path, capsys):
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("grid.n = 32\nkernel.type = adhesion\nstudy.M = 3, 5\n")
+    out = tmp_path / "out"
+    assert main(["fit-kernel", str(cfg), "--epsilon", "1e9", "-o", str(out)]) == 0
+    assert (out / "fit.csv").read_text().splitlines()[-1].startswith("# M=3 ")
+    assert capsys.readouterr().out.startswith("fit: M=3 ")
+    # no size meets this tolerance: the better of M = 3 and 5, flagged
+    assert main(["fit-kernel", str(cfg), "--epsilon", "1e-12", "-o", str(out)]) == 0
+    config = cfgmod.load_config(str(cfg))
+    W = cfgmod.build_kernel(config, cfgmod.build_grid(config))
+    best = min((fit for _, fit in harness.basis_fits(config, W)), key=lambda f: f.residual_w11)
+    best.converged = False
+    assert (out / "fit.csv").read_text() == best.to_csv()
 
 
 def test_cli_fit_kernel_requires_kernel(tmp_path):

@@ -474,8 +474,10 @@ def test_young_drift_bound():
     W = periodize(adhesion_potential(ONES, 1), g)
     rng = np.random.default_rng(8)
     u = Field(g, rng.random(g.shape))
-    lhs, rhs = young_drift_sides(u, W.field)
-    assert 0.0 < lhs <= rhs
+    sides = young_drift_sides([u, 0.5 * u], W.field)
+    assert all(0.0 < lhs <= rhs for lhs, rhs in sides)
+    # one gradient serves every snapshot: the sides are those of one snapshot at a time
+    assert sides == young_drift_sides([u], W.field) + young_drift_sides([0.5 * u], W.field)
 
 
 def test_young_drift_bound_sums_the_gradient_components():
@@ -487,7 +489,8 @@ def test_young_drift_bound_sums_the_gradient_components():
     rhs = sum(norm_l1(c) for c in gradient(W)) * norm_l2(u)
     lhs = math.sqrt(sum(p * p for p in parts))
     assert max(parts) < 0.99 * lhs
-    assert young_drift_sides(u, W) == pytest.approx((lhs, rhs), rel=1e-12, abs=0.0)
+    [sides] = young_drift_sides([u], W)
+    assert sides == pytest.approx((lhs, rhs), rel=1e-12, abs=0.0)
 
 
 # --- lockstep ensembles ---------------------------------------------------
