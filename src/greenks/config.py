@@ -155,6 +155,10 @@ def _initial_datum(cfg: dict, grid: Grid) -> Field:
     width = float(cfg["init.width"])
     center = float(cfg["init.center"])
     background = float(cfg["init.background"])
+    if not 0.0 < width < math.inf:
+        raise ConfigError("init.width must be positive and finite")
+    if not math.isfinite(center):
+        raise ConfigError("init.center must be finite")
     mesh = grid.meshgrid()
 
     if kind == "constant":
@@ -189,12 +193,11 @@ def _model(cfg: dict) -> ModelFunctions:
 
 
 @_config_values
-def build_problem(cfg: dict, chem=None) -> tuple:
+def build_problem(cfg: dict) -> tuple:
     """``(model, chem, u0, run_config)``, in the argument order of ``pde.run``.
 
     ``chem`` is the periodized kernel when ``kernel.type != none`` and the
-    ``ChemicalSpec`` of the ``chem.*`` keys otherwise.  A ``chem`` passed in
-    replaces that chemical layer, and the config's is then not built.
+    ``ChemicalSpec`` of the ``chem.*`` keys otherwise.
     """
     grid = build_grid(cfg)
     model = _model(cfg)
@@ -204,8 +207,7 @@ def build_problem(cfg: dict, chem=None) -> tuple:
                            dt=_number_or_auto(cfg["run.dt"]),
                            snapshot_every=_number_or_auto(cfg["run.snapshot_every"]),
                            cfl_safety=float(cfg["run.cfl_safety"]))
-    if chem is None:
-        chem = build_kernel(cfg, grid)
+    chem = build_kernel(cfg, grid)
     if chem is None:
         chem = ChemicalSpec(diffusivities=_floats(cfg["chem.d"]),
                             sensitivities=_floats(cfg["chem.a"]),

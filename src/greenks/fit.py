@@ -9,7 +9,7 @@ is ill-conditioned by design and the solver has to degrade gracefully.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,9 +114,9 @@ def fit_coefficients(W: PeriodizedKernel, basis: GreensBasis,
 def fit_to_tolerance(fits, epsilon: float) -> FitResult:
     """The first fit whose W11 residual is below epsilon.
 
-    ``fits`` yields ``(basis, FitResult)`` pairs by growing basis size, as
+    ``fits`` yields ``FitResult``s by growing basis size, as
     ``harness.basis_fits`` does, and is read no further than that fit.  If no
-    fit meets the tolerance, the best one is returned with
+    fit meets the tolerance, a copy of the best one is returned with
     ``converged=False`` (the existence result behind this construction holds
     only in the continuum limit, so running out of basis sizes is an outcome,
     not an error).  Empty ``fits`` raise.
@@ -124,12 +124,11 @@ def fit_to_tolerance(fits, epsilon: float) -> FitResult:
     if not epsilon > 0:   # also rejects NaN
         raise ValueError("epsilon must be positive")
     best = None
-    for _, result in fits:
+    for result in fits:
         if result.residual_w11 < epsilon:
             return result
         if best is None or result.residual_w11 < best.residual_w11:
             best = result
     if best is None:
         raise ValueError("no fits to choose from")
-    best.converged = False
-    return best
+    return replace(best, converged=False)

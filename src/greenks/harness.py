@@ -63,61 +63,60 @@ def compare_runs(a: SpaceTimeSeries, b: SpaceTimeSeries) -> float:
     return norm_l2_spacetime(SpaceTimeSeries(a.grid, a.times, diffs))
 
 
-def study_xi(cfg: dict, xi_list=None) -> ExperimentReport:
+def study_xi(cfg: dict) -> ExperimentReport:
     """Distance of the relaxed chemical system to its instantaneous limit.
 
-    The xi list runs as one lockstep ensemble; the limit is a run of its own.
+    The ``study.xi`` list runs as one lockstep ensemble; the limit is a run
+    of its own.
     """
-    xi_list = cfgmod.study_list(cfg, "study.xi", xi_list)
+    xis = cfgmod.study_list(cfg, "study.xi")
     model, chem, u0, run_cfg = cfgmod.build_problem(cfg)
     if isinstance(chem, PeriodizedKernel):
         raise cfgmod.ConfigError("study-xi needs kernel.type = none")
 
     limit = ChemicalSpec(chem.diffusivities, chem.sensitivities, xi=0.0)
     ref, _ = run(model, limit, u0, run_cfg)
-    relaxed = [ChemicalSpec(chem.diffusivities, chem.sensitivities, xi=xi) for xi in xi_list]
+    relaxed = [ChemicalSpec(chem.diffusivities, chem.sensitivities, xi=xi) for xi in xis]
     errors = [compare_runs(series, ref)
               for series, _ in run_ensemble(model, relaxed, u0, run_cfg)]
-    return ExperimentReport("study-xi", xi_list, errors, cfgmod.config_echo(cfg))
+    return ExperimentReport("study-xi", xis, errors, cfgmod.config_echo(cfg))
 
 
 def basis_fits(cfg: dict, W: PeriodizedKernel, M_list=None):
     """The one place that turns the ``study.*`` keys into fits of ``W``: for
-    each size of ``study.M`` (or ``M_list``) in order, yields the basis of the
-    default diffusivities of ``study.d_star`` and its ``FitResult`` with
+    each size of ``study.M`` (or ``M_list``) in order, yields the
+    ``FitResult`` of the default diffusivities of ``study.d_star`` with
     ``study.regularization``.  The keys are checked at the first fit, and a
     consumer that stops early fits no larger basis."""
     d_star, regularization = cfgmod.study_fit_settings(cfg)
     for M in cfgmod.study_list(cfg, "study.M", M_list):
         basis = GreensBasis.build(W.field.grid, default_diffusivities(M, d_star))
-        yield basis, fit_coefficients(W, basis, regularization)
+        yield fit_coefficients(W, basis, regularization)
 
 
-def study_kernel(cfg: dict, W_target: PeriodizedKernel = None, M_list=None) -> ExperimentReport:
+def study_kernel(cfg: dict, M_list=None) -> ExperimentReport:
     """Solution error of Green-basis kernel surrogates against the exact kernel.
 
-    The target kernel is ``W_target`` if given (the config's own kernel is
-    then never periodized), else the config's.  It is fitted at every size of
-    ``basis_fits``, then the nonlocal reference and the fitted combinations,
-    run through the parabolic-elliptic solver (exercising the coincidence
-    with the nonlocal form), advance as one lockstep ensemble, so every error
-    is measured on one shared time grid.  The convolution drift bound is
-    asserted on every snapshot.  The report's columns record each fit's
-    residuals, Gram condition and singular flag, and the drift defect: the
-    largest left side of the drift bound over the surrogate's snapshots.
+    The config's kernel is fitted at every size of ``basis_fits``, then the
+    nonlocal reference and the fitted combinations, run through the
+    parabolic-elliptic solver (exercising the coincidence with the nonlocal
+    form), advance as one lockstep ensemble, so every error is measured on
+    one shared time grid.  The convolution drift bound is asserted on every
+    snapshot.  The report's columns record each fit's residuals, Gram
+    condition and singular flag, and the drift defect: the largest left side
+    of the drift bound over the surrogate's snapshots.
     """
-    model, chem, u0, run_cfg = cfgmod.build_problem(cfg, W_target)
-    W_target = cfgmod.require_kernel(chem, "study-kernel")
-    pairs = list(basis_fits(cfg, W_target, M_list))
-    fits = [fit for _, fit in pairs]
-    surrogates = [ChemicalSpec(basis.diffusivities, list(fit.coefficients)) for basis, fit in pairs]
+    model, chem, u0, run_cfg = cfgmod.build_problem(cfg)
+    W = cfgmod.require_kernel(chem, "study-kernel")
+    fits = list(basis_fits(cfg, W, M_list))
+    surrogates = [ChemicalSpec(fit.diffusivities, list(fit.coefficients)) for fit in fits]
 
-    (ref_series, _), *runs = run_ensemble(model, [W_target, *surrogates], u0, run_cfg)
+    (ref_series, _), *runs = run_ensemble(model, [W, *surrogates], u0, run_cfg)
     errors, defects = [], []
-    for (series, _), (basis, fit) in zip(runs, pairs):
+    for (series, _), fit in zip(runs, fits):
         errors.append(compare_runs(series, ref_series))
-        W_diff = basis.combination(fit.coefficients) - W_target.field
-        sides = young_drift_sides(series.snapshots, W_diff)
+        W_M = GreensBasis.build(W.field.grid, fit.diffusivities).combination(fit.coefficients)
+        sides = young_drift_sides(series.snapshots, W_M - W.field)
         if not all(lhs <= rhs * (1.0 + _YOUNG_SLACK) for lhs, rhs in sides):
             raise AssertionError("drift Young bound violated on a snapshot")
         defects.append(max(lhs for lhs, _ in sides))

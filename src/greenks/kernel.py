@@ -53,21 +53,19 @@ class RadialKernel:
     |K(r)| <= tail_bound(r) for r >= 0.5, must be non-increasing on
     [0.5, inf), since the lattice sum evaluates it only at the nearest
     distance of each translate it leaves out, and is checked at a few radii.
-    ``support_radius`` marks compact support instead.
+    A compactly supported kernel's bound vanishes beyond its support, so the
+    sum stops, with certificate 0, once no translate left out reaches the domain.
     """
 
     profile: Callable[[np.ndarray], np.ndarray]
-    support_radius: Optional[float] = None
+    tail_bound: Callable[[np.ndarray], np.ndarray]
     singular_at_origin: bool = False
-    tail_bound: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.tail_bound is not None:
-            r = np.array(_TAIL_CHECK_RADII)
-            bound = self.tail_bound(r)
-            # written so that a NaN profile or bound fails too
-            if not np.all(np.abs(self.profile(r)) <= bound * (1.0 + 1e-12)):
-                raise ValueError("tail_bound violated at the check radii")
+        r = np.array(_TAIL_CHECK_RADII)
+        # written so that a NaN profile or bound fails too
+        if not np.all(np.abs(self.profile(r)) <= self.tail_bound(r) * (1.0 + 1e-12)):
+            raise ValueError("tail_bound violated at the check radii")
 
 
 @dataclass
@@ -126,7 +124,10 @@ def gaussian_kernel(sigma: float, dim: int) -> RadialKernel:
         raise ValueError("sigma must be positive and finite")
     if dim not in (1, 2, 3):
         raise ValueError("dim must be 1, 2 or 3")
-    A = (2.0 * math.pi * sigma * sigma) ** (-0.5 * dim)
+    try:
+        A = (2.0 * math.pi * sigma * sigma) ** (-0.5 * dim)
+    except (ZeroDivisionError, OverflowError):   # sigma^dim underflows
+        raise ValueError("sigma is too small to normalize the kernel") from None
 
     def profile(r):
         return np.exp(r * r / (-2.0 * sigma * sigma)) * A
@@ -161,11 +162,15 @@ def adhesion_potential(omega: Callable[[np.ndarray], np.ndarray], dim: int) -> R
     pieces[:-1:2] = ((5.0 * left + 8.0 * mid - right) / (12.0 * resolution))[::2]
     cum = np.concatenate(([0.0], np.cumsum(pieces)))
     values = cum - cum[-1]   # -int_s^1 omega, exactly 0 at s = 1
+    peak = max(values.max(), -values.min())   # max |values|, without a temporary
 
     def profile(r):   # np.interp holds values[-1] = 0 beyond r = 1
         return np.interp(r, s, values)
 
-    return RadialKernel(profile, support_radius=1.0)
+    def tail(r):   # |K| <= peak on the support, 0 beyond it
+        return np.where(r <= 1.0, peak, 0.0)
+
+    return RadialKernel(profile, tail_bound=tail)
 
 
 def _cell_average_origin(k: RadialKernel, grid: Grid) -> float:
@@ -214,8 +219,9 @@ def periodize(k: RadialKernel, grid: Grid) -> PeriodizedKernel:
     The translates summed form one cube |l|_inf < stop, where stop is the
     first shell |l|_inf = s whose tail bound, ``_tail_estimate``, is below
     _TAIL_TOLERANCE: it charges each translate left out at its own distance
-    from the points the sum is evaluated at (a compactly supported kernel
-    stops as soon as no translate can reach the domain).  That shell is
+    from the points the sum is evaluated at (a compactly supported kernel,
+    whose bound vanishes beyond its support, stops as soon as no translate
+    can reach the domain, with certificate 0).  That shell is
     found before anything is summed, so a sum that would need more than
     _MAX_SHELLS raises at once; ``tail_bound`` records the certificate that
     stopped the sum.  For kernels singular at the origin the zero-offset
@@ -232,8 +238,6 @@ def periodize(k: RadialKernel, grid: Grid) -> PeriodizedKernel:
     both signs, before it is folded by permutation: 10 node tuples instead
     of 56 in 3D and 6 instead of 21 in 2D.
     """
-    if k.tail_bound is None and k.support_radius is None:
-        raise ValueError("kernel needs a tail_bound or a declared support radius")
     dim = grid.dim
     octant = np.arange(grid.n // 2 + 1) * grid.h
     points, octant_rank = _sorted_tuples(octant.size, dim)
@@ -349,40 +353,25 @@ def _cube_sum(k: RadialKernel, x: np.ndarray, centers: np.ndarray,
             if skip is not None and lead == (zero,) * cut and lo <= zero < lo + rows:
                 at = (zero - lo,) + (zero,) * whole + (skip,)
                 r[at] = 1.0   # any radius the profile takes; the value is dropped
-            vals = _profile_in_support(k, r)
+            vals = k.profile(r)
             if at is not None:
                 vals[at] = 0.0
             total += vals.reshape(-1, count).sum(axis=0)
     return total
 
 
-def _profile_in_support(k: RadialKernel, r: np.ndarray) -> np.ndarray:
-    vals = k.profile(r)
-    if k.support_radius is not None:
-        np.copyto(vals, 0.0, where=r > k.support_radius)
-    return vals
-
-
 def _stopping_shell(k: RadialKernel, grid: Grid) -> tuple:
     """The first shell the lattice sum leaves out, and its tail certificate.
 
-    A compactly supported kernel stops at the first shell out of its reach,
-    with certificate 0.  Otherwise the tail bound holds only from r = 0.5, so
-    the nearest translate left out, at L(2s - 1), must be that far.  The
-    first shell whose cruder ``_shell_series`` is below _TAIL_TOLERANCE is
-    found first, from one tail_bound call over every candidate, and a kernel
-    whose series needs more than _MAX_SHELLS shells is refused.  Since
-    ``_tail_estimate`` is at most that series and does not grow with s,
-    stepping down while it stays below the tolerance then finds the first
-    shell it certifies.
+    The tail bound holds only from r = 0.5, so the nearest translate left
+    out, at L(2s - 1), must be that far.  The first shell whose cruder
+    ``_shell_series`` is below _TAIL_TOLERANCE is found first, from one
+    tail_bound call over every candidate, and a kernel whose series needs
+    more than _MAX_SHELLS shells is refused.  Since ``_tail_estimate`` is at
+    most that series and does not grow with s, stepping down while it stays
+    below the tolerance then finds the first shell it certifies.
     """
-    L = grid.half_length
-    if k.support_radius is not None:
-        for stop in range(1, _MAX_SHELLS + 2):
-            if L * (2 * stop - 1) > k.support_radius:
-                return stop, 0.0
-        raise ValueError("lattice sum did not converge within max_shells")
-    first = max(1, math.ceil(0.25 / L + 0.5))
+    first = max(1, math.ceil(0.25 / grid.half_length + 0.5))
     series = _shell_series(k, grid, first)
     stops = np.arange(first, _MAX_SHELLS + 2)
     below = np.flatnonzero(series(stops, stops + _TAIL_SERIES_SHELLS) < _TAIL_TOLERANCE)

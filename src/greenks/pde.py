@@ -225,10 +225,9 @@ class StepPlan:
     axes: tuple            # the grid axes of an array: its trailing grid.dim
 
     @classmethod
-    def build(cls, model: ModelFunctions, chem, grid: Grid) -> "StepPlan":
-        """``chem`` is a PeriodizedKernel or a ChemicalSpec, as for :func:`run`,
-        or a list of them, one per member, as for :func:`run_ensemble`."""
-        chems = chem if isinstance(chem, list) else [chem]
+    def build(cls, model: ModelFunctions, chems: list, grid: Grid) -> "StepPlan":
+        """``chems`` holds one PeriodizedKernel or ChemicalSpec per member, as
+        for :func:`run_ensemble`."""
         if not chems:
             raise ValueError("an ensemble needs at least one member")
         member = (len(chems),) + (1,) * grid.dim   # shape of one value per member

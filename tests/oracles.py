@@ -73,7 +73,7 @@ def lattice_sum_direct(kernel, grid, shells: int, gauss_order: int = 6) -> np.nd
     """Plain lattice sum of K(|x - 2L*l|) over |l|_inf <= shells, at every offset.
 
     One python-level loop per translate over the whole offset lattice, with
-    no symmetry used.  Translates are zeroed beyond a declared support radius.
+    no symmetry used.
     For a kernel singular at the origin, the zero-offset cell holds a cell
     average instead: the central term by `singular_cell_average`, every other
     translate by a tensor Gauss-Legendre rule of `gauss_order` points per axis.
@@ -88,12 +88,6 @@ def lattice_sum_direct(kernel, grid, shells: int, gauss_order: int = 6) -> np.nd
     for w in np.meshgrid(*([weights / 2.0] * dim), indexing="ij"):
         qweights = qweights * w
 
-    def values(r):
-        v = np.asarray(kernel.profile(r), dtype=float)
-        if kernel.support_radius is not None:
-            v = np.where(r > kernel.support_radius, 0.0, v)
-        return v
-
     out = np.zeros(grid.shape)
     origin = 0.0
     for l in np.ndindex(*([2 * shells + 1] * dim)):
@@ -105,8 +99,8 @@ def lattice_sum_direct(kernel, grid, shells: int, gauss_order: int = 6) -> np.nd
                 r[(0,) * dim] = 1.0    # overwritten below
             else:
                 rq = np.sqrt(sum((q - c) ** 2 for q, c in zip(qmesh, shift)))
-                origin += float((values(rq) * qweights).sum())
-        out += values(r)
+                origin += float((kernel.profile(rq) * qweights).sum())
+        out += kernel.profile(r)
     if kernel.singular_at_origin:
         out[(0,) * dim] = origin + singular_cell_average(kernel.profile, dim, h)
     return out

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -113,7 +114,7 @@ def test_h1_residual_rises_over_nested_bases_only_when_singular():
     cfg = cfgmod.load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
                                           "study_kernel.cfg"))
     W = cfgmod.require_kernel(cfgmod.build_problem(cfg)[1], "fit")
-    fits = [fit for _, fit in basis_fits(cfg, W, range(1, 33))]
+    fits = list(basis_fits(cfg, W, range(1, 33)))
     assert sum(not f.singular for f in fits) >= 2
     for smaller, larger in zip(fits, fits[1:]):
         assert larger.residual_h1 <= smaller.residual_h1 * (1.0 + 1e-12) or larger.singular
@@ -170,7 +171,7 @@ def test_tolerance_met_at_m1_for_basis_member():
     W = GreensBasis.build(Grid(1, 1.0, 64), [1.5]).as_kernel([1.0])   # d_1 of d_star = 1
     fits = list(basis_fits(cfgmod.parse_config_text(""), W))
     res = fit_to_tolerance(fits, 1e-6)
-    assert res is fits[0][1]
+    assert res is fits[0]
     assert res.converged
 
 
@@ -196,9 +197,19 @@ def test_adhesion_five_percent_is_out_of_reach():
     cfg = cfgmod.parse_config_text("study.M = 1, 2, 4, 8, 16, 32, 64\nstudy.d_star = 0.5\n")
     fits = list(basis_fits(cfg, W))
     res = fit_to_tolerance(fits, 0.05 * norm_w11(W.field))
+    best = min(fits, key=lambda f: f.residual_w11)
     assert not res.converged
-    assert res is min((fit for _, fit in fits), key=lambda f: f.residual_w11)
+    assert res.to_csv() == dataclasses.replace(best, converged=False).to_csv()
     assert res.residual_w11 == pytest.approx(0.28112, rel=1e-3)
+
+
+def test_fit_to_tolerance_flags_a_copy():
+    # the best fit comes back flagged, and the caller's own fits stay converged
+    W = periodize(adhesion_potential(ONES, 1), Grid(1, 1.0, 64))
+    fits = list(basis_fits(cfgmod.parse_config_text("study.M = 1, 2\n"), W))
+    res = fit_to_tolerance(iter(fits), 1e-30)
+    assert not res.converged
+    assert [f.converged for f in fits] == [True, True]
 
 
 def test_fit_to_tolerance_validation():

@@ -115,25 +115,24 @@ def base_cfg(**overrides):
 
 
 def test_study_xi_constant_datum_is_exact():
-    cfg = base_cfg(**{"init.type": "constant", "init.amplitude": "0.4"})
-    rep = study_xi(cfg, xi_list=[1e-1, 1e-2])
+    cfg = base_cfg(**{"init.type": "constant", "init.amplitude": "0.4",
+                      "study.xi": "1e-1, 1e-2"})
+    rep = study_xi(cfg)
     assert all(e < 1e-12 for e in rep.errors)
     assert rep.monotone_flag
 
 
 def test_study_xi_single_point():
-    cfg = base_cfg()
-    rep = study_xi(cfg, xi_list=[1e-2])
+    rep = study_xi(base_cfg(**{"study.xi": "1e-2"}))
     assert len(rep.errors) == 1
     assert rep.monotone_flag
 
 
 def test_study_xi_rejects_bad_lists():
-    cfg = base_cfg()
     with pytest.raises(ValueError):
-        study_xi(cfg, xi_list=[1e-2, 1e-1])
+        study_xi(base_cfg(**{"study.xi": "1e-2, 1e-1"}))
     with pytest.raises(ValueError):
-        study_xi(cfg, xi_list=[1e-1, -1e-2])
+        study_xi(base_cfg(**{"study.xi": "1e-1, -1e-2"}))
 
 
 def test_study_kernel_zero_datum():
@@ -143,7 +142,7 @@ def test_study_kernel_zero_datum():
     assert all(e == 0.0 for e in rep.errors)
 
 
-def test_study_kernel_span_member_target():
+def test_study_kernel_span_member_target(monkeypatch):
     # target already in the basis span: the PE run with the fitted
     # coefficients is the same discrete flow as the nonlocal one
     from greenks.greens import GreensBasis
@@ -152,7 +151,8 @@ def test_study_kernel_span_member_target():
     grid = cfgmod.build_grid(cfg)
     basis = GreensBasis.build(grid, default_diffusivities(2, float(cfg["study.d_star"])))
     W = basis.as_kernel([1.5, -0.5])
-    rep = study_kernel(cfg, W_target=W, M_list=[2])
+    monkeypatch.setattr(cfgmod, "build_kernel", lambda cfg, grid: W)
+    rep = study_kernel(cfg, M_list=[2])
     assert rep.errors[0] < 5e-8
 
 
@@ -160,7 +160,7 @@ def test_study_kernel_csv_records_each_fit():
     cfg = base_cfg(**{"kernel.type": "adhesion"})
     rep = study_kernel(cfg, M_list=[1, 2, 4])
     W = cfgmod.build_kernel(cfg, cfgmod.build_grid(cfg))
-    fits = [fit for _, fit in harness.basis_fits(cfg, W, [1, 2, 4])]
+    fits = list(harness.basis_fits(cfg, W, [1, 2, 4]))
     lines = rep.to_csv().splitlines()
     assert lines[0] == ("param,error,monotone,residual_w11,residual_h1,gram_condition,"
                         "singular,drift_defect")
@@ -171,22 +171,6 @@ def test_study_kernel_csv_records_each_fit():
                                                  fit.gram_condition_estimate]
         assert cells[6] == str(fit.singular).lower()
         assert float(cells[7]) == defect > 0.0
-
-
-def test_study_kernel_with_a_target_skips_the_config_kernel(monkeypatch):
-    cfg = base_cfg(**{"kernel.type": "adhesion"})
-    W = cfgmod.build_kernel(cfg, cfgmod.build_grid(cfg))
-    calls, periodize = [], cfgmod.periodize
-
-    def counting_periodize(*args, **kwargs):
-        calls.append(args)
-        return periodize(*args, **kwargs)
-
-    monkeypatch.setattr(cfgmod, "periodize", counting_periodize)
-    with_target = study_kernel(cfg, W_target=W, M_list=[1])
-    assert calls == []
-    assert study_kernel(cfg, M_list=[1]).errors == with_target.errors
-    assert len(calls) == 1
 
 
 def test_study_kernel_asserts_the_drift_bound(monkeypatch):
@@ -206,7 +190,7 @@ def test_study_kernel_rejects_nonincreasing_m():
 def test_study_xi_rejects_a_kernel_config(tmp_path, capsys):
     cfg = base_cfg(**{"kernel.type": "adhesion"})
     with pytest.raises(cfgmod.ConfigError, match="kernel.type = none"):
-        study_xi(cfg, xi_list=[1e-2])
+        study_xi(cfg)
     path = tmp_path / "xi.cfg"
     path.write_text("grid.n = 32\nkernel.type = adhesion\n")
     assert main(["study-xi", str(path), "-o", str(tmp_path / "out")]) == 1
@@ -415,7 +399,7 @@ def test_cli_fit_kernel_tries_the_study_sizes(tmp_path, capsys):
     assert main(["fit-kernel", str(cfg), "--epsilon", "1e-12", "-o", str(out)]) == 0
     config = cfgmod.load_config(str(cfg))
     W = cfgmod.build_kernel(config, cfgmod.build_grid(config))
-    best = min((fit for _, fit in harness.basis_fits(config, W)), key=lambda f: f.residual_w11)
+    best = min(harness.basis_fits(config, W), key=lambda f: f.residual_w11)
     best.converged = False
     assert (out / "fit.csv").read_text() == best.to_csv()
 
@@ -497,6 +481,27 @@ def run_cli(tmp_path, text):
 ])
 def test_cli_rejects_non_finite_parameter(tmp_path, setting):
     assert run_cli(tmp_path, f"grid.n = 32\nrun.t_end = 0.01\n{setting}\n") == 1
+
+
+@pytest.mark.parametrize("setting", [
+    "init.width = -0.4", "init.width = 0", "init.width = nan", "init.width = inf",
+    "init.center = nan", "init.center = -inf",
+])
+def test_cli_rejects_a_bump_without_a_positive_width_or_finite_center(tmp_path, capsys,
+                                                                      setting):
+    # the bump needs a positive, finite radius and a finite centre
+    assert run_cli(tmp_path, f"grid.n = 32\nrun.t_end = 0.01\n{setting}\n") == 1
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("setting", ["grid.dim = 1\nkernel.sigma = 1e-300",
+                                     "grid.dim = 3\ngrid.n = 8\nkernel.sigma = 1e-120"])
+def test_cli_rejects_a_sigma_too_small_to_normalize(tmp_path, capsys, setting):
+    # the Gaussian's normalization (2 pi sigma^2)^(-N/2) is not a finite float
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(f"kernel.type = gaussian\n{setting}\n")
+    assert main(["fit-kernel", str(cfg), "-o", str(tmp_path / "out")]) == 1
+    assert_one_error_line(capsys)
 
 
 # the overflow is the point; inf - inf in the drift then warns of the NaN it makes

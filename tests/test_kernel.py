@@ -236,8 +236,10 @@ def test_periodized_kernel_equals_its_axis_transposes(dim, n):
 ORIGIN_GRIDS = [(4.0, 8), (0.5, 8), (0.5, 64)]
 
 
-# -log r: a 1D kernel singular at the origin, with support radius 1
-LOG_KERNEL = RadialKernel(profile=lambda r: -np.log(r), support_radius=1.0,
+# -log r on [0, 1]: a 1D kernel singular at the origin, bounded by log 2 on
+# [0.5, 1] and zero beyond
+LOG_KERNEL = RadialKernel(profile=lambda r: -np.log(np.minimum(r, 1.0)),
+                          tail_bound=lambda r: np.where(r <= 1.0, math.log(2.0), 0.0),
                           singular_at_origin=True)
 
 
@@ -361,6 +363,16 @@ def test_tail_window_charges_every_translate_of_a_shell_once(dim):
         assert got == pytest.approx(ref, rel=1e-13)
 
 
+# the first shell left out is the first whose nearest translate, at L(2s - 1),
+# lies beyond the support radius 1
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("L,shells", [(0.2, 3), (0.45, 1), (1.0, 1), (3.0, 0)])
+def test_adhesion_stops_where_no_translate_reaches(dim, L, shells):
+    pk = periodize(adhesion_potential(ONES, dim), Grid(dim, L, 8))
+    assert pk.truncation_radius_cells == shells
+    assert pk.tail_bound == 0.0
+
+
 def test_tail_bound_is_zero_without_a_tail_certificate():
     assert periodize(adhesion_potential(ONES, 2), Grid(2, 0.4, 16)).tail_bound == 0.0
     basis = GreensBasis.build(Grid(1, 1.0, 32), [1.0, 2.0])
@@ -368,9 +380,9 @@ def test_tail_bound_is_zero_without_a_tail_certificate():
 
 
 def test_periodize_needs_decay_metadata():
-    bare = RadialKernel(profile=ONES)
-    with pytest.raises(ValueError):
-        periodize(bare, Grid(1, 1.0, 16))
+    # the tail bound is a required field: no kernel reaches periodize without one
+    with pytest.raises(TypeError):
+        RadialKernel(profile=ONES)
 
 
 def test_periodize_rejects_unconverged_sum():
@@ -390,3 +402,7 @@ def test_gaussian_kernel_normalization():
 def test_gaussian_rejects_bad_sigma():
     with pytest.raises(ValueError):
         gaussian_kernel(0.0, 1)
+    # positive, but too small for the normalization to be a finite float
+    for sigma, dim in ((1e-300, 1), (1e-120, 3)):
+        with pytest.raises(ValueError, match="too small"):
+            gaussian_kernel(sigma, dim)

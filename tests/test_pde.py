@@ -21,7 +21,7 @@ rfft = np.fft.rfftn
 
 def plan_for(g, chem=None, model=None):
     chem = ChemicalSpec([1.0], [1.0], 0.0) if chem is None else chem
-    return StepPlan.build(model or porous_medium_model(2.0), chem, g)
+    return StepPlan.build(model or porous_medium_model(2.0), [chem], g)
 
 
 def nonlocal_drift(u, W):
