@@ -31,7 +31,8 @@ class Grid:
     """Uniform periodic lattice on [-L, L)^N, N in {1, 2, 3}.
 
     Cell centers sit at x_i = -L + (i + 1/2) h with h = 2L/n; indices wrap
-    modulo n per axis.
+    modulo n per axis.  The grid's discrete operators act on the trailing
+    ``dim`` axes of an array, so a field and an ensemble ``(S, *shape)`` share them.
     """
 
     dim: int
@@ -75,6 +76,56 @@ class Grid:
         """Continuous angular frequencies pi*k/L per axis, FFT ordering."""
         return [np.fft.fftfreq(self.n, d=self.h) * 2.0 * np.pi
                 for _ in range(self.dim)]
+
+    # cached_property writes the instance __dict__, which a frozen dataclass allows
+    @functools.cached_property
+    def axes(self) -> tuple:
+        """The grid axes of an array: its trailing ``dim``."""
+        return tuple(range(-self.dim, 0))
+
+    @functools.cached_property
+    def _neighbours(self) -> dict:
+        idx = np.arange(self.n)
+        return {1: np.roll(idx, -1), -1: np.roll(idx, 1)}
+
+    def shift(self, a: np.ndarray, ax: int, step: int) -> np.ndarray:
+        """a[i + step] along grid axis ``ax`` with periodic wrap, step = 1 or -1."""
+        axis = ax - self.dim   # counted from the end
+        if ax == 0:   # a gather is the cheapest copy along the first grid axis only
+            return a.take(self._neighbours[step], axis=axis)
+        k, tail = step % self.n, (slice(None),) * (-1 - axis)
+        return np.concatenate((a[(Ellipsis, slice(k, None)) + tail],
+                               a[(Ellipsis, slice(0, k)) + tail]), axis=axis)
+
+    def gradient(self, a: np.ndarray) -> list:
+        """Centered second-order periodic differences, one array per grid axis."""
+        return [(self.shift(a, ax, 1) - self.shift(a, ax, -1)) / (2.0 * self.h)
+                for ax in range(self.dim)]
+
+    # rfftn and irfftn over the grid axes, one axis at a time in their order,
+    # which costs less than their n-dimensional wrappers
+    def rfft(self, a: np.ndarray) -> np.ndarray:
+        a_hat = np.fft.rfft(a)
+        for ax in self.axes[-2::-1]:
+            a_hat = np.fft.fft(a_hat, axis=ax)
+        return a_hat
+
+    def irfft(self, a_hat: np.ndarray) -> np.ndarray:
+        for ax in self.axes[:-1]:
+            a_hat = np.fft.ifft(a_hat, axis=ax)
+        return np.fft.irfft(a_hat, self.n)
+
+    @functools.cached_property
+    def k2(self) -> np.ndarray:
+        """|k|^2 on the rfft half lattice, read-only since every caller shares it."""
+        k2 = self.frequencies()[0] ** 2
+        k2 = sum(np.ix_(*[k2] * (self.dim - 1), k2[:self.n // 2 + 1]))
+        k2.flags.writeable = False
+        return k2
+
+    def resolvent(self, d: float) -> np.ndarray:
+        """The symbol 1/(1 + d|k|^2) of (-d Laplace + I)^-1 on the rfft half lattice."""
+        return 1.0 / (1.0 + d * self.k2)
 
 
 @dataclass
@@ -156,20 +207,13 @@ def periodic_convolve(a: Field, b: Field) -> Field:
     """Circular convolution scaled by h^N (midpoint rule for W*u)."""
     if a.grid != b.grid:
         raise GridMismatchError("convolution operands on different grids")
-    fa = np.fft.fftn(a.values)
-    fb = np.fft.fftn(b.values)
-    out = np.fft.ifftn(fa * fb).real * a.grid.cell_volume
-    return Field(a.grid, out)
+    g = a.grid
+    return Field(g, g.irfft(g.rfft(a.values) * g.rfft(b.values)) * g.cell_volume)
 
 
 def gradient(a: Field) -> list:
     """Centered second-order periodic differences, one field per axis."""
-    h = a.grid.h
-    out = []
-    for ax in range(a.grid.dim):
-        d = (np.roll(a.values, -1, axis=ax) - np.roll(a.values, 1, axis=ax)) / (2.0 * h)
-        out.append(Field(a.grid, d))
-    return out
+    return [Field(a.grid, d) for d in a.grid.gradient(a.values)]
 
 
 def norm_l1(a: Field) -> float:

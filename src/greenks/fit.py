@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .domain import csv_table, norm_h1, norm_l2, norm_w11
-from .greens import GreensBasis, _multiplier
+from .greens import GreensBasis
 from .kernel import PeriodizedKernel
 
 # a Gram eigenvalue below this (relative to the largest) flags the fit
@@ -62,7 +62,8 @@ def fit_coefficients(W: PeriodizedKernel, basis: GreensBasis,
     """Minimize ||W - sum a_j w_j||_H1^2 + regularization ||a||^2.
 
     By Parseval the design has one row per Fourier mode of the full lattice:
-    column j is the root of the H1 weight times the symbol m_j of w_j, the
+    column j is the root of the H1 weight times the symbol m_j of w_j (the
+    grid's resolvent, mirrored from the rfft half lattice), the
     target that root times h^N fftn(W), whose imaginary part only adds a
     constant to the residual.  SVD (lstsq) carries only the square root of
     the Gram condition number, which the clustered diffusivities make too
@@ -86,7 +87,9 @@ def fit_coefficients(W: PeriodizedKernel, basis: GreensBasis,
     mesh = np.meshgrid(*grid.frequencies(), indexing="ij")
     root = np.sqrt((1.0 + sum(np.sin(k * h) ** 2 for k in mesh) / h ** 2)
                    / (grid.n ** grid.dim * grid.cell_volume))
-    A = np.column_stack([(root * _multiplier(d, grid)).ravel() for d in basis.diffusivities])
+    m = np.stack([grid.resolvent(d) for d in basis.diffusivities], axis=-1)
+    m = np.concatenate((m, m[..., grid.n // 2 - 1:0:-1, :]), axis=-2)   # mirrored: k -> -k
+    A = (root[..., np.newaxis] * m).reshape(-1, M)
     b = (root * grid.cell_volume * np.fft.fftn(W.field.values).real).ravel()
     if regularization > 0:
         A = np.vstack([A, np.sqrt(regularization) * np.eye(M)])

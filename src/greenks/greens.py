@@ -1,9 +1,9 @@
 """Periodic Green functions of -d*Laplace + 1 and the spectral elliptic solve.
 
 Two constructions coexist on purpose.  ``elliptic_solve`` and the basis
-invert the operator exactly in the discrete Fourier space (plain truncated
-multiplier), so convolving a density with a basis field and solving the
-chemical equation are the *same* discrete operation.
+invert the operator exactly in the discrete Fourier space (the grid's
+resolvent, a truncated multiplier), so convolving a density with a basis
+field and solving the chemical equation are the *same* discrete operation.
 ``greens_periodic_spectral(..., refinement>1)`` instead returns exact
 samples of the continuum Green function, from its Fourier series summed in
 closed form along one axis.  That is what the Bessel lattice sum of
@@ -21,20 +21,11 @@ from .domain import Field, Grid
 from .kernel import PeriodizedKernel, greens_free_space, periodize
 
 
-def _multiplier(d: float, grid: Grid) -> np.ndarray:
-    """Fourier symbol 1/(1 + d |xi_k|^2) on the grid's frequency lattice."""
-    freqs = grid.frequencies()
-    mesh = np.meshgrid(*freqs, indexing="ij")
-    k2 = sum(c * c for c in mesh)
-    return 1.0 / (1.0 + d * k2)
-
-
 def elliptic_solve(d: float, u: Field) -> Field:
     """Solve (-d*Laplace_h + I) v = u exactly in Fourier space."""
     if d <= 0:
         raise ValueError("diffusivity d must be positive")
-    v = np.fft.ifftn(_multiplier(d, u.grid) * np.fft.fftn(u.values)).real
-    return Field(u.grid, v)
+    return Field(u.grid, u.grid.irfft(u.grid.resolvent(d) * u.grid.rfft(u.values)))
 
 
 def _continuum_samples(d: float, grid: Grid) -> Field:
@@ -107,7 +98,7 @@ def greens_periodic_spectral(d: float, grid: Grid, refinement: int = 1) -> Field
 @dataclass
 class GreensBasis:
     """Discrete Green fields w_j of distinct diffusivities d_j, held as the
-    d_j alone: w_j has the Fourier symbol ``_multiplier(d_j, grid) / h^N``."""
+    d_j alone: w_j has the Fourier symbol ``grid.resolvent(d_j) / h^N``."""
 
     grid: Grid
     diffusivities: list
@@ -129,10 +120,9 @@ class GreensBasis:
         """Sum a_j w_j as a single field, from one inverse FFT."""
         if len(coefficients) != len(self.diffusivities):
             raise ValueError("coefficient count does not match basis size")
-        symbol = sum((float(a) * _multiplier(d, self.grid)
-                      for a, d in zip(coefficients, self.diffusivities)),
-                     np.zeros(self.grid.shape))
-        return Field(self.grid, np.fft.ifftn(symbol).real / self.grid.cell_volume)
+        g = self.grid
+        symbol = sum(float(a) * g.resolvent(d) for a, d in zip(coefficients, self.diffusivities))
+        return Field(g, g.irfft(symbol) / g.cell_volume)
 
     def as_kernel(self, coefficients) -> PeriodizedKernel:
         """Wrap a basis combination as a periodized kernel."""

@@ -124,18 +124,22 @@ def gaussian_kernel(sigma: float, dim: int) -> RadialKernel:
         raise ValueError("sigma must be positive and finite")
     if dim not in (1, 2, 3):
         raise ValueError("dim must be 1, 2 or 3")
-    try:
+    try:   # the normalization A and the tail bound's scale A/sigma^2 must be finite
         A = (2.0 * math.pi * sigma * sigma) ** (-0.5 * dim)
-    except (ZeroDivisionError, OverflowError):   # sigma^dim underflows
-        raise ValueError("sigma is too small to normalize the kernel") from None
+        finite = A / (sigma * sigma) < math.inf
+    except (ZeroDivisionError, OverflowError):   # sigma^2 or sigma^dim underflows
+        finite = False
+    if not finite:
+        raise ValueError("sigma is too small: the kernel's normalization or tail bound "
+                         "is not a finite float")
 
     def profile(r):
         return np.exp(r * r / (-2.0 * sigma * sigma)) * A
 
     def tail(r):
-        # |K| <= tail; max(r, 1) keeps it non-increasing on [0.5, 1) for any sigma
-        return A * (1.0 + np.maximum(r, 1.0) / (sigma * sigma)) * np.exp(
-            r * r / (-2.0 * sigma * sigma))
+        # |K| <= tail; max(r, 1) keeps it non-increasing on [0.5, 1) for any sigma;
+        # profile(r) first, so that where it underflows to 0 the product is 0, not inf * 0
+        return profile(r) * (1.0 + np.maximum(r, 1.0) / (sigma * sigma))
 
     return RadialKernel(profile, tail_bound=tail)
 

@@ -21,14 +21,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from numpy import fft
 
 # elliptic_solve, gradient, inner_l2 and periodic_convolve are unused here but
 # stay importable from this module: perfbench/tracer.py wraps names of
 # greenks.pde by attribute.
 from .domain import (Field, Grid, GridMismatchError, SpaceTimeSeries, csv_table,
                      gradient, inner_l2, periodic_convolve)
-from .greens import _multiplier, elliptic_solve
+from .greens import elliptic_solve
 from .kernel import PeriodizedKernel
 
 _BOUND_SLACK = 1e-6        # allowed excursion outside [0, 1]
@@ -38,6 +37,9 @@ _MIN_DT_FRACTION = 1e-10   # a step below this fraction of t_end is a stall
 _MAX_STEPS = 50_000_000
 _UNIT_SPAN = np.linspace(0.0, 1.0, 64)   # stable_dt samples beta' at max(u) * these
 _BLOCK_ELEMENTS = 2 ** 12   # elements of u per block of accepted steps that _observe sums
+# a run holds every snapshot, one state per member, until it ends and writes each
+# as a CSV file, so this bounds both; shipped and benchmark configs write at most 6
+_MAX_SNAPSHOTS = 1000
 
 
 class InputValidationError(ValueError):
@@ -172,6 +174,8 @@ class RunConfig:
             raise ValueError("dt must lie in (0, t_end]")
         if not (0 < self.snapshot_every <= self.t_end):
             raise ValueError("snapshot_every must lie in (0, t_end]")
+        if _snapshot_count(self.t_end, self.snapshot_every) > _MAX_SNAPSHOTS:
+            raise ValueError(f"snapshot_every gives more than {_MAX_SNAPSHOTS} snapshots")
         if not (0 < self.cfl_safety < 1):
             raise ValueError("cfl_safety must lie in (0, 1)")
 
@@ -205,10 +209,10 @@ class SolverState:
 class StepPlan:
     """What every step of a run reuses, built once per run by :meth:`build`.
 
-    A plan holds S members stacked on a leading axis (S = 1 for :func:`run`).
-    Every array operation below acts on the trailing ``grid.dim`` axes, so a
-    stacked ``(S, *grid.shape)`` array and a single ``grid.shape`` one take
-    the same path.  ``symbols`` are real-FFT multipliers: either one
+    A plan holds S members stacked on a leading axis (S = 1 for :func:`run`);
+    the grid's operators act on the trailing ``grid.dim`` axes, so a stacked
+    ``(S, *grid.shape)`` array and a single ``grid.shape`` one take the same
+    path.  ``symbols`` are real-FFT multipliers: either one
     ``(S, nk...)`` stack of per-member symbols, h^N rfft(W) (nonlocal) or the
     combined sum_j a_j / (1 + d_j|k|^2) (parabolic-elliptic), or one
     1 / (1 + d_j|k|^2) per chemical, shared by the members (parabolic-parabolic,
@@ -220,9 +224,6 @@ class StepPlan:
     symbols: list
     sensitivities: list    # a_j of the relaxed chemicals (see _per_member); empty otherwise
     xi: object             # relaxation time (see _per_member); 0 unless relaxed
-    ahead: np.ndarray      # index i + 1 (mod n) along one axis
-    behind: np.ndarray     # index i - 1 (mod n)
-    axes: tuple            # the grid axes of an array: its trailing grid.dim
 
     @classmethod
     def build(cls, model: ModelFunctions, chems: list, grid: Grid) -> "StepPlan":
@@ -238,47 +239,17 @@ class StepPlan:
             d = [float(dj) for dj in chems[0].diffusivities]
             if any([float(dj) for dj in c.diffusivities] != d for c in chems):
                 raise ValueError("relaxed members must share their diffusivities")
-            symbols = [_half_multiplier(dj, grid) for dj in d]
+            symbols = [grid.resolvent(dj) for dj in d]
             sensitivities = [_per_member(a, member) for a in
                              np.array([c.sensitivities for c in chems], dtype=float).T]
             xi = _per_member([c.xi for c in chems], member)
         else:
             symbols, sensitivities, xi = [np.stack([_symbol(c, grid) for c in chems])], [], 0.0
-        idx = np.arange(grid.n)
-        return cls(grid, model, symbols, sensitivities, xi, np.roll(idx, -1), np.roll(idx, 1),
-                   tuple(range(-grid.dim, 0)))
+        return cls(grid, model, symbols, sensitivities, xi)
 
     @property
     def relaxed(self) -> bool:
         return bool(self.sensitivities)
-
-    # the transforms over the grid axes, one axis at a time in the order of
-    # rfftn and irfftn, whose n-dimensional wrappers cost more than the axes
-    def rfft(self, a: np.ndarray) -> np.ndarray:
-        a_hat = fft.rfft(a)
-        for ax in self.axes[-2::-1]:
-            a_hat = fft.fft(a_hat, axis=ax)
-        return a_hat
-
-    def irfft(self, a_hat: np.ndarray) -> np.ndarray:
-        for ax in self.axes[:-1]:
-            a_hat = fft.ifft(a_hat, axis=ax)
-        return fft.irfft(a_hat, self.grid.n)
-
-    def shift(self, a: np.ndarray, ax: int, step: int) -> np.ndarray:
-        """a[i + step] along grid axis ``ax`` with periodic wrap, step = 1 or -1."""
-        axis = ax - self.grid.dim   # counted from the end
-        if ax == 0:   # a gather is the cheapest copy along the first grid axis only
-            return a.take(self.ahead if step == 1 else self.behind, axis=axis)
-        k, tail = step % self.grid.n, (slice(None),) * (-1 - axis)
-        return np.concatenate((a[(Ellipsis, slice(k, None)) + tail],
-                               a[(Ellipsis, slice(0, k)) + tail]), axis=axis)
-
-    def gradient(self, a: np.ndarray) -> list:
-        """Centered second-order periodic differences, one array per grid axis."""
-        two_h = 2.0 * self.grid.h
-        return [(self.shift(a, ax, 1) - self.shift(a, ax, -1)) / two_h
-                for ax in range(self.grid.dim)]
 
 
 def _symbol(chem, grid: Grid) -> np.ndarray:
@@ -286,8 +257,8 @@ def _symbol(chem, grid: Grid) -> np.ndarray:
     if isinstance(chem, PeriodizedKernel):
         if chem.field.grid != grid:
             raise GridMismatchError("kernel and initial datum on different grids")
-        return grid.cell_volume * fft.rfftn(chem.field.values)
-    return sum(float(a) * _half_multiplier(float(d), grid)
+        return grid.cell_volume * grid.rfft(chem.field.values)
+    return sum(float(a) * grid.resolvent(float(d))
                for d, a in zip(chem.diffusivities, chem.sensitivities))
 
 
@@ -296,11 +267,6 @@ def _per_member(values, member: tuple):
     arrays, or a float when every member has the same value."""
     values = np.asarray(values, dtype=float)
     return float(values[0]) if np.all(values == values[0]) else values.reshape(member)
-
-
-def _half_multiplier(d: float, grid: Grid) -> np.ndarray:
-    """1 / (1 + d|k|^2) on the rfft half of the lattice."""
-    return _multiplier(d, grid)[..., :grid.n // 2 + 1]
 
 
 # --- drift and single updates ---------------------------------------------
@@ -315,7 +281,7 @@ def drift_velocity_chemo(plan: StepPlan, u_hat: np.ndarray, v_hat: Optional[list
         c_hat = sum(a * vh for a, vh in zip(plan.sensitivities, v_hat))
     else:
         c_hat = plan.symbols[0] * u_hat
-    return plan.gradient(plan.irfft(c_hat))
+    return plan.grid.gradient(plan.grid.irfft(c_hat))
 
 
 def step_u(plan: StepPlan, u: np.ndarray, velocity: list, dt: float,
@@ -326,20 +292,20 @@ def step_u(plan: StepPlan, u: np.ndarray, velocity: list, dt: float,
     ``run_ensemble`` evaluates once per state and shares with every axis and
     dt halving.
     """
-    h = plan.grid.h
-    div = None
+    grid = plan.grid
+    h, div = grid.h, None
     for ax, vel in enumerate(velocity):
         # every shift is a fresh copy, so each face quantity is built in place on one
-        v_face = plan.shift(vel, ax, 1)
+        v_face = grid.shift(vel, ax, 1)
         v_face += vel
         v_face *= 0.5
         # g is pointwise, so upwinding g(u) equals g of the upwinded u
-        flux = plan.shift(g_vals, ax, 1)
+        flux = grid.shift(g_vals, ax, 1)
         np.copyto(flux, g_vals, where=v_face > 0.0)
         flux *= v_face
-        diffusive = plan.shift(beta_vals, ax, 1)
+        diffusive = grid.shift(beta_vals, ax, 1)
         flux -= np.divide(np.subtract(diffusive, beta_vals, out=diffusive), h, out=diffusive)
-        term = plan.shift(flux, ax, -1)
+        term = grid.shift(flux, ax, -1)
         np.divide(np.subtract(flux, term, out=term), h, out=term)
         div = term if div is None else np.add(div, term, out=div)
     return np.subtract(u, np.multiply(div, dt, out=div), out=div)
@@ -366,7 +332,7 @@ def stable_dt(plan: StepPlan, u_max: float, velocity: list, cfl_safety: float) -
     max_bp = float(plan.model.beta_prime(top * _UNIT_SPAN).max())
     speeds = [float(np.abs(v).max()) for v in velocity]
     if not math.isfinite(sum(speeds)):   # the sum keeps a NaN that max() may drop
-        finite = np.all([np.isfinite(v).all(axis=plan.axes) for v in velocity], axis=0)
+        finite = np.all([np.isfinite(v).all(axis=plan.grid.axes) for v in velocity], axis=0)
         raise NumericalAbortError(f"non-finite drift velocity in member {np.argmax(~finite)}")
     dt_diff = h * h / (2.0 * N * max_bp + 1e-300)
     dt_adv = h / (2.0 * N * max(speeds) + 1e-300)
@@ -375,11 +341,16 @@ def stable_dt(plan: StepPlan, u_max: float, velocity: list, cfl_safety: float) -
 
 # --- the time loop -------------------------------------------------------
 
+def _snapshot_count(t_end: float, every: float) -> int:
+    """The number of snapshot times: the multiples of ``every`` short of t_end, and
+    t_end.  The ratio is capped first, so a tiny ``every`` costs nothing."""
+    k = math.floor(min(t_end / every, _MAX_SNAPSHOTS) + 1e-12)
+    return k + 1 + (k * every < t_end - 1e-12 * t_end)
+
+
 def _snapshot_times(config: RunConfig) -> np.ndarray:
     every, t_end = config.snapshot_every, config.t_end
-    k = int(math.floor(t_end / every + 1e-12))
-    return np.array([i * every for i in range(k + 1) if i * every < t_end - 1e-12 * t_end]
-                    + [t_end])
+    return np.append(np.arange(_snapshot_count(t_end, every) - 1) * every, t_end)
 
 
 def _observe(plan: StepPlan, rows: np.ndarray, pending: list) -> None:
@@ -387,9 +358,9 @@ def _observe(plan: StepPlan, rows: np.ndarray, pending: list) -> None:
     in ``pending``, stacked to (K, S, *grid) arrays (a view when K = 1)."""
     u, beta_u, g_u, *velocity = [a[0][np.newaxis] if len(a) == 1 else np.stack(a)
                                  for a in zip(*pending)]
-    np.add.reduce(u, plan.axes, out=rows[:, 0])
-    np.add.reduce(plan.model.phi(u), plan.axes, out=rows[:, 3])
-    for col, arrays in ((4, plan.gradient(beta_u)), (5, (g_u * c for c in velocity))):
+    np.add.reduce(u, plan.grid.axes, out=rows[:, 0])
+    np.add.reduce(plan.model.phi(u), plan.grid.axes, out=rows[:, 3])
+    for col, arrays in ((4, plan.grid.gradient(beta_u)), (5, (g_u * c for c in velocity))):
         rows[:, col] = sum(np.vecdot(f, f) for f in (a.reshape(*a.shape[:2], -1) for a in arrays))
 
 
@@ -423,11 +394,11 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
         raise InputValidationError("initial density must satisfy 0 <= u_0 <= 1")
     grid, t_end, cv = u0.grid, config.t_end, u0.grid.cell_volume
     plan = StepPlan.build(model, list(chems), grid)
-    axes, members = plan.axes, len(chems)
+    axes, members = grid.axes, len(chems)
     u = np.repeat(u0.values[np.newaxis], members, axis=0)
     v_hat = velocity = None
     if plan.relaxed:   # the chemicals start in equilibrium, w_j * u_0
-        u_hat = plan.rfft(u)
+        u_hat = grid.rfft(u)
         v_hat = [s * u_hat for s in plan.symbols]
         velocity = drift_velocity_chemo(plan, u_hat, v_hat)
 
@@ -449,7 +420,7 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
         if len(times) == len(record):
             record = np.concatenate((record, np.empty_like(record)))
         row = record[len(times)]
-        u_hat = plan.rfft(u)
+        u_hat = grid.rfft(u)
         if not plan.relaxed:   # the chemical layer (if any) is slaved to u
             velocity = drift_velocity_chemo(plan, u_hat)
         dt = config.dt or stable_dt(plan, u_max, velocity, config.cfl_safety)   # dt > 0 if set

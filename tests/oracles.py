@@ -4,8 +4,10 @@ These deliberately avoid the library's own evaluation paths: the Bessel
 oracle integrates the defining integral with adaptive quadrature, the
 convolution oracle sums the circular convolution directly, the lattice
 sum oracle adds one translate of a radial kernel at a time on the full
-offset lattice, and the fit oracle solves the H1 least-squares problem on
-the stacked real-space values and centred differences.
+offset lattice, the fit oracle solves the H1 least-squares problem on
+the stacked real-space values and centred differences, and the elliptic
+solve and basis combination oracles use complex FFTs over the full
+frequency lattice instead of the grid's real-FFT pair.
 """
 
 import math
@@ -67,6 +69,24 @@ def h1_fit_reference(target: np.ndarray, fields: list, h: float,
     a = np.linalg.lstsq(np.vstack([A, np.sqrt(regularization) * np.eye(M)]),
                         np.concatenate([b, np.zeros(M)]), rcond=None)[0]
     return a, float(np.linalg.norm(b - A @ a))
+
+
+def full_lattice_resolvent(d: float, grid) -> np.ndarray:
+    """1/(1 + d|k|^2) on the full fftn lattice, from the grid's frequencies."""
+    mesh = np.meshgrid(*grid.frequencies(), indexing="ij")
+    return 1.0 / (1.0 + d * sum(c * c for c in mesh))
+
+
+def elliptic_solve_complex(d: float, u: np.ndarray, grid) -> np.ndarray:
+    """(-d Laplace_h + I)^-1 u by a complex FFT over the full lattice."""
+    return np.fft.ifftn(full_lattice_resolvent(d, grid) * np.fft.fftn(u)).real
+
+
+def combination_complex(grid, diffusivities, coefficients) -> np.ndarray:
+    """sum_j a_j w_j from one complex inverse FFT of sum_j a_j/(1 + d_j|k|^2), over h^N."""
+    symbol = sum(a * full_lattice_resolvent(d, grid)
+                 for a, d in zip(coefficients, diffusivities))
+    return np.fft.ifftn(symbol).real / grid.cell_volume
 
 
 def lattice_sum_direct(kernel, grid, shells: int, gauss_order: int = 6) -> np.ndarray:

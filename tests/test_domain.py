@@ -90,6 +90,48 @@ def test_convolution_grid_mismatch():
         periodic_convolve(rng_field(Grid(1, 1.0, 16)), rng_field(Grid(1, 1.0, 32)))
 
 
+# --- the grid's array operators --------------------------------------------
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_shift_and_gradient_match_roll(dim):
+    g = Grid(dim, 1.0, 8)
+    a = np.random.default_rng(dim).random(g.shape)
+    for ax in range(dim):
+        assert np.array_equal(g.shift(a, ax, 1), np.roll(a, -1, axis=ax))
+        assert np.array_equal(g.shift(a, ax, -1), np.roll(a, 1, axis=ax))
+    for mine, ref in zip(g.gradient(a), gradient(Field(g, a))):
+        assert np.array_equal(mine, ref.values)
+    # a stacked ensemble (S, *shape) takes the same path, member by member
+    stack = np.random.default_rng(dim + 10).random((3,) + g.shape)
+    for ax in range(dim):
+        for step in (1, -1):
+            shifted = g.shift(stack, ax, step)
+            assert all(np.array_equal(shifted[m], g.shift(stack[m], ax, step)) for m in range(3))
+    for comp, ax in zip(g.gradient(stack), range(dim)):
+        assert all(np.array_equal(comp[m], g.gradient(stack[m])[ax]) for m in range(3))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_real_fft_pair_is_rfftn_bit_for_bit(dim):
+    g = Grid(dim, 1.0, 8)
+    rng = np.random.default_rng(dim)
+    for shape in (g.shape, (3,) + g.shape):
+        a = rng.standard_normal(shape)
+        a_hat = g.rfft(a)
+        assert np.array_equal(a_hat, np.fft.rfftn(a, axes=g.axes))
+        assert np.array_equal(g.irfft(a_hat), np.fft.irfftn(a_hat, s=g.shape, axes=g.axes))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_resolvent_is_the_half_of_the_full_lattice_symbol(dim):
+    g = Grid(dim, 1.5, 8)
+    mesh = np.meshgrid(*g.frequencies(), indexing="ij")
+    k2 = sum(c * c for c in mesh)[..., :g.n // 2 + 1]
+    assert np.array_equal(g.k2, k2) and g.k2 is g.k2   # built once per grid
+    assert not g.k2.flags.writeable
+    assert np.array_equal(g.resolvent(0.7), 1.0 / (1.0 + 0.7 * k2))
+
+
 # --- gradient -------------------------------------------------------------
 
 def test_gradient_annihilates_constants():

@@ -6,6 +6,7 @@ import pytest
 from greenks.domain import Field, Grid, inner_l2, periodic_convolve
 from greenks.greens import (GreensBasis, elliptic_solve, greens_periodic_spectral,
                             lattice_sum_green)
+from oracles import combination_complex, elliptic_solve_complex
 
 
 def rng_field(grid, seed=0):
@@ -117,6 +118,15 @@ def test_refinement_argument_validation():
         greens_periodic_spectral(1.0, g, refinement=3)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_elliptic_solve_matches_the_complex_fft_oracle(dim):
+    g = Grid(dim, 1.5, 16 if dim < 3 else 8)
+    u = rng_field(g, dim)
+    for d in (0.3, 2.0):
+        ref = elliptic_solve_complex(d, u.values, g)
+        assert np.abs(elliptic_solve(d, u).values - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 # --- basis ----------------------------------------------------------------
 
 def test_basis_discrete_equation_residual():
@@ -151,3 +161,12 @@ def test_combination_and_kernel_wrapper():
     assert np.abs(pk.field.values - ref).max() < 1e-14
     with pytest.raises(ValueError):
         basis.combination([1.0])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_combination_matches_the_complex_fft_oracle(dim):
+    g = Grid(dim, 1.5, 16 if dim < 3 else 8)
+    d, a = [2.0, 1.5, 1.25], [3.0, -5.0, 2.5]
+    ref = combination_complex(g, d, a)
+    combo = GreensBasis.build(g, d).combination(a).values
+    assert np.abs(combo - ref).max() <= 1e-14 * np.abs(ref).max()

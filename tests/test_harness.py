@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import greenks
-from greenks import config as cfgmod, harness
+from greenks import config as cfgmod, harness, pde
 from greenks.cli import _save_series as save_series, main
 from greenks.domain import Field, Grid, SpaceTimeSeries, norm_l2
 from greenks.harness import (ComparisonError, ExperimentReport, compare_runs,
@@ -495,9 +495,12 @@ def test_cli_rejects_a_bump_without_a_positive_width_or_finite_center(tmp_path, 
 
 
 @pytest.mark.parametrize("setting", ["grid.dim = 1\nkernel.sigma = 1e-300",
-                                     "grid.dim = 3\ngrid.n = 8\nkernel.sigma = 1e-120"])
+                                     "grid.dim = 3\ngrid.n = 8\nkernel.sigma = 1e-120",
+                                     "grid.dim = 1\nkernel.sigma = 1e-160"])
 def test_cli_rejects_a_sigma_too_small_to_normalize(tmp_path, capsys, setting):
-    # the Gaussian's normalization (2 pi sigma^2)^(-N/2) is not a finite float
+    # the Gaussian's normalization A = (2 pi sigma^2)^(-N/2) or, at 1e-160,
+    # its tail bound's scale A/sigma^2 is not a finite float: one error line,
+    # no numpy warnings
     cfg = tmp_path / "fit.cfg"
     cfg.write_text(f"kernel.type = gaussian\n{setting}\n")
     assert main(["fit-kernel", str(cfg), "-o", str(tmp_path / "out")]) == 1
@@ -539,6 +542,13 @@ def test_times_csv_text(tmp_path):
 def test_cli_explicit_snapshot_interval_out_of_range(tmp_path, capsys):
     text = "grid.n = 32\nrun.t_end = 0.01\nrun.snapshot_every = 0.05\n"
     assert run_cli(tmp_path, text) == 1
+    assert "snapshot_every" in capsys.readouterr().err
+
+
+def test_cli_rejects_more_snapshots_than_the_limit(tmp_path, capsys, monkeypatch):
+    # a config error before any snapshot time is built, not hours of stepping
+    monkeypatch.setattr(pde, "_snapshot_times", lambda config: pytest.fail("times built"))
+    assert run_cli(tmp_path, "grid.n = 32\nrun.snapshot_every = 1e-12\n") == 1
     assert "snapshot_every" in capsys.readouterr().err
 
 

@@ -402,7 +402,8 @@ def test_gaussian_kernel_normalization():
 def test_gaussian_rejects_bad_sigma():
     with pytest.raises(ValueError):
         gaussian_kernel(0.0, 1)
-    # positive, but too small for the normalization to be a finite float
-    for sigma, dim in ((1e-300, 1), (1e-120, 3)):
+    # positive, but too small for the normalization A or the tail bound's scale
+    # A/sigma^2 to be a finite float
+    for sigma, dim in ((1e-300, 1), (1e-120, 3), (1e-160, 1), (1e-100, 2)):
         with pytest.raises(ValueError, match="too small"):
             gaussian_kernel(sigma, dim)

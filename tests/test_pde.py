@@ -162,18 +162,6 @@ def test_chemo_drift_validation():
         plan_for(g, ChemicalSpec([1.0], [1.0, 2.0]))
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_plan_shift_and_gradient_match_roll(dim):
-    g = Grid(dim, 1.0, 8)
-    plan = plan_for(g)
-    a = np.random.default_rng(dim).random(g.shape)
-    for ax in range(dim):
-        assert np.array_equal(plan.shift(a, ax, 1), np.roll(a, -1, axis=ax))
-        assert np.array_equal(plan.shift(a, ax, -1), np.roll(a, 1, axis=ax))
-    for mine, ref in zip(plan.gradient(a), gradient(Field(g, a))):
-        assert np.array_equal(mine, ref.values)
-
-
 # --- single updates -------------------------------------------------------
 
 def test_step_u_heat_mode_decay():
@@ -321,7 +309,7 @@ def test_porous_medium_phi_matches_the_antiderivative(gamma):
 def relaxed_step(v_old, u, d, xi, dt):
     plan = plan_for(u.grid, ChemicalSpec([d], [1.0], xi))
     v_hat = step_v_parabolic(plan, [rfft(v_old.values)], rfft(u.values), dt)
-    return plan.irfft(v_hat[0])
+    return u.grid.irfft(v_hat[0])
 
 
 def test_step_v_equilibrium_constant():
@@ -389,6 +377,28 @@ def test_snapshot_times_cover_interval():
     assert series.times[0] == 0.0
     assert series.times[-1] == pytest.approx(0.23)
     assert len(series.times) == 6
+
+
+def test_snapshot_times_are_the_multiples_short_of_t_end():
+    # the list they were built as before the snapshot count was checked up front
+    g, rng = Grid(1, 1.0, 32), np.random.default_rng(5)
+    cases = [(t, t / k) for t in (0.25, 0.23, 0.3, 0.7, 1.0) for k in range(1, 40)]
+    cases += [(t, e) for t, e in zip(rng.random(400), rng.random(400)) if e <= t < 900 * e]
+    for t_end, every in cases:
+        k = math.floor(t_end / every + 1e-12)
+        listed = [i * every for i in range(k + 1) if i * every < t_end - 1e-12 * t_end]
+        assert pde._snapshot_times(RunConfig(g, t_end, snapshot_every=every)).tolist() == \
+            listed + [t_end]
+
+
+@pytest.mark.parametrize("every", [1e-12, 5e-324, 2.5e-4])
+def test_run_config_rejects_more_snapshots_than_the_limit(every):
+    # counted from t_end / snapshot_every, without building the snapshot times
+    g = Grid(1, 1.0, 32)
+    with pytest.raises(ValueError, match="more than 1000 snapshots"):
+        RunConfig(g, t_end=0.25, snapshot_every=every)
+    most = RunConfig(g, t_end=0.25, snapshot_every=0.25 / (pde._MAX_SNAPSHOTS - 1))
+    assert len(pde._snapshot_times(most)) == pde._MAX_SNAPSHOTS == 1000
 
 
 def test_translation_equivariance():
