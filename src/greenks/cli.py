@@ -67,15 +67,16 @@ def _cmd_run(args) -> int:
     _write(os.path.join(outdir, "config.txt"), cfgmod.config_echo(cfg) + "\n")
     _write(os.path.join(outdir, "diagnostics.csv"), state.diagnostics.to_csv())
     _save_series(outdir, series)
+    d = state.diagnostics
     if args.plot:
-        d = state.diagnostics
         svg = line_chart(
             {"mass": (d.times, d.mass), "max_u": (d.times, d.max_u),
              "phi": (d.times, d.phi)},
             title="run diagnostics", xlabel="t", ylabel="value")
         _write(os.path.join(outdir, "diagnostics.svg"), svg)
-    print(f"run complete: t_end={state.time:.6g}, "
-          f"{len(series.times)} snapshots -> {outdir}")
+    steps = np.diff(d.times)   # the accepted steps, one per diagnostics row after t = 0
+    print(f"run complete: t_end={state.time:.6g}, {len(steps)} steps with dt in "
+          f"[{steps.min():.3g}, {steps.max():.3g}], {len(series.times)} snapshots -> {outdir}")
     return EXIT_OK
 
 

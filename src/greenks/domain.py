@@ -47,7 +47,8 @@ class Grid:
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError(f"n must be even and >= 8, got {self.n}")
 
-    @property
+    # cached_property writes the instance __dict__, which a frozen dataclass allows
+    @functools.cached_property
     def h(self) -> float:
         return 2.0 * self.half_length / self.n
 
@@ -55,7 +56,7 @@ class Grid:
     def shape(self) -> tuple:
         return (self.n,) * self.dim
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         return self.h ** self.dim
 
@@ -77,7 +78,6 @@ class Grid:
         return [np.fft.fftfreq(self.n, d=self.h) * 2.0 * np.pi
                 for _ in range(self.dim)]
 
-    # cached_property writes the instance __dict__, which a frozen dataclass allows
     @functools.cached_property
     def axes(self) -> tuple:
         """The grid axes of an array: its trailing ``dim``."""
@@ -103,17 +103,17 @@ class Grid:
                 for ax in range(self.dim)]
 
     # rfftn and irfftn over the grid axes, one axis at a time in their order,
-    # which costs less than their n-dimensional wrappers
-    def rfft(self, a: np.ndarray) -> np.ndarray:
-        a_hat = np.fft.rfft(a)
+    # which costs less than their n-dimensional wrappers; a stepper reuses ``out``
+    def rfft(self, a: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        a_hat = np.fft.rfft(a, out=out)
         for ax in self.axes[-2::-1]:
-            a_hat = np.fft.fft(a_hat, axis=ax)
+            a_hat = np.fft.fft(a_hat, axis=ax, out=a_hat)
         return a_hat
 
-    def irfft(self, a_hat: np.ndarray) -> np.ndarray:
+    def irfft(self, a_hat: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         for ax in self.axes[:-1]:
             a_hat = np.fft.ifft(a_hat, axis=ax)
-        return np.fft.irfft(a_hat, self.n)
+        return np.fft.irfft(a_hat, self.n, out=out)
 
     @functools.cached_property
     def k2(self) -> np.ndarray:

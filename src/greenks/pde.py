@@ -7,11 +7,12 @@ either in instantaneous equilibrium (spectral elliptic solve each step) or
 relaxed with a backward-Euler spectral step, unconditionally stable in the
 relaxation parameter.  ``run_ensemble`` advances several drift layers from
 one datum in lockstep, as one array with a leading member axis; ``run`` is
-its one-member case.  It builds a :class:`StepPlan` once, then steps on plain
-arrays.  The stepper makes every per-step decision: dt, the min/max bound check
-and dt halving.  An observer computes the mass, phi and energy sums later, over
-stacked blocks of accepted states.  ``Field`` objects are made for snapshots and
-the end states.
+its one-member case.  It builds a :class:`StepPlan` once, with a spectral
+workspace that every forward and inverse transform of the loop writes into,
+then steps on plain arrays.  The stepper keeps only its decisions: dt, the
+bound check on the ensemble-wide min/max and dt halving.  An observer computes
+the mass, per-member min/max, phi and energy sums later, over stacked blocks of
+accepted states.  ``Field`` objects are made for snapshots and the end states.
 """
 
 from __future__ import annotations
@@ -172,6 +173,8 @@ class RunConfig:
         # the range checks below also reject NaN and infinity
         if self.dt is not None and not (0 < self.dt <= self.t_end):
             raise ValueError("dt must lie in (0, t_end]")
+        if self.dt is not None and self.t_end / self.dt > _MAX_STEPS:   # the loop's budget
+            raise ValueError(f"dt gives more than {_MAX_STEPS} steps up to t_end")
         if not (0 < self.snapshot_every <= self.t_end):
             raise ValueError("snapshot_every must lie in (0, t_end]")
         if _snapshot_count(self.t_end, self.snapshot_every) > _MAX_SNAPSHOTS:
@@ -216,7 +219,9 @@ class StepPlan:
     ``(S, nk...)`` stack of per-member symbols, h^N rfft(W) (nonlocal) or the
     combined sum_j a_j / (1 + d_j|k|^2) (parabolic-elliptic), or one
     1 / (1 + d_j|k|^2) per chemical, shared by the members (parabolic-parabolic,
-    whose chemicals stay in Fourier space).
+    whose chemicals stay in Fourier space).  ``u_hat`` and ``c`` are the spectral
+    workspace: the transforms of the stepper write rfft(u) and the chemical c into
+    them, so each call overwrites what the one before left there.
     """
 
     grid: Grid
@@ -224,6 +229,8 @@ class StepPlan:
     symbols: list
     sensitivities: list    # a_j of the relaxed chemicals (see _per_member); empty otherwise
     xi: object             # relaxation time (see _per_member); 0 unless relaxed
+    u_hat: np.ndarray      # (S, *half lattice) complex, rfft(u) of the state being stepped
+    c: np.ndarray          # (S, *grid.shape), the chemical whose gradient is the drift
 
     @classmethod
     def build(cls, model: ModelFunctions, chems: list, grid: Grid) -> "StepPlan":
@@ -245,7 +252,8 @@ class StepPlan:
             xi = _per_member([c.xi for c in chems], member)
         else:
             symbols, sensitivities, xi = [np.stack([_symbol(c, grid) for c in chems])], [], 0.0
-        return cls(grid, model, symbols, sensitivities, xi)
+        return cls(grid, model, symbols, sensitivities, xi,   # k2 has the half lattice's shape
+                   np.empty(member[:1] + grid.k2.shape, complex), np.empty(member[:1] + grid.shape))
 
     @property
     def relaxed(self) -> bool:
@@ -281,7 +289,9 @@ def drift_velocity_chemo(plan: StepPlan, u_hat: np.ndarray, v_hat: Optional[list
         c_hat = sum(a * vh for a, vh in zip(plan.sensitivities, v_hat))
     else:
         c_hat = plan.symbols[0] * u_hat
-    return plan.grid.gradient(plan.grid.irfft(c_hat))
+    # a view of the workspace in the shape of c, so one unstacked member fits it too
+    c = plan.c.reshape(c_hat.shape[:-1] + (plan.grid.n,))
+    return plan.grid.gradient(plan.grid.irfft(c_hat, out=c))
 
 
 def step_u(plan: StepPlan, u: np.ndarray, velocity: list, dt: float,
@@ -354,11 +364,13 @@ def _snapshot_times(config: RunConfig) -> np.ndarray:
 
 
 def _observe(plan: StepPlan, rows: np.ndarray, pending: list) -> None:
-    """Fill columns 0 and 3-5 of ``rows`` for the K steps (u, beta(u), g(u), *velocity)
-    in ``pending``, stacked to (K, S, *grid) arrays (a view when K = 1)."""
-    u, beta_u, g_u, *velocity = [a[0][np.newaxis] if len(a) == 1 else np.stack(a)
+    """Fill ``rows`` for the K steps (u, beta(u), g(u), *velocity) in ``pending``,
+    stacked to (K, S, *grid) arrays (a view when K = 1): sum, min, max and phi sum
+    of the new u, and the squared norms of grad beta(u) and g(u) grad c before it."""
+    u, beta_u, g_u, *velocity = [a[0][np.newaxis] if len(a) == 1 else np.array(a)
                                  for a in zip(*pending)]
-    np.add.reduce(u, plan.grid.axes, out=rows[:, 0])
+    for col, reduce in enumerate((np.add.reduce, np.minimum.reduce, np.maximum.reduce)):
+        reduce(u, plan.grid.axes, out=rows[:, col])
     np.add.reduce(plan.model.phi(u), plan.grid.axes, out=rows[:, 3])
     for col, arrays in ((4, plan.grid.gradient(beta_u)), (5, (g_u * c for c in velocity))):
         rows[:, col] = sum(np.vecdot(f, f) for f in (a.reshape(*a.shape[:2], -1) for a in arrays))
@@ -394,11 +406,12 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
         raise InputValidationError("initial density must satisfy 0 <= u_0 <= 1")
     grid, t_end, cv = u0.grid, config.t_end, u0.grid.cell_volume
     plan = StepPlan.build(model, list(chems), grid)
-    axes, members = grid.axes, len(chems)
+    axes, members, relaxed = grid.axes, len(chems), plan.relaxed
+    fixed_dt, cfl_safety, beta, g = config.dt, config.cfl_safety, model.beta, model.g
     u = np.repeat(u0.values[np.newaxis], members, axis=0)
     v_hat = velocity = None
-    if plan.relaxed:   # the chemicals start in equilibrium, w_j * u_0
-        u_hat = grid.rfft(u)
+    if relaxed:   # the chemicals start in equilibrium, w_j * u_0
+        u_hat = grid.rfft(u, out=plan.u_hat)
         v_hat = [s * u_hat for s in plan.symbols]
         velocity = drift_velocity_chemo(plan, u_hat, v_hat)
 
@@ -406,7 +419,7 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
     # per state, its time, the step that reached it and a row of one value per
     # member each of sum(u), min(u), max(u), sum(phi(u)) and, on the state
     # before the step, the squared norms of grad beta(u) and of the drift g(u) grad c;
-    # the stepper writes min and max, _observe the rest once per block of steps
+    # _observe writes the rows once per block of steps
     times, dts = [t], [0.0]
     pending, block = [], max(1, _BLOCK_ELEMENTS // u.size)
     record = np.zeros((1024, 6, members))   # the rows, grown by doubling
@@ -419,28 +432,25 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
             raise NumericalAbortError("step budget exhausted")
         if len(times) == len(record):
             record = np.concatenate((record, np.empty_like(record)))
-        row = record[len(times)]
-        u_hat = grid.rfft(u)
-        if not plan.relaxed:   # the chemical layer (if any) is slaved to u
+        u_hat = grid.rfft(u, out=plan.u_hat)
+        if not relaxed:   # the chemical layer (if any) is slaved to u
             velocity = drift_velocity_chemo(plan, u_hat)
-        dt = config.dt or stable_dt(plan, u_max, velocity, config.cfl_safety)   # dt > 0 if set
+        dt = fixed_dt or stable_dt(plan, u_max, velocity, cfl_safety)   # dt > 0 if set
         if dt < _MIN_DT_FRACTION * t_end:
             raise NumericalAbortError(f"time step collapsed to {dt:.3g} at t={t:.6g}")
         dt = min(dt, t_end - t)
-        beta_u, g_u = model.beta(u), model.g(u)
+        beta_u, g_u = beta(u), g(u)
         for _ in range(_MAX_DT_HALVINGS):
             v_hat_new, vel_new = v_hat, velocity
-            if plan.relaxed:
+            if relaxed:
                 v_hat_new = step_v_parabolic(plan, v_hat, u_hat, dt)
                 vel_new = drift_velocity_chemo(plan, u_hat, v_hat_new)
             u_new = step_u(plan, u, vel_new, dt, beta_u, g_u)
-            lo = np.minimum.reduce(u_new, axes, out=row[1])
-            hi = np.maximum.reduce(u_new, axes, out=row[2])
-            u_max = float(hi.max())
-            # a member with a NaN has it in lo and hi, and hi.max() keeps it
-            if min(lo.tolist()) >= -_BOUND_SLACK and u_max <= 1.0 + _BOUND_SLACK:
+            # min() and max() keep a NaN, which fails both bounds
+            lo, u_max = float(u_new.min()), float(u_new.max())
+            if lo >= -_BOUND_SLACK and u_max <= 1.0 + _BOUND_SLACK:
                 break
-            finite = np.isfinite(lo) & np.isfinite(hi)   # NaN fails both bounds
+            finite = np.isfinite(u_new).all(axis=axes)
             if not finite.all():
                 raise NumericalAbortError(
                     f"non-finite density in member {np.argmax(~finite)} at t={t:.6g}")

@@ -524,6 +524,25 @@ def test_cli_collapsing_time_step_aborts_quickly(tmp_path, capsys):
     assert "time step collapsed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dt", ["1e-11", "1e-13"])
+def test_cli_fixed_dt_beyond_the_step_budget_is_one_error_line_at_once(tmp_path, capsys, dt):
+    # 1e9 fixed steps once ran until a timeout ended them, and 1e-13 aborted as a
+    # collapsed step (exit 2): a dt the loop cannot finish is a config error
+    t0 = time.perf_counter()
+    assert run_cli(tmp_path, f"grid.n = 32\nrun.t_end = 0.01\nrun.dt = {dt}\n") == 1
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: dt ") and err.count("\n") == 1
+
+
+def test_cli_run_reports_its_steps_and_dt_range(tmp_path, capsys):
+    assert run_cli(tmp_path, "grid.n = 32\nrun.t_end = 0.01\n") == 0
+    rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()[1:]
+    steps = np.diff([float(row.split(",")[0]) for row in rows])
+    line = capsys.readouterr().out
+    assert f" {len(rows) - 1} steps with dt in [{steps.min():.3g}, {steps.max():.3g}]," in line
+
+
 def test_cli_default_snapshot_interval_clamps_to_t_end(tmp_path):
     assert run_cli(tmp_path, "grid.n = 32\nrun.t_end = 0.01\n") == 0
     times = (tmp_path / "out" / "times.csv").read_text().splitlines()[1:]

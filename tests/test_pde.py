@@ -401,6 +401,15 @@ def test_run_config_rejects_more_snapshots_than_the_limit(every):
     assert len(pde._snapshot_times(most)) == pde._MAX_SNAPSHOTS == 1000
 
 
+def test_run_config_rejects_a_fixed_dt_beyond_the_step_budget():
+    # t_end / dt steps that the loop's budget cannot hold fail before any step
+    g = Grid(1, 1.0, 32)
+    assert 2.0 ** 25 <= pde._MAX_STEPS < 2.0 ** 26
+    with pytest.raises(ValueError, match="^dt gives more than"):
+        RunConfig(g, t_end=1.0, dt=2.0 ** -26)
+    assert RunConfig(g, t_end=1.0, dt=2.0 ** -25).dt == 2.0 ** -25
+
+
 def test_translation_equivariance():
     g = Grid(1, 1.0, 64)
     W = periodize(adhesion_potential(ONES, 1), g)
@@ -618,6 +627,39 @@ def test_ensemble_rejects_members_that_cannot_share_a_plan(chems, message):
     chems = [periodize(adhesion_potential(ONES, 1), g) if c == "kernel" else c for c in chems]
     with pytest.raises(ValueError, match=message):
         run_ensemble(linear_model(), chems, bump(g), RunConfig(g, t_end=0.01))
+
+
+# --- the spectral workspace and the observer extrema ----------------------
+
+@pytest.mark.parametrize("xi", [0.0, 0.05])
+def test_runs_and_drifts_on_one_grid_leave_earlier_results_unchanged(xi):
+    # each plan writes its transforms into a workspace; nothing it returns is a view of it
+    g = Grid(1, 1.0, 64)
+    model, cfg = porous_medium_model(2.0), RunConfig(g, t_end=0.02, snapshot_every=0.01)
+    series, state = run(model, ChemicalSpec([0.5], [1.5], xi), radial_bump(g), cfg)
+    kept = [s.values.copy() for s in series.snapshots + [state.u]]
+    columns = {k: v.copy() for k, v in vars(state.diagnostics).items()}
+    run(model, ChemicalSpec([0.5], [-1.5], xi), bump(g), cfg)
+    assert all(np.array_equal(s.values, k) for s, k in zip(series.snapshots + [state.u], kept))
+    assert all(np.array_equal(v, columns[k]) for k, v in vars(state.diagnostics).items())
+    plan = plan_for(g, ChemicalSpec([0.5], [1.5], xi))
+    u_hat = [rfft(radial_bump(g).values)[np.newaxis], rfft(bump(g).values)[np.newaxis]]
+    first = drift_velocity_chemo(plan, u_hat[0], [plan.symbols[0] * u_hat[0]])
+    kept = [v.copy() for v in first]
+    second = drift_velocity_chemo(plan, u_hat[1], [plan.symbols[0] * u_hat[1]])
+    assert not np.array_equal(first[0], second[0])
+    assert all(np.array_equal(v, k) for v, k in zip(first, kept))
+
+
+@pytest.mark.parametrize("g", [Grid(1, 1.0, 64), Grid(2, 1.0, 16)], ids=["1d", "2d"])
+def test_observer_extrema_are_each_members_own(g):
+    chems = [ChemicalSpec([0.5], [1.5], 0.0), ChemicalSpec([0.5], [-1.5], 0.0)]
+    members = run_ensemble(porous_medium_model(2.0), chems, radial_bump(g),
+                           RunConfig(g, t_end=0.02))
+    for _, state in members:
+        d = state.diagnostics
+        assert d.min_u[-1] == state.u.values.min() and d.max_u[-1] == state.u.values.max()
+    assert members[0][1].diagnostics.max_u[-1] != members[1][1].diagnostics.max_u[-1]
 
 
 # --- pinned outputs -------------------------------------------------------
