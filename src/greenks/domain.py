@@ -103,16 +103,18 @@ class Grid:
                 for ax in range(self.dim)]
 
     # rfftn and irfftn over the grid axes, one axis at a time in their order,
-    # which costs less than their n-dimensional wrappers; a stepper reuses ``out``
+    # which costs less than their n-dimensional wrappers; a stepper reuses ``out``,
+    # and with ``overwrite`` the leading-axis passes of irfft run in place in a_hat
     def rfft(self, a: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         a_hat = np.fft.rfft(a, out=out)
         for ax in self.axes[-2::-1]:
             a_hat = np.fft.fft(a_hat, axis=ax, out=a_hat)
         return a_hat
 
-    def irfft(self, a_hat: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    def irfft(self, a_hat: np.ndarray, out: np.ndarray = None,
+              overwrite: bool = False) -> np.ndarray:
         for ax in self.axes[:-1]:
-            a_hat = np.fft.ifft(a_hat, axis=ax)
+            a_hat = np.fft.ifft(a_hat, axis=ax, out=a_hat if overwrite else None)
         return np.fft.irfft(a_hat, self.n, out=out)
 
     @functools.cached_property
@@ -122,6 +124,17 @@ class Grid:
         k2 = sum(np.ix_(*[k2] * (self.dim - 1), k2[:self.n // 2 + 1]))
         k2.flags.writeable = False
         return k2
+
+    @functools.cached_property
+    def derivative_symbols(self) -> tuple:
+        """The symbols i sin(k h)/h of the centred differences on the rfft half
+        lattice, one per grid axis, shaped to broadcast along that axis; read-only
+        like ``k2``.  Each Nyquist entry is exactly 0, which sin(pi) is not."""
+        d = 1j * np.sin(self.frequencies()[0] * self.h) / self.h
+        d[self.n // 2] = 0.0
+        d.flags.writeable = False
+        return tuple((d[:self.n // 2 + 1] if ax == self.dim - 1 else d)
+                     .reshape((-1,) + (1,) * (self.dim - 1 - ax)) for ax in range(self.dim))
 
     def resolvent(self, d: float) -> np.ndarray:
         """The symbol 1/(1 + d|k|^2) of (-d Laplace + I)^-1 on the rfft half lattice."""

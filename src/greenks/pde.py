@@ -7,9 +7,9 @@ either in instantaneous equilibrium (spectral elliptic solve each step) or
 relaxed with a backward-Euler spectral step, unconditionally stable in the
 relaxation parameter.  ``run_ensemble`` advances several drift layers from
 one datum in lockstep, as one array with a leading member axis; ``run`` is
-its one-member case.  It builds a :class:`StepPlan` once, with a spectral
-workspace that every forward and inverse transform of the loop writes into,
-then steps on plain arrays.  The stepper keeps only its decisions: dt, the
+its one-member case.  It builds a :class:`StepPlan` once, with drift symbols
+and a spectral workspace, so a drift component is one product and one inverse
+transform, then steps on plain arrays.  The stepper keeps only its decisions: dt, the
 bound check on the ensemble-wide min/max and dt halving.  An observer computes
 the mass, per-member min/max, phi and energy sums later, over stacked blocks of
 accepted states.  ``Field`` objects are made for snapshots and the end states.
@@ -17,6 +17,7 @@ accepted states.  ``Field`` objects are made for snapshots and the end states.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -36,7 +37,7 @@ _MASS_TOL = 1e-10          # relative mass drift treated as a solver failure
 _MAX_DT_HALVINGS = 20
 _MIN_DT_FRACTION = 1e-10   # a step below this fraction of t_end is a stall
 _MAX_STEPS = 50_000_000
-_UNIT_SPAN = np.linspace(0.0, 1.0, 64)   # stable_dt samples beta' at max(u) * these
+_BETA_PRIME_STEPS = 1024   # the beta' table samples [0, 1] at k / this, exact in binary
 _BLOCK_ELEMENTS = 2 ** 12   # elements of u per block of accepted steps that _observe sums
 # a run holds every snapshot, one state per member, until it ends and writes each
 # as a CSV file, so this bounds both; shipped and benchmark configs write at most 6
@@ -84,6 +85,16 @@ class ModelFunctions:
         for probe in (-0.5, 1.5):
             if abs(float(np.asarray(self.g(np.array([probe])), dtype=float)[0])) > 1e-14:
                 raise ValueError("g must vanish outside [0, 1]")
+
+    @functools.cached_property   # a frozen dataclass's __dict__ takes it
+    def _beta_prime_maxima(self) -> tuple:
+        s = np.arange(_BETA_PRIME_STEPS + 1) / _BETA_PRIME_STEPS
+        return tuple(np.maximum.accumulate(self.beta_prime(s) * np.ones_like(s)).tolist())
+
+    def sampled_max_beta_prime(self, top: float) -> float:
+        """The largest beta' at the samples k/1024 in [0, top], top in [0, 1], from a
+        table built once per model: nondecreasing in ``top`` for any beta'."""
+        return self._beta_prime_maxima[int(top * _BETA_PRIME_STEPS)]
 
 
 def porous_medium_model(gamma: float, eta: float = 0.0) -> ModelFunctions:
@@ -215,13 +226,13 @@ class StepPlan:
     A plan holds S members stacked on a leading axis (S = 1 for :func:`run`);
     the grid's operators act on the trailing ``grid.dim`` axes, so a stacked
     ``(S, *grid.shape)`` array and a single ``grid.shape`` one take the same
-    path.  ``symbols`` are real-FFT multipliers: either one
-    ``(S, nk...)`` stack of per-member symbols, h^N rfft(W) (nonlocal) or the
-    combined sum_j a_j / (1 + d_j|k|^2) (parabolic-elliptic), or one
+    path.  ``symbols`` are real-FFT multipliers: either per grid axis one
+    ``(S, nk...)`` stack of D_i h^N rfft(W) (nonlocal) or D_i sum_j a_j / (1 +
+    d_j|k|^2) (parabolic-elliptic), D_i the centred difference's symbol, or one
     1 / (1 + d_j|k|^2) per chemical, shared by the members (parabolic-parabolic,
-    whose chemicals stay in Fourier space).  ``u_hat`` and ``c`` are the spectral
-    workspace: the transforms of the stepper write rfft(u) and the chemical c into
-    them, so each call overwrites what the one before left there.
+    whose chemicals stay in Fourier space).  ``u_hat`` and ``work`` are the
+    spectral workspace for rfft(u) and each drift component's symbol product and
+    inverse passes, so each call overwrites what the one before left there.
     """
 
     grid: Grid
@@ -230,7 +241,7 @@ class StepPlan:
     sensitivities: list    # a_j of the relaxed chemicals (see _per_member); empty otherwise
     xi: object             # relaxation time (see _per_member); 0 unless relaxed
     u_hat: np.ndarray      # (S, *half lattice) complex, rfft(u) of the state being stepped
-    c: np.ndarray          # (S, *grid.shape), the chemical whose gradient is the drift
+    work: np.ndarray       # (S, *half lattice) complex, one drift component on its way back
 
     @classmethod
     def build(cls, model: ModelFunctions, chems: list, grid: Grid) -> "StepPlan":
@@ -251,9 +262,10 @@ class StepPlan:
                              np.array([c.sensitivities for c in chems], dtype=float).T]
             xi = _per_member([c.xi for c in chems], member)
         else:
-            symbols, sensitivities, xi = [np.stack([_symbol(c, grid) for c in chems])], [], 0.0
-        return cls(grid, model, symbols, sensitivities, xi,   # k2 has the half lattice's shape
-                   np.empty(member[:1] + grid.k2.shape, complex), np.empty(member[:1] + grid.shape))
+            stacked = np.stack([_symbol(c, grid) for c in chems])
+            symbols, sensitivities, xi = [d * stacked for d in grid.derivative_symbols], [], 0.0
+        work = np.empty(member[:1] + grid.k2.shape, complex)   # k2 has the half lattice's shape
+        return cls(grid, model, symbols, sensitivities, xi, np.empty_like(work), work)
 
     @property
     def relaxed(self) -> bool:
@@ -283,15 +295,16 @@ def drift_velocity_chemo(plan: StepPlan, u_hat: np.ndarray, v_hat: Optional[list
     """Drift velocity grad c, one array per grid axis, in all three systems.
 
     c is W*u or sum_j a_j w_j*u, from ``u_hat`` = rfft(u), or in the relaxed
-    system sum_j a_j v_j, from the chemicals ``v_hat``.
+    system sum_j a_j v_j, from the chemicals ``v_hat``.  Only the real output
+    of each component's inverse transform is a new array.
     """
-    if plan.relaxed:
-        c_hat = sum(a * vh for a, vh in zip(plan.sensitivities, v_hat))
-    else:
-        c_hat = plan.symbols[0] * u_hat
-    # a view of the workspace in the shape of c, so one unstacked member fits it too
-    c = plan.c.reshape(c_hat.shape[:-1] + (plan.grid.n,))
-    return plan.grid.gradient(plan.grid.irfft(c_hat, out=c))
+    grid = plan.grid
+    if plan.relaxed:   # D_i times rfft(c)
+        symbols, spectrum = grid.derivative_symbols, sum(
+            a * vh for a, vh in zip(plan.sensitivities, v_hat))
+    else:              # D_i is in the plan's symbols
+        symbols, spectrum = plan.symbols, u_hat
+    return [grid.irfft(np.multiply(s, spectrum, out=plan.work), overwrite=True) for s in symbols]
 
 
 def step_u(plan: StepPlan, u: np.ndarray, velocity: list, dt: float,
@@ -335,11 +348,14 @@ def stable_dt(plan: StepPlan, u_max: float, velocity: list, cfl_safety: float) -
     """CFL step for a state whose largest density value is ``u_max``.
 
     On a stacked plan ``u_max`` is the largest value of any member and the
-    velocities hold every member, so the step suits them all.
+    velocities hold every member, so the step suits them all.  max beta' on
+    [0, top] is taken as the larger of the sampled maximum and beta'(top): for a
+    monotone beta' that is the old maximum of 64 samples on [0, top] bit for bit.
     """
-    h, N = plan.grid.h, plan.grid.dim
+    h, N, model = plan.grid.h, plan.grid.dim, plan.model
     top = min(max(u_max, 0.0), 1.0) or 1.0
-    max_bp = float(plan.model.beta_prime(top * _UNIT_SPAN).max())
+    # beta' of a one-element array takes the array loops that the 64 samples took
+    max_bp = max(model.sampled_max_beta_prime(top), float(model.beta_prime(np.array([top]))[0]))
     speeds = [float(np.abs(v).max()) for v in velocity]
     if not math.isfinite(sum(speeds)):   # the sum keeps a NaN that max() may drop
         finite = np.all([np.isfinite(v).all(axis=plan.grid.axes) for v in velocity], axis=0)
@@ -408,6 +424,13 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
     plan = StepPlan.build(model, list(chems), grid)
     axes, members, relaxed = grid.axes, len(chems), plan.relaxed
     fixed_dt, cfl_safety, beta, g = config.dt, config.cfl_safety, model.beta, model.g
+    if fixed_dt is None:   # mass is conserved, so no state's max u is below mean(u0)
+        lowest = min(float(u0.values.mean()) * (1.0 - _MASS_TOL), 1.0)
+        longest = cfl_safety * grid.h ** 2 / (   # no CFL step is longer
+            2.0 * grid.dim * model.sampled_max_beta_prime(lowest) + 1e-300)
+        if t_end / longest > _MAX_STEPS:
+            raise InputValidationError(f"t_end = {t_end:g} needs more than {_MAX_STEPS} "
+                                       f"automatic time steps (each at most {longest:.3g})")
     u = np.repeat(u0.values[np.newaxis], members, axis=0)
     v_hat = velocity = None
     if relaxed:   # the chemicals start in equilibrium, w_j * u_0
@@ -427,7 +450,7 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
                      model.phi(u).sum(axis=axes))
     snap_times = _snapshot_times(config).tolist()
     snapshots = [u.copy()]
-    while t < t_end - 1e-14 * t_end:
+    while t < t_end:
         if len(times) > _MAX_STEPS:   # one row per step taken, plus t = 0
             raise NumericalAbortError("step budget exhausted")
         if len(times) == len(record):
@@ -438,7 +461,10 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
         dt = fixed_dt or stable_dt(plan, u_max, velocity, cfl_safety)   # dt > 0 if set
         if dt < _MIN_DT_FRACTION * t_end:
             raise NumericalAbortError(f"time step collapsed to {dt:.3g} at t={t:.6g}")
-        dt = min(dt, t_end - t)
+        # a leftover below the collapse floor is taken now; the last step ends at t_end
+        remainder = t_end - t
+        if dt >= remainder - _MIN_DT_FRACTION * t_end:
+            dt = remainder
         beta_u, g_u = beta(u), g(u)
         for _ in range(_MAX_DT_HALVINGS):
             v_hat_new, vel_new = v_hat, velocity
@@ -462,7 +488,7 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
             raise NumericalAbortError(f"time stalled at t={t:.6g} with step {dt:.3g}")
 
         prev_t, prev_u = t, u
-        t += dt
+        t = t_end if dt == remainder else t + dt
         times.append(t)
         dts.append(dt)
         pending.append((u_new, beta_u, g_u, *vel_new))   # none of these is written again

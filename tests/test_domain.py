@@ -120,6 +120,11 @@ def test_grid_real_fft_pair_is_rfftn_bit_for_bit(dim):
         a_hat = g.rfft(a)
         assert np.array_equal(a_hat, np.fft.rfftn(a, axes=g.axes))
         assert np.array_equal(g.irfft(a_hat), np.fft.irfftn(a_hat, s=g.shape, axes=g.axes))
+        # overwrite runs the leading-axis passes in place, with the same bits; without
+        # it irfft leaves a_hat as it was
+        kept = a_hat.copy()
+        assert np.array_equal(g.irfft(a_hat.copy(), overwrite=True), g.irfft(a_hat))
+        assert np.array_equal(a_hat, kept)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -130,6 +135,30 @@ def test_grid_resolvent_is_the_half_of_the_full_lattice_symbol(dim):
     assert np.array_equal(g.k2, k2) and g.k2 is g.k2   # built once per grid
     assert not g.k2.flags.writeable
     assert np.array_equal(g.resolvent(0.7), 1.0 / (1.0 + 0.7 * k2))
+
+
+# |irfft(D_i rfft(a)) - gradient(a)_i| measured at most 1.53 eps max|a|/h on
+# these cases and 2.15 over 200 random fields at n <= 32 in 1D-3D
+DERIVATIVE_SYMBOL_FACTOR = 8.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_derivative_symbols_reproduce_the_gradient(dim):
+    g = Grid(dim, 1.5, 8 if dim == 3 else 16)
+    assert g.derivative_symbols is g.derivative_symbols   # built once per grid
+    half = g.k2.shape
+    for ax, d in enumerate(g.derivative_symbols):
+        assert not d.flags.writeable
+        assert np.broadcast_shapes(d.shape, half) == half and d.size == half[ax]
+        assert d.ravel()[g.n // 2] == 0.0   # the Nyquist entry, exactly
+        assert np.all(d.real == 0.0)
+    rng = np.random.default_rng(40 + dim)
+    for shape in (g.shape, (3,) + g.shape):   # one field and a stacked ensemble
+        a = rng.standard_normal(shape)
+        a_hat = g.rfft(a)
+        bound = DERIVATIVE_SYMBOL_FACTOR * np.finfo(float).eps * np.abs(a).max() / g.h
+        for d, grad in zip(g.derivative_symbols, g.gradient(a)):
+            assert np.abs(g.irfft(d * a_hat) - grad).max() <= bound
 
 
 # --- gradient -------------------------------------------------------------

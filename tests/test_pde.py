@@ -273,6 +273,39 @@ def test_stable_dt_from_the_state_maximum(dim, u_max):
                 == stable_dt_of_u(plan, u, vel, 0.4))
 
 
+@pytest.mark.parametrize("eta", [0.0, 0.01])
+@pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0, 3.0])
+def test_stable_dt_from_the_table_is_the_64_sample_rule(gamma, eta):
+    # beta' of every porous-medium model is monotone, so the table's maximum up
+    # to top never exceeds beta'(top), the largest of the 64 samples
+    g = Grid(1, 1.0, 32)
+    plan = plan_for(g, model=porous_medium_model(gamma, eta))
+    still = [np.zeros((1, g.n))]   # no drift: the diffusive limit decides
+    rng = np.random.default_rng(int(10 * gamma) + int(100 * eta))
+    for u_max in np.concatenate((np.linspace(-0.01, 1.01, 103), rng.random(400),
+                                 np.arange(1025) / 1024, np.arange(64) / 63, [5e-324, 1e-300])):
+        u = np.array([u_max])
+        assert pde.stable_dt(plan, float(u_max), still, 0.4) == stable_dt_of_u(plan, u, still, 0.4)
+
+
+def test_sampled_beta_prime_maximum_is_nondecreasing_for_any_beta_prime():
+    # beta' = 1 + s + 0.5 sin(40 s) rises and falls six times on [0, 1]
+    model = ModelFunctions(beta=lambda s: s + 0.5 * s * s + (1.0 - np.cos(40 * s)) / 80,
+                           beta_prime=lambda s: 1.0 + s + 0.5 * np.sin(40 * s),
+                           phi=lambda s: 0.5 * s * s, g=volume_filling_g)
+    tops = np.linspace(0.0, 1.0, 4001)
+    table = np.array([model.sampled_max_beta_prime(t) for t in tops])
+    assert np.all(np.diff(table) >= 0.0) and np.any(np.diff(table) > 0.0)
+    samples = np.arange(1025) / 1024
+    for t, value in zip(tops[::40], table[::40]):   # the largest beta' at a sample up to t
+        assert value == model.beta_prime(samples[samples <= t]).max()
+    # stable_dt also takes beta'(top), which can exceed the samples' maximum
+    plan, top = plan_for(Grid(1, 1.0, 32), model=model), 10.5 / 1024   # beta' still rising
+    assert model.beta_prime(top) > model.sampled_max_beta_prime(top)
+    assert pde.stable_dt(plan, top, [np.zeros((1, 32))], 0.4) == pytest.approx(
+        0.4 * plan.grid.h ** 2 / (2.0 * model.beta_prime(top)), rel=1e-15)
+
+
 def test_diagnostics_csv_bytes():
     values = [(0.0, 1.0, -0.0, 0.8, 5e-324, 0.0, -1e-300),
               (1e-3, 1.0 / 3.0, -2.5e-7, 1.0 + 1e-7, 0.1, 7e22, -1.0 / 3.0)]
@@ -408,6 +441,45 @@ def test_run_config_rejects_a_fixed_dt_beyond_the_step_budget():
     with pytest.raises(ValueError, match="^dt gives more than"):
         RunConfig(g, t_end=1.0, dt=2.0 ** -26)
     assert RunConfig(g, t_end=1.0, dt=2.0 ** -25).dt == 2.0 ** -25
+
+
+def test_automatic_dt_beyond_the_step_budget_is_refused_before_the_first_step(monkeypatch):
+    # u_max never falls below the mean of u0, so no automatic step is longer than
+    # the diffusive step at that height; t_end over that bound is the step budget
+    g, model, chem = Grid(1, 1.0, 32), porous_medium_model(2.0), ChemicalSpec([1.0], [1.0])
+    u0 = radial_bump(g)
+    lowest = u0.mean() * (1.0 - pde._MASS_TOL)
+    longest = 0.4 * g.h ** 2 / (2.0 * model.sampled_max_beta_prime(lowest))
+    _, state = run(model, chem, u0, RunConfig(g, t_end=0.01))
+    assert 0.0 < np.diff(state.diagnostics.times).max() <= longest
+
+    class Stepped(Exception):
+        pass
+
+    def step_u(*args):
+        raise Stepped
+
+    monkeypatch.setattr(pde, "step_u", step_u)
+    for factor, refused in ((0.99, False), (1.01, True)):
+        t_end = factor * pde._MAX_STEPS * longest
+        cfg = RunConfig(g, t_end=t_end, snapshot_every=t_end)
+        with pytest.raises(InputValidationError if refused else Stepped,
+                           match="^t_end = .* needs more than" if refused else None):
+            run(model, chem, u0, cfg)
+    # a fixed dt has its own check in RunConfig; this one is for the automatic dt
+    with pytest.raises(Stepped):
+        run(model, chem, u0, RunConfig(g, t_end=1e3, dt=1e-4, snapshot_every=1e3))
+
+
+def test_a_last_step_below_the_collapse_floor_ends_the_step_before():
+    # 1280 steps of this dt fall 1.4e-14 short of t_end = 0.25, which once took
+    # a 1281st step of that length; the step before now takes the leftover
+    g, dt = Grid(1, 1.0, 8), 1.953124999999889e-4
+    _, state = run(linear_model(), ChemicalSpec([1.0], [1.0]), radial_bump(g),
+                   RunConfig(g, t_end=0.25, dt=dt, snapshot_every=0.25))
+    times = state.diagnostics.times
+    assert len(times) - 1 == 1280 and times[-1] == state.time == 0.25
+    assert 0.0 < 0.25 - times[-2] - dt < 1e-13
 
 
 def test_translation_equivariance():
@@ -631,19 +703,22 @@ def test_ensemble_rejects_members_that_cannot_share_a_plan(chems, message):
 
 # --- the spectral workspace and the observer extrema ----------------------
 
-@pytest.mark.parametrize("xi", [0.0, 0.05])
-def test_runs_and_drifts_on_one_grid_leave_earlier_results_unchanged(xi):
-    # each plan writes its transforms into a workspace; nothing it returns is a view of it
-    g = Grid(1, 1.0, 64)
+@pytest.mark.parametrize("xi, g", [(0.0, Grid(1, 1.0, 64)), (0.05, Grid(1, 1.0, 64)),
+                                   (0.0, Grid(2, 1.0, 16)), (0.05, Grid(2, 1.0, 16))],
+                         ids=["0.0", "0.05", "2d-0.0", "2d-0.05"])
+def test_runs_and_drifts_on_one_grid_leave_earlier_results_unchanged(xi, g):
+    # each plan writes its transforms into a workspace, in 2D also the leading-axis
+    # inverse passes of the drift; nothing it returns is a view of it
     model, cfg = porous_medium_model(2.0), RunConfig(g, t_end=0.02, snapshot_every=0.01)
+    other = bump(g) if g.dim == 1 else Field(g, np.roll(radial_bump(g).values, 4, axis=0))
     series, state = run(model, ChemicalSpec([0.5], [1.5], xi), radial_bump(g), cfg)
     kept = [s.values.copy() for s in series.snapshots + [state.u]]
     columns = {k: v.copy() for k, v in vars(state.diagnostics).items()}
-    run(model, ChemicalSpec([0.5], [-1.5], xi), bump(g), cfg)
+    run(model, ChemicalSpec([0.5], [-1.5], xi), other, cfg)
     assert all(np.array_equal(s.values, k) for s, k in zip(series.snapshots + [state.u], kept))
     assert all(np.array_equal(v, columns[k]) for k, v in vars(state.diagnostics).items())
     plan = plan_for(g, ChemicalSpec([0.5], [1.5], xi))
-    u_hat = [rfft(radial_bump(g).values)[np.newaxis], rfft(bump(g).values)[np.newaxis]]
+    u_hat = [rfft(radial_bump(g).values)[np.newaxis], rfft(other.values)[np.newaxis]]
     first = drift_velocity_chemo(plan, u_hat[0], [plan.symbols[0] * u_hat[0]])
     kept = [v.copy() for v in first]
     second = drift_velocity_chemo(plan, u_hat[1], [plan.symbols[0] * u_hat[1]])
