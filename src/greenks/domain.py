@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import io
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -85,11 +86,10 @@ class Grid:
 
     @functools.cached_property
     def _neighbours(self) -> dict:
-        idx = np.arange(self.n)
-        return {1: np.roll(idx, -1), -1: np.roll(idx, 1)}
+        return {step: np.roll(np.arange(self.n), -step) for step in (1, -1, 2)}
 
     def shift(self, a: np.ndarray, ax: int, step: int) -> np.ndarray:
-        """a[i + step] along grid axis ``ax`` with periodic wrap, step = 1 or -1."""
+        """a[i + step] along grid axis ``ax`` with periodic wrap, step = 1, -1 or 2."""
         axis = ax - self.dim   # counted from the end
         if ax == 0:   # a gather is the cheapest copy along the first grid axis only
             return a.take(self._neighbours[step], axis=axis)
@@ -278,13 +278,12 @@ _CSV_CHUNK = 512    # cells formatted per write; bounds the temporary strings
 
 @functools.lru_cache(maxsize=4)
 def _row_templates(grid: Grid) -> tuple:
-    """Per chunk, its rows with index and coordinates filled in and a %.17g slot per value."""
-    coords = [c.ravel().tolist() for c in grid.meshgrid()]
-    row = "{}" + ",{:.17g}" * len(coords) + ",%.17g\n"
-    size = len(coords[0])
-    return tuple("".join(map(row.format, range(start, min(start + _CSV_CHUNK, size)),
-                             *(c[start:start + _CSV_CHUNK] for c in coords)))
-                 for start in range(0, size, _CSV_CHUNK))
+    """Per chunk, its rows with index and coordinates filled in and a %.17g slot per value,
+    streamed from the product of the axis centres, each formatted once."""
+    centres = ["{:.17g}".format(c) for c in grid.axis_centers().tolist()]
+    rows = map("{},{},%.17g\n".format, itertools.count(),
+               map(",".join, itertools.product(centres, repeat=grid.dim)))
+    return tuple(iter(lambda: "".join(itertools.islice(rows, _CSV_CHUNK)), ""))
 
 
 def _opened(f, mode: str):   # a path is opened and closed, an open file used as it is

@@ -1,8 +1,8 @@
 """Finite-volume solvers for the nonlocal and Keller-Segel-type systems.
 
-One explicit conservative update advances the density: upwinded advective
-fluxes with the saturation factor evaluated at the upwind cell, and a
-centered two-point flux for the nonlinear diffusion.  Chemical fields are
+One explicit conservative update, which divides no field, advances the density:
+upwinded advective fluxes with the saturation factor evaluated at the upwind cell,
+and a centered two-point flux for the nonlinear diffusion.  Chemical fields are
 either in instantaneous equilibrium (spectral elliptic solve each step) or
 relaxed with a backward-Euler spectral step, unconditionally stable in the
 relaxation parameter.  ``run_ensemble`` advances several drift layers from
@@ -311,12 +311,12 @@ def step_u(plan: StepPlan, u: np.ndarray, velocity: list, dt: float,
            beta_vals: np.ndarray, g_vals: np.ndarray) -> np.ndarray:
     """One conservative explicit update of the density values.
 
-    ``beta_vals`` and ``g_vals`` are beta(u) and g(u), which
-    ``run_ensemble`` evaluates once per state and shares with every axis and
-    dt halving.
+    ``beta_vals`` and ``g_vals`` are beta(u) and g(u), shared by every axis and dt
+    halving.  beta(u)/h is taken once and the flux differences, h times the
+    divergence, are scaled by dt/h: exact rescales when h is a power of two.
     """
     grid = plan.grid
-    h, div = grid.h, None
+    beta_h, div = np.multiply(beta_vals, 1.0 / grid.h), None
     for ax, vel in enumerate(velocity):
         # every shift is a fresh copy, so each face quantity is built in place on one
         v_face = grid.shift(vel, ax, 1)
@@ -326,12 +326,11 @@ def step_u(plan: StepPlan, u: np.ndarray, velocity: list, dt: float,
         flux = grid.shift(g_vals, ax, 1)
         np.copyto(flux, g_vals, where=v_face > 0.0)
         flux *= v_face
-        diffusive = grid.shift(beta_vals, ax, 1)
-        flux -= np.divide(np.subtract(diffusive, beta_vals, out=diffusive), h, out=diffusive)
-        term = grid.shift(flux, ax, -1)
-        np.divide(np.subtract(flux, term, out=term), h, out=term)
-        div = term if div is None else np.add(div, term, out=div)
-    return np.subtract(u, np.multiply(div, dt, out=div), out=div)
+        diffusive = grid.shift(beta_h, ax, 1)
+        flux -= np.subtract(diffusive, beta_h, out=diffusive)
+        flux -= grid.shift(flux, ax, -1)
+        div = flux if div is None else np.add(div, flux, out=div)
+    return np.subtract(u, np.multiply(div, dt / grid.h, out=div), out=div)
 
 
 def step_v_parabolic(plan: StepPlan, v_hat: list, u_hat: np.ndarray, dt: float) -> list:
@@ -380,16 +379,18 @@ def _snapshot_times(config: RunConfig) -> np.ndarray:
 
 
 def _observe(plan: StepPlan, rows: np.ndarray, pending: list) -> None:
-    """Fill ``rows`` for the K steps (u, beta(u), g(u), *velocity) in ``pending``,
-    stacked to (K, S, *grid) arrays (a view when K = 1): sum, min, max and phi sum
-    of the new u, and the squared norms of grad beta(u) and g(u) grad c before it."""
+    """Fill ``rows`` for the K steps (u, beta(u), g(u), *velocity) in ``pending``, stacked
+    to (K, S, *grid) arrays (a view when K = 1): sum, min, max and phi sum of the new u, and
+    before it |g(u) grad c|^2 and |grad b|^2 of b = beta(u), as sum (b[i+2] - b[i])^2 / 4h^2."""
     u, beta_u, g_u, *velocity = [a[0][np.newaxis] if len(a) == 1 else np.array(a)
                                  for a in zip(*pending)]
     for col, reduce in enumerate((np.add.reduce, np.minimum.reduce, np.maximum.reduce)):
         reduce(u, plan.grid.axes, out=rows[:, col])
     np.add.reduce(plan.model.phi(u), plan.grid.axes, out=rows[:, 3])
-    for col, arrays in ((4, plan.grid.gradient(beta_u)), (5, (g_u * c for c in velocity))):
+    spans = (plan.grid.shift(beta_u, ax, 2) - beta_u for ax in range(plan.grid.dim))
+    for col, arrays in ((4, spans), (5, (g_u * c for c in velocity))):
         rows[:, col] = sum(np.vecdot(f, f) for f in (a.reshape(*a.shape[:2], -1) for a in arrays))
+    rows[:, 4] *= 0.25 / (plan.grid.h * plan.grid.h)
 
 
 def run(model: ModelFunctions, chem, u0: Field, config: RunConfig):

@@ -5,9 +5,10 @@ oracle integrates the defining integral with adaptive quadrature, the
 convolution oracle sums the circular convolution directly, the lattice
 sum oracle adds one translate of a radial kernel at a time on the full
 offset lattice, the fit oracle solves the H1 least-squares problem on
-the stacked real-space values and centred differences, and the elliptic
+the stacked real-space values and centred differences, the elliptic
 solve and basis combination oracles use complex FFTs over the full
-frequency lattice instead of the grid's real-FFT pair.
+frequency lattice instead of the grid's real-FFT pair, and the centred
+gradient takes np.roll instead of the grid's shifts.
 """
 
 import math
@@ -45,6 +46,12 @@ def direct_convolution(a: np.ndarray, b: np.ndarray, cell_volume: float) -> np.n
         # roll(b, idx)[m] = b[m - idx]
         out += a[idx] * np.roll(b, idx, axis=axes)
     return out * cell_volume
+
+
+def centred_gradient_roll(a: np.ndarray, h: float) -> list:
+    """(a[i+1] - a[i-1]) / 2h along every axis, with np.roll's periodic wrap."""
+    return [(np.roll(a, -1, axis=ax) - np.roll(a, 1, axis=ax)) / (2.0 * h)
+            for ax in range(a.ndim)]
 
 
 def h1_fit_reference(target: np.ndarray, fields: list, h: float,
