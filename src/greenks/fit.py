@@ -76,6 +76,10 @@ def fit_coefficients(W: PeriodizedKernel, basis: GreensBasis,
     may exceed it slightly (by up to 3e-4 relative on
     configs/study_kernel.cfg, M <= 32).  The W11 residual is not minimized
     and may rise over nested bases (there: M = 16 to 32).
+    The design is pinned bit for bit: on the rfft half lattice it has the
+    same Gram matrix in exact arithmetic, yet there the study errors of
+    configs/study_kernel.cfg moved (M = 8: 1.50122e-5 -> 1.49931e-5, M = 16:
+    1.49999e-5 -> 1.49987e-5) and were no longer monotone in M.
     """
     grid, h = basis.grid, basis.grid.h
     if W.field.grid != grid:

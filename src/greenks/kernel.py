@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -223,41 +223,38 @@ def periodize(k: RadialKernel, grid: Grid) -> PeriodizedKernel:
     The translates summed form one cube |l|_inf < stop, where stop is the
     first shell |l|_inf = s whose tail bound, ``_tail_estimate``, is below
     _TAIL_TOLERANCE: it charges each translate left out at its own distance
-    from the points the sum is evaluated at (a compactly supported kernel,
-    whose bound vanishes beyond its support, stops as soon as no translate
-    can reach the domain, with certificate 0).  That shell is
-    found before anything is summed, so a sum that would need more than
-    _MAX_SHELLS raises at once; ``tail_bound`` records the certificate that
-    stopped the sum.  For kernels singular at the origin the zero-offset
-    cell stores the cell average of the full sum.
+    from the box [0, L]^N, which holds every point the sum is evaluated at
+    (a compact kernel stops, with certificate 0, once no translate left out
+    reaches the box).  That shell is found before anything is summed, so a
+    sum that would need more than _MAX_SHELLS raises at once; ``tail_bound``
+    records the certificate that stopped the sum.
 
     The sum is even in every coordinate and 2L-periodic, so it is evaluated
-    on the octant |x_i| in {0, h, ..., L} only and reflection fills the rest
+    on the octant x_i in {0, h, ..., L} only and reflection fills the rest
     of the lattice.  The cube is invariant under permuting the axes of the
     cubic grid, so on the octant it is summed only at the sorted index
     tuples i_1 <= ... <= i_N and the octant is filled from them by
-    permutation.  The cube without its zero translate is also symmetric
-    under reflecting any axis, so the Gauss rule for the origin cell's
-    smooth translates needs only the nodes |xi_i|, each with the weight of
-    both signs, before it is folded by permutation: 10 node tuples instead
-    of 56 in 3D and 6 instead of 21 in 2D.
+    permutation.  Every point takes the whole cube but a singular kernel's
+    origin, whose cell average is ``_cell_average_origin`` plus a Gauss rule
+    for the other translates: the cube at nodes y in (0, h/2)^N less K(|y|).
+    That is even in every axis, so the rule is folded by sign and then by
+    permutation: 10 node tuples instead of 56 in 3D and 6 instead of 21 in 2D.
     """
     dim = grid.dim
     octant = np.arange(grid.n // 2 + 1) * grid.h
     points, octant_rank = _sorted_tuples(octant.size, dim)
     stop, tail = _stopping_shell(k, grid)
     centers = 2.0 * grid.half_length * np.arange(1 - stop, stop)
+    first = int(k.singular_at_origin)   # the singular origin point is not summed
+    w = np.empty(len(points))
+    w[first:] = _cube_sum(k, octant[points[first:]], centers)
     if k.singular_at_origin:
-        # the zero offset's own translate is left out: its cell average is stored
-        w = _cube_sum(k, octant[points], centers, skip=slice(0, 1))
         nodes, weights = _gauss_legendre(_ORIGIN_GAUSS_ORDER)
         positive = slice(_ORIGIN_GAUSS_ORDER // 2, None)
-        cell_nodes, cell_weights = _folded_rule(0.5 * grid.h * nodes[positive],
-                                                weights[positive], dim)
-        w[0] = _cell_average_origin(k, grid) + float(
-            _cube_sum(k, cell_nodes, centers, skip=slice(None)) @ cell_weights)
-    else:
-        w = _cube_sum(k, octant[points], centers)
+        y, cell_weights = _folded_rule(0.5 * grid.h * nodes[positive], weights[positive], dim)
+        # the zero translate K(|y|), finite at the nodes, is in the cell average
+        smooth = _cube_sum(k, y, centers) - k.profile(np.sqrt(np.sum(y * y, axis=1)))
+        w[0] = _cell_average_origin(k, grid) + float(smooth @ cell_weights)
     w = w[octant_rank].reshape((octant.size,) * dim)
     j = np.arange(grid.n)
     w = w[np.ix_(*[np.minimum(j, grid.n - j)] * dim)]
@@ -321,17 +318,15 @@ def _sorted_tuples(m: int, dim: int) -> tuple:
     return tuples, rank[tuple(np.sort(np.indices(rank.shape).reshape(dim, -1), axis=0))]
 
 
-def _cube_sum(k: RadialKernel, x: np.ndarray, centers: np.ndarray,
-              skip: Optional[slice] = None) -> np.ndarray:
-    """Sum of K(|x - c|) over the cube of translates c, at each row of ``x``.
+def _cube_sum(k: RadialKernel, x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Sum of K(|x - c|) over the whole cube of translates c, at each row of ``x``.
 
-    ``centers`` holds the translate coordinates along one axis, the zero
-    translate in the middle; at the points ``skip`` the zero translate is
-    left out.  Per axis, the table (x_i - c)^2 has one row per coordinate;
-    each batch of translates is one broadcast add of those tables, so that
-    the trailing axes of the cube are whole in every batch and each working
-    array has at most _BATCH_ELEMENTS elements unless one translate needs
-    more.
+    ``centers`` holds the translate coordinates along one axis; no point
+    leaves one out, so no row of ``x`` may be a singularity of K.  Per axis,
+    the table (x_i - c)^2 has one row per coordinate; each batch of
+    translates is one broadcast add of those tables, so that the trailing
+    axes of the cube are whole in every batch and each working array has at
+    most _BATCH_ELEMENTS elements unless one translate needs more.
     """
     count, dim = x.shape
     m = centers.size
@@ -343,7 +338,6 @@ def _cube_sum(k: RadialKernel, x: np.ndarray, centers: np.ndarray,
     rows = max(1, _BATCH_ELEMENTS // (m ** whole * count))
     trailing = [tables[i].reshape((m,) + (1,) * (dim - 1 - i) + (count,))
                 for i in range(cut + 1, dim)]
-    zero = m // 2
     total = np.zeros(count)
     for lead in itertools.product(range(m), repeat=cut):
         base = sum(tables[i][l] for i, l in enumerate(lead))
@@ -353,14 +347,7 @@ def _cube_sum(k: RadialKernel, x: np.ndarray, centers: np.ndarray,
             for p in trailing:
                 r = r + p
             np.sqrt(r, out=r)
-            at = None
-            if skip is not None and lead == (zero,) * cut and lo <= zero < lo + rows:
-                at = (zero - lo,) + (zero,) * whole + (skip,)
-                r[at] = 1.0   # any radius the profile takes; the value is dropped
-            vals = k.profile(r)
-            if at is not None:
-                vals[at] = 0.0
-            total += vals.reshape(-1, count).sum(axis=0)
+            total += k.profile(r).reshape(-1, count).sum(axis=0)
     return total
 
 
@@ -371,10 +358,13 @@ def _stopping_shell(k: RadialKernel, grid: Grid) -> tuple:
     out, at L(2s - 1), must be that far.  The first shell whose cruder
     ``_shell_series`` is below _TAIL_TOLERANCE is found first, from one
     tail_bound call over every candidate, and a kernel whose series needs
-    more than _MAX_SHELLS shells is refused.  Since ``_tail_estimate`` is at
-    most that series and does not grow with s, stepping down while it stays
-    below the tolerance then finds the first shell it certifies.
+    more than _MAX_SHELLS shells is refused, before its series is built if
+    the first candidate is already beyond them.  Since ``_tail_estimate`` is
+    at most that series and does not grow with s, stepping down while it
+    stays below the tolerance then finds the first shell it certifies.
     """
+    if 0.25 / grid.half_length + 0.5 > _MAX_SHELLS + 1:
+        raise ValueError("lattice sum did not converge within max_shells")
     first = max(1, math.ceil(0.25 / grid.half_length + 0.5))
     series = _shell_series(k, grid, first)
     stops = np.arange(first, _MAX_SHELLS + 2)
@@ -415,10 +405,10 @@ def _tail_estimate(k: RadialKernel, grid: Grid, s: int, shells: dict,
                    series: Callable) -> float:
     """Upper bound on |sum of K(x - 2L*l) over |l|_inf >= s| at the evaluated points.
 
-    Those points lie in the box x_i in [-h/2, L]: the octant, and for a
-    singular kernel the Gauss nodes of the origin cell.  Translate l is at
+    Those points lie in the box [0, L]^N: the octant, and for a singular
+    kernel the origin cell's Gauss nodes in (0, h/2)^N.  Translate l is at
     least L*|d(l)| from the box, with d_i = 2 l_i - 1 for l_i > 0,
-    2 |l_i| - h/(2L) for l_i < 0 and 0 for l_i = 0; since ``tail_bound`` is
+    2 |l_i| for l_i < 0 and 0 for l_i = 0; since ``tail_bound`` is
     non-increasing, the shells s <= t < s + _TAIL_WINDOW are charged one
     translate at a time at that distance.  ``shells`` caches these sums by t.
     The shells beyond are charged by ``series`` from ``_shell_series``,
@@ -432,7 +422,7 @@ def _tail_estimate(k: RadialKernel, grid: Grid, s: int, shells: dict,
             # per axis, (L d_i)^2 for l_i = -t, ..., t; shell t is the blocks
             # |l_j| < t before axis i, |l_i| = t, any l_j after it
             l = np.arange(-t, t + 1)
-            d = np.where(l > 0, 2.0 * l - 1.0, np.where(l < 0, -2.0 * l - grid.h / (2.0 * L), 0.0))
+            d = np.where(l > 0, 2.0 * l - 1.0, -2.0 * l)
             sq = (L * d) ** 2
             blocks = [functools.reduce(np.add.outer, [sq[1:-1]] * i + [sq[[0, -1]]]
                                        + [sq] * (grid.dim - 1 - i)).ravel()

@@ -422,16 +422,16 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
     if float(u0.values.min()) < 0.0 or float(u0.values.max()) > 1.0:
         raise InputValidationError("initial density must satisfy 0 <= u_0 <= 1")
     grid, t_end, cv = u0.grid, config.t_end, u0.grid.cell_volume
-    plan = StepPlan.build(model, list(chems), grid)
-    axes, members, relaxed = grid.axes, len(chems), plan.relaxed
     fixed_dt, cfl_safety, beta, g = config.dt, config.cfl_safety, model.beta, model.g
     if fixed_dt is None:   # mass is conserved, so no state's max u is below mean(u0)
         lowest = min(float(u0.values.mean()) * (1.0 - _MASS_TOL), 1.0)
         longest = cfl_safety * grid.h ** 2 / (   # no CFL step is longer
             2.0 * grid.dim * model.sampled_max_beta_prime(lowest) + 1e-300)
-        if t_end / longest > _MAX_STEPS:
+        if t_end > _MAX_STEPS * longest:   # not t_end / longest: longest may underflow to 0
             raise InputValidationError(f"t_end = {t_end:g} needs more than {_MAX_STEPS} "
                                        f"automatic time steps (each at most {longest:.3g})")
+    plan = StepPlan.build(model, list(chems), grid)
+    axes, members, relaxed = grid.axes, len(chems), plan.relaxed
     u = np.repeat(u0.values[np.newaxis], members, axis=0)
     v_hat = velocity = None
     if relaxed:   # the chemicals start in equilibrium, w_j * u_0

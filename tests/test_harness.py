@@ -537,12 +537,16 @@ def test_cli_fixed_dt_beyond_the_step_budget_is_one_error_line_at_once(tmp_path,
 
 def test_cli_automatic_dt_beyond_the_step_budget_is_one_error_line_at_once(tmp_path, capsys):
     # an automatic dt on t_end = 1e6 once stepped until a timeout ended it: the
-    # step budget is bounded before the first step
-    t0 = time.perf_counter()
-    assert run_cli(tmp_path, "grid.n = 32\nrun.t_end = 1e6\nrun.snapshot_every = 1e6\n") == 1
-    assert time.perf_counter() - t0 < 5.0
-    err = capsys.readouterr().err
-    assert err.startswith("error: t_end ") and err.count("\n") == 1
+    # step budget is bounded before the first step; on L = 1e-200 the longest
+    # automatic step, a multiple of h^2, underflows to 0, and the budget once
+    # divided t_end by it
+    for text in ("grid.n = 32\nrun.t_end = 1e6\nrun.snapshot_every = 1e6\n",
+                 "grid.dim = 2\ngrid.n = 16\ngrid.half_length = 1e-200\nrun.t_end = 0.01\n"):
+        t0 = time.perf_counter()
+        assert run_cli(tmp_path, text) == 1
+        assert time.perf_counter() - t0 < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: t_end ") and err.count("\n") == 1
 
 
 def test_cli_run_reports_its_steps_and_dt_range(tmp_path, capsys):

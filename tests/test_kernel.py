@@ -323,6 +323,9 @@ def test_tail_bound_records_the_stopping_certificate(dim, n, monkeypatch):
 
 @pytest.mark.parametrize("kind,scale,dim,L,n", [
     *(("green", d, 1, 1.0, 16) for d in (0.1, 1.0, 10.0)),
+    # the certificate of the box [0, L]^N stops these one shell before a box
+    # reaching x_i = -h/2 would
+    ("green", 0.1, 1, 0.5, 16), ("gaussian", 1.0, 1, 0.2, 8),
     ("green", 0.1, 2, 1.0, 8), ("green", 1.0, 2, 1.0, 8), ("green", 10.0, 2, 2.0, 8),
     ("green", 0.1, 3, 1.0, 8), ("green", 1.0, 3, 2.0, 8), ("green", 10.0, 3, 4.0, 8),
     ("gaussian", 0.05, 1, 0.25, 16), ("gaussian", 0.3, 2, 0.5, 8), ("gaussian", 0.3, 3, 0.5, 8),
@@ -353,12 +356,12 @@ def test_tail_window_charges_every_translate_of_a_shell_once(dim):
     k = greens_free_space(1.0, dim)
     shells = {}
     kernel._tail_estimate(k, grid, 1, shells, lambda a, b: 0.0)
-    L, h = grid.half_length, grid.h
+    L = grid.half_length
     for t, got in shells.items():
         ref = 0.0
         for l in itertools.product(range(-t, t + 1), repeat=dim):
             if max(map(abs, l)) == t:
-                d = [2 * li - 1 if li > 0 else (-2 * li - h / (2 * L) if li < 0 else 0) for li in l]
+                d = [2 * li - 1 if li > 0 else -2 * li for li in l]
                 ref += float(k.tail_bound(np.array([L * math.hypot(*d)]))[0])
         assert got == pytest.approx(ref, rel=1e-13)
 
@@ -389,6 +392,15 @@ def test_periodize_rejects_unconverged_sum():
     # sqrt(d) = 100 on L = 1: the tail certificate needs about 1,200 shells
     with pytest.raises(ValueError, match="max_shells"):
         periodize(greens_free_space(1e4, 1), Grid(1, 1.0, 8))
+    # the tail bound holds from r = 0.5, about 0.25/L shells out: on these L that
+    # first shell is refused before the per-shell series, an arange from it, is built
+    for L in (1e-20, 1e-200, 1e-320):
+        with pytest.raises(ValueError, match="max_shells"):
+            periodize(adhesion_potential(ONES, 1), Grid(1, L, 8))
+    # the smallest L whose first shell is _MAX_SHELLS + 1 is still summed
+    grid = Grid(1, 0.25 / (kernel._MAX_SHELLS + 0.5), 8)
+    pk = periodize(greens_free_space(1e-12, 1), grid)
+    assert pk.truncation_radius_cells == kernel._MAX_SHELLS
 
 
 # --- gaussian -------------------------------------------------------------
