@@ -349,7 +349,7 @@ def stable_dt(plan: StepPlan, u_max: float, velocity: list, cfl_safety: float) -
     On a stacked plan ``u_max`` is the largest value of any member and the
     velocities hold every member, so the step suits them all.  max beta' on
     [0, top] is taken as the larger of the sampled maximum and beta'(top): for a
-    monotone beta' that is the old maximum of 64 samples on [0, top] bit for bit.
+    nondecreasing beta' that is beta'(top) exactly.
     """
     h, N, model = plan.grid.h, plan.grid.dim, plan.model
     top = min(max(u_max, 0.0), 1.0) or 1.0
@@ -430,6 +430,10 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
         if t_end > _MAX_STEPS * longest:   # not t_end / longest: longest may underflow to 0
             raise InputValidationError(f"t_end = {t_end:g} needs more than {_MAX_STEPS} "
                                        f"automatic time steps (each at most {longest:.3g})")
+    nyquist = math.pi / grid.h   # a fixed dt skips the budget; |k|^2 bounds 1/h^2 too
+    if not math.isfinite(grid.dim * nyquist * nyquist):
+        raise InputValidationError(f"half_length = {grid.half_length:g} is too small: "
+                                   f"|k|^2 overflows on cells of width {grid.h:.3g}")
     plan = StepPlan.build(model, list(chems), grid)
     axes, members, relaxed = grid.axes, len(chems), plan.relaxed
     u = np.repeat(u0.values[np.newaxis], members, axis=0)

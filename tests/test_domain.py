@@ -109,12 +109,15 @@ def test_grid_shift_and_gradient_match_roll(dim):
         assert all(np.array_equal(comp[m], g.gradient(stack[m])[ax]) for m in range(3))
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_grid_real_fft_pair_is_rfftn_bit_for_bit(dim):
-    g = Grid(dim, 1.0, 8)
-    rng = np.random.default_rng(dim)
+@pytest.mark.parametrize("dim,n", [(1, 8), (1, 24), (1, 256), (2, 8), (2, 24), (2, 128),
+                                   (3, 8), (3, 24)])
+def test_grid_real_fft_pair_is_rfftn_bit_for_bit(dim, n):
+    # the pair calls numpy's pocketfft gufuncs itself; n = 24 = 2^3 * 3 runs
+    # pocketfft's radix-3 pass
+    g = Grid(dim, 1.0, n)
+    rng = np.random.default_rng(dim * n)
     for shape in (g.shape, (3,) + g.shape):
-        a = rng.standard_normal(shape)
+        a, b = rng.standard_normal((2,) + shape)
         a_hat = g.rfft(a)
         assert np.array_equal(a_hat, np.fft.rfftn(a, axes=g.axes))
         assert np.array_equal(g.irfft(a_hat), np.fft.irfftn(a_hat, s=g.shape, axes=g.axes))
@@ -123,6 +126,18 @@ def test_grid_real_fft_pair_is_rfftn_bit_for_bit(dim):
         kept = a_hat.copy()
         assert np.array_equal(g.irfft(a_hat.copy(), overwrite=True), g.irfft(a_hat))
         assert np.array_equal(a_hat, kept)
+        # a real spectrum, as GreensBasis.combination passes, is left as it was too
+        symbol = rng.standard_normal(a_hat.shape)
+        kept = symbol.copy()
+        assert np.array_equal(g.irfft(symbol), np.fft.irfftn(symbol, s=g.shape, axes=g.axes))
+        assert np.array_equal(symbol, kept)
+        # one preallocated out serves two inputs in turn, as StepPlan.u_hat does
+        spectrum, values = np.empty_like(a_hat), np.empty(shape)
+        for c in (a, b):
+            assert g.rfft(c, out=spectrum) is spectrum
+            assert np.array_equal(spectrum, np.fft.rfftn(c, axes=g.axes))
+            assert g.irfft(spectrum, out=values) is values
+            assert np.array_equal(values, np.fft.irfftn(spectrum, s=g.shape, axes=g.axes))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -547,6 +548,21 @@ def test_cli_automatic_dt_beyond_the_step_budget_is_one_error_line_at_once(tmp_p
         assert time.perf_counter() - t0 < 5.0
         err = capsys.readouterr().err
         assert err.startswith("error: t_end ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("half_length", ["1e-200", "1e-160"])
+def test_cli_fixed_dt_on_a_grid_too_fine_for_floats_is_one_error_line(tmp_path, capsys,
+                                                                      half_length):
+    # a fixed dt skips the automatic step budget: on L = 1e-200, h^2 underflows
+    # to 0 and the energy bookkeeping once divided by it; on L = 1e-160, h^2 is
+    # subnormal; on both |k|^2 overflows, which the plan would warn of first
+    text = (f"grid.dim = 2\ngrid.n = 16\ngrid.half_length = {half_length}\n"
+            "run.t_end = 0.01\nrun.dt = 0.001\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(tmp_path, text) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: half_length = {half_length} ") and err.count("\n") == 1
 
 
 def test_cli_run_reports_its_steps_and_dt_range(tmp_path, capsys):
