@@ -8,7 +8,7 @@ from .greens import GreensBasis, elliptic_solve, greens_periodic_spectral
 from .kernel import (PeriodizedKernel, RadialKernel, adhesion_potential,
                      gaussian_kernel, greens_free_space, periodize)
 from .pde import (ChemicalSpec, ModelFunctions, RunConfig, SolverState,
-                  linear_model, porous_medium_model, run)
+                  porous_medium_model, run)
 from .specfun import bessel_k
 from .harness import ExperimentReport, basis_fits, compare_runs, study_kernel, study_xi
 

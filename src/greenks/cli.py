@@ -202,7 +202,7 @@ def main(argv=None) -> int:
     except (cfgmod.ConfigError, InputValidationError, ComparisonError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericalAbortError, AssertionError) as e:
+    except NumericalAbortError as e:
         print(f"numerical abort: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -19,7 +19,7 @@ from .domain import Field, Grid
 from .kernel import (PeriodizedKernel, adhesion_potential, gaussian_kernel,
                      greens_free_space, periodize)
 from .pde import (ChemicalSpec, InputValidationError, ModelFunctions, RunConfig,
-                  linear_model, linear_saturating_g, porous_medium_model)
+                  linear_saturating_g, porous_medium_model)
 
 _DEFAULTS = {
     "grid.dim": "1",
@@ -183,10 +183,8 @@ def _initial_datum(cfg: dict, grid: Grid) -> Field:
 
 def _model(cfg: dict) -> ModelFunctions:
     eta = float(cfg["model.eta"])
-    if _choice(cfg, "model.beta") == "linear":
-        model = linear_model(eta=eta)
-    else:
-        model = porous_medium_model(float(cfg["model.gamma"]), eta=eta)
+    gamma = 1.0 if _choice(cfg, "model.beta") == "linear" else float(cfg["model.gamma"])
+    model = porous_medium_model(gamma, eta=eta)
     if _choice(cfg, "model.g") == "linear":
         model = dataclasses.replace(model, g=linear_saturating_g)   # validates the new g
     return model

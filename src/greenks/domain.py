@@ -110,7 +110,7 @@ class Grid:
     # gufuncs 2.6 and 2.7 us (the latter with its new output array).  The module is
     # private, but np.fft has run on it since numpy 2.0; the bit-for-bit test and
     # the numpy 2.0 CI leg pin it.  It is looked up at call time, so importing
-    # greenks does not load numpy.fft.  A stepper reuses ``out``, and with
+    # greenks does not load numpy.fft.  A stepper reuses rfft's ``out``, and with
     # ``overwrite`` the leading-axis passes of irfft run in place in a_hat
     def rfft(self, a: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         pfu = np.fft._pocketfft_umath
@@ -121,16 +121,14 @@ class Grid:
             a_hat = pfu.fft(a_hat, 1, axes=[(ax,), (), (ax,)], out=a_hat)
         return a_hat
 
-    def irfft(self, a_hat: np.ndarray, out: np.ndarray = None,
-              overwrite: bool = False) -> np.ndarray:
+    def irfft(self, a_hat: np.ndarray, overwrite: bool = False) -> np.ndarray:
         pfu, fct = np.fft._pocketfft_umath, 1.0 / self.n
         for ax in self.axes[:-1]:
             # without overwrite the first pass writes a new complex array, which
             # also takes a real a_hat; the later passes run in place in it
             dest = a_hat if overwrite else np.empty(a_hat.shape, complex)
             a_hat, overwrite = pfu.ifft(a_hat, fct, axes=[(ax,), (), (ax,)], out=dest), True
-        if out is None:
-            out = np.empty(a_hat.shape[:-1] + (self.n,))
+        out = np.empty(a_hat.shape[:-1] + (self.n,))   # n cannot be read off a_hat
         return pfu.irfft(a_hat, fct, axes=[(-1,), (), (-1,)], out=out)
 
     @functools.cached_property

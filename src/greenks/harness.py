@@ -12,9 +12,9 @@ from .domain import (Field, SpaceTimeSeries, csv_table, gradient, norm_l1, norm_
 from .fit import default_diffusivities, fit_coefficients
 from .greens import GreensBasis
 from .kernel import PeriodizedKernel
-from .pde import ChemicalSpec, run, run_ensemble
+from .pde import ChemicalSpec, NumericalAbortError, run, run_ensemble
 
-_YOUNG_SLACK = 1e-8   # relative rounding allowance of the asserted drift bound
+_YOUNG_SLACK = 1e-8   # relative rounding allowance of the checked drift bound
 
 
 class ComparisonError(ValueError):
@@ -101,10 +101,11 @@ def study_kernel(cfg: dict, M_list=None) -> ExperimentReport:
     nonlocal reference and the fitted combinations, run through the
     parabolic-elliptic solver (exercising the coincidence with the nonlocal
     form), advance as one lockstep ensemble, so every error is measured on
-    one shared time grid.  The convolution drift bound is asserted on every
-    snapshot.  The report's columns record each fit's residuals, Gram
-    condition and singular flag, and the drift defect: the largest left side
-    of the drift bound over the surrogate's snapshots.
+    one shared time grid.  The convolution drift bound is checked on every
+    snapshot; a violation is a NumericalAbortError.  The report's columns
+    record each fit's residuals, Gram condition and singular flag, and the
+    drift defect: the largest left side of the drift bound over the
+    surrogate's snapshots.
     """
     model, chem, u0, run_cfg = cfgmod.build_problem(cfg)
     W = cfgmod.require_kernel(chem, "study-kernel")
@@ -118,7 +119,7 @@ def study_kernel(cfg: dict, M_list=None) -> ExperimentReport:
         W_M = GreensBasis.build(W.field.grid, fit.diffusivities).combination(fit.coefficients)
         sides = young_drift_sides(series.snapshots, W_M - W.field)
         if not all(lhs <= rhs * (1.0 + _YOUNG_SLACK) for lhs, rhs in sides):
-            raise AssertionError("drift Young bound violated on a snapshot")
+            raise NumericalAbortError("drift Young bound violated on a snapshot")
         defects.append(max(lhs for lhs, _ in sides))
 
     columns = {"residual_w11": [f.residual_w11 for f in fits],

@@ -98,30 +98,16 @@ class ModelFunctions:
 
 
 def porous_medium_model(gamma: float, eta: float = 0.0) -> ModelFunctions:
-    """beta(u) = u^gamma + eta*u with the volume-filling g(u) = u(1-u)."""
+    """beta(u) = u^gamma + eta*u (linear at gamma = 1) with the volume-filling g(u) = u(1-u)."""
     if not gamma >= 1:
         raise ValueError("gamma must be >= 1")
-    if gamma == 1:
-        return linear_model(eta=eta)
-    return _regularized(
-        lambda u: np.abs(u) ** gamma * np.sign(u),
-        lambda u: gamma * np.abs(u) ** (gamma - 1.0),
-        # |u|^gamma |u|, not |u|^(gamma+1): at the shipped gamma = 2 numpy squares
-        # without its general pow; any other gamma pays one more multiply
-        lambda u: np.abs(u) ** gamma * np.abs(u) / (gamma + 1.0), eta)
-
-
-def linear_model(eta: float = 0.0) -> ModelFunctions:
-    """beta(u) = u + eta*u with the volume-filling g(u) = u(1-u)."""
-    return _regularized(lambda u: np.asarray(u, dtype=float),
-                        lambda u: np.ones_like(np.asarray(u, dtype=float)),
-                        lambda u: 0.5 * np.asarray(u, dtype=float) ** 2, eta)
-
-
-def _regularized(beta, beta_prime, phi, eta: float) -> ModelFunctions:
-    """The model of beta, beta' and phi with eta*u, eta and eta*u^2/2 added."""
     if not math.isfinite(eta):
         raise ValueError("eta must be finite")
+    beta = lambda u: np.abs(u) ** gamma * np.sign(u)
+    beta_prime = lambda u: gamma * np.abs(u) ** (gamma - 1.0)
+    # |u|^gamma |u|, not |u|^(gamma+1): at the shipped gamma = 2 numpy squares
+    # without its general pow; any other gamma pays one more multiply
+    phi = lambda u: np.abs(u) ** gamma * np.abs(u) / (gamma + 1.0)
     if eta:
         beta = lambda u, b=beta: b(u) + eta * u
         beta_prime = lambda u, bp=beta_prime: bp(u) + eta
@@ -506,7 +492,6 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
         while len(snapshots) < len(snap_times) and snap_times[len(snapshots)] <= t + 1e-14:
             theta = min((snap_times[len(snapshots)] - prev_t) / (t - prev_t), 1.0)
             snapshots.append((1 - theta) * prev_u + theta * u)
-    snapshots += [u.copy() for _ in snap_times[len(snapshots):]]
     if pending:
         _observe(plan, record[len(times) - len(pending):len(times)], pending)
 

@@ -137,12 +137,10 @@ def _check_real_fft_pair(g, rng):
         assert np.array_equal(g.irfft(symbol), np.fft.irfftn(symbol, s=g.shape, axes=g.axes))
         assert np.array_equal(symbol, kept)
         # one preallocated out serves two inputs in turn, as StepPlan.u_hat does
-        spectrum, values = np.empty_like(a_hat), np.empty(shape)
+        spectrum = np.empty_like(a_hat)
         for c in (a, b):
             assert g.rfft(c, out=spectrum) is spectrum
             assert np.array_equal(spectrum, np.fft.rfftn(c, axes=g.axes))
-            assert g.irfft(spectrum, out=values) is values
-            assert np.array_equal(values, np.fft.irfftn(spectrum, s=g.shape, axes=g.axes))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

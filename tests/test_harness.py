@@ -178,8 +178,17 @@ def test_study_kernel_asserts_the_drift_bound(monkeypatch):
     # a slack of -1 leaves no room: any nonzero drift difference violates it
     monkeypatch.setattr(harness, "_YOUNG_SLACK", -1.0)
     cfg = base_cfg(**{"kernel.type": "adhesion"})
-    with pytest.raises(AssertionError, match="Young bound"):
+    with pytest.raises(pde.NumericalAbortError, match="Young bound"):
         study_kernel(cfg, M_list=[1])
+
+
+def test_cli_young_bound_violation_is_one_numerical_abort_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "_YOUNG_SLACK", -1.0)
+    path = tmp_path / "young.cfg"
+    path.write_text("grid.n = 32\nkernel.type = adhesion\nrun.t_end = 0.05\nstudy.M = 1\n")
+    assert main(["study-kernel", str(path), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical abort:") and "Young" in err[0], err
 
 
 def test_study_kernel_rejects_nonincreasing_m():
@@ -216,6 +225,17 @@ def test_initial_datum_validation():
     cfg = cfgmod.parse_config_text("init.type = constant\ninit.amplitude = 1.4\n")
     with pytest.raises(InputValidationError):
         cfgmod.build_problem(cfg)
+
+
+def test_linear_beta_is_the_power_model_at_gamma_one():
+    # under model.beta = linear, model.gamma is ignored
+    model = cfgmod.build_problem(base_cfg(**{"model.beta": "linear", "model.gamma": "3.0",
+                                             "model.eta": "0.25"}))[0]
+    reference = pde.porous_medium_model(1.0, eta=0.25)
+    u = np.linspace(0.0, 1.0, 101)
+    for name in ("beta", "beta_prime", "phi"):
+        assert np.array_equal(getattr(model, name)(u), getattr(reference, name)(u)), name
+    assert np.array_equal(model.beta(u), u + 0.25 * u)
 
 
 def test_shipped_configs_parse():
@@ -602,13 +622,15 @@ def test_cli_rejects_more_snapshots_than_the_limit(tmp_path, capsys, monkeypatch
 
 
 def test_cli_internal_value_error_is_not_a_user_error(tmp_path, monkeypatch):
-    # only the named input-error classes map to exit 1; a bare ValueError
-    # from inside the program propagates
-    def broken(*args):
-        raise ValueError("internal bug")
-    monkeypatch.setattr("greenks.cli.run_solver", broken)
-    with pytest.raises(ValueError, match="internal bug"):
-        run_cli(tmp_path, "grid.n = 32\nrun.t_end = 0.01\n")
+    # only the named input-error classes map to exit 1 and NumericalAbortError
+    # to exit 2; a bare ValueError or AssertionError from inside the program
+    # propagates
+    for error in (ValueError, AssertionError):
+        def broken(*args):
+            raise error("internal bug")
+        monkeypatch.setattr("greenks.cli.run_solver", broken)
+        with pytest.raises(error, match="internal bug"):
+            run_cli(tmp_path, "grid.n = 32\nrun.t_end = 0.01\n")
 
 
 def assert_one_error_line(capsys):

@@ -12,7 +12,7 @@ from greenks.harness import compare_runs, young_drift_sides
 from greenks.kernel import PeriodizedKernel, adhesion_potential, periodize
 from greenks.pde import (ChemicalSpec, InputValidationError, ModelFunctions,
                          NumericalAbortError, RunConfig, StepPlan, drift_velocity_chemo,
-                         linear_model, porous_medium_model, run, run_ensemble, step_u,
+                         porous_medium_model, run, run_ensemble, step_u,
                          linear_saturating_g, step_v_parabolic, volume_filling_g)
 from oracles import centred_gradient_roll
 
@@ -47,9 +47,15 @@ def test_porous_medium_presets():
 
 
 def test_gamma_one_is_linear():
-    m = porous_medium_model(1.0)
-    u = np.linspace(0, 1, 11)
-    assert np.allclose(m.beta(u), u)
+    # at gamma = 1 the power formulas give the linear model's values bit for bit:
+    # |u| sign(u) = u, 1 |u|^0 = 1 and |u| |u| / 2 = u^2 / 2
+    rng = np.random.default_rng(11)
+    u = np.concatenate((rng.random(200), [0.0, 1.0, 5e-324, -1e-7, 1.0 + 1e-7]))
+    for eta in (0.0, 0.01, 7 / 3):
+        m = porous_medium_model(1.0, eta=eta)
+        assert np.array_equal(m.beta(u), u + eta * u)
+        assert np.array_equal(m.beta_prime(u), np.ones_like(u) + eta)
+        assert np.array_equal(m.phi(u), 0.5 * u ** 2 + 0.5 * eta * u * u)
 
 
 def test_eta_regularization():
@@ -69,7 +75,7 @@ def test_invalid_eta_is_rejected(eta):
     with pytest.raises(ValueError):
         porous_medium_model(2.0, eta=eta)
     with pytest.raises(ValueError):
-        linear_model(eta=eta - 1.0)
+        porous_medium_model(1.0, eta=eta - 1.0)
 
 
 def test_model_validation_rejects_nonmonotone_beta():
@@ -168,7 +174,7 @@ def test_chemo_drift_validation():
 def test_step_u_heat_mode_decay():
     # beta = id, no drift: u_new = u + dt Lap_h u with the 3-point stencil
     g = Grid(1, 1.0, 8)
-    plan = plan_for(g, model=linear_model())
+    plan = plan_for(g, model=porous_medium_model(1.0))
     x = g.axis_centers()
     w = math.pi / g.half_length
     u = 0.3 + 0.1 * np.cos(w * x)
@@ -400,7 +406,7 @@ def test_run_validates_initial_datum():
     g = Grid(1, 1.0, 32)
     cfg = RunConfig(g, t_end=0.01, snapshot_every=0.01)
     with pytest.raises(InputValidationError):
-        run(linear_model(), ChemicalSpec([1.0], [1.0], 0.0),
+        run(porous_medium_model(1.0), ChemicalSpec([1.0], [1.0], 0.0),
             Field.constant(g, 1.5), cfg)
 
 
@@ -424,7 +430,7 @@ def test_constant_state_is_stationary(chem):
 def test_snapshot_times_cover_interval():
     g = Grid(1, 1.0, 32)
     cfg = RunConfig(g, t_end=0.23, snapshot_every=0.05)
-    series, _ = run(linear_model(), ChemicalSpec([1.0], [1.0], 0.0), bump(g), cfg)
+    series, _ = run(porous_medium_model(1.0), ChemicalSpec([1.0], [1.0], 0.0), bump(g), cfg)
     assert series.times[0] == 0.0
     assert series.times[-1] == pytest.approx(0.23)
     assert len(series.times) == 6
@@ -493,7 +499,7 @@ def test_a_last_step_below_the_collapse_floor_ends_the_step_before():
     # 1280 steps of this dt fall 1.4e-14 short of t_end = 0.25, which once took
     # a 1281st step of that length; the step before now takes the leftover
     g, dt = Grid(1, 1.0, 8), 1.953124999999889e-4
-    _, state = run(linear_model(), ChemicalSpec([1.0], [1.0]), radial_bump(g),
+    _, state = run(porous_medium_model(1.0), ChemicalSpec([1.0], [1.0]), radial_bump(g),
                    RunConfig(g, t_end=0.25, dt=dt, snapshot_every=0.25))
     times = state.diagnostics.times
     assert len(times) - 1 == 1280 and times[-1] == state.time == 0.25
@@ -584,12 +590,12 @@ def test_collapsed_and_stalled_steps_abort(monkeypatch):
     monkeypatch.setattr(pde, "stable_dt", lambda *args: next(proposals))
     chem, cfg = ChemicalSpec([1.0], [1.0], 0.0), RunConfig(g, t_end=0.01)
     with pytest.raises(NumericalAbortError, match="time step collapsed"):
-        run(linear_model(), chem, bump(g), cfg)
+        run(porous_medium_model(1.0), chem, bump(g), cfg)
     # without the floor, t + dt == t still stops the loop
     proposals = iter([1e-3] + [1e-20] * 3)
     monkeypatch.setattr(pde, "_MIN_DT_FRACTION", 0.0)
     with pytest.raises(NumericalAbortError, match="time stalled"):
-        run(linear_model(), chem, bump(g), cfg)
+        run(porous_medium_model(1.0), chem, bump(g), cfg)
 
 
 def test_young_drift_bound():
@@ -668,7 +674,7 @@ def test_an_undershoot_halves_dt_for_every_member():
     dt = 0.75 * g.h ** 2
     spike = Field(g, np.where(np.arange(g.n) == 16, 0.5, 0.0))
     chems = [ChemicalSpec([1.0], [0.0], 0.0), ChemicalSpec([1.0], [0.5], 0.0)]
-    for _, state in run_ensemble(linear_model(), chems, spike, RunConfig(g, t_end=4 * dt, dt=dt)):
+    for _, state in run_ensemble(porous_medium_model(1.0), chems, spike, RunConfig(g, t_end=4 * dt, dt=dt)):
         d = state.diagnostics
         assert d.times[1] == dt / 2
         assert min(d.min_u) >= -1e-6 and max(d.max_u) <= 1.0
@@ -709,7 +715,7 @@ def test_ensemble_names_the_member_that_loses_mass(monkeypatch):
 
     monkeypatch.setattr(pde, "step_u", leaking)
     with pytest.raises(NumericalAbortError, match="mass conservation lost in member 2"):
-        run_ensemble(linear_model(), [ChemicalSpec([1.0], [1.0], 0.0)] * 3, bump(g),
+        run_ensemble(porous_medium_model(1.0), [ChemicalSpec([1.0], [1.0], 0.0)] * 3, bump(g),
                      RunConfig(g, t_end=0.01))
 
 
@@ -730,7 +736,7 @@ def test_ensemble_rejects_members_that_cannot_share_a_plan(chems, message):
     g = Grid(1, 1.0, 32)
     chems = [periodize(adhesion_potential(ONES, 1), g) if c == "kernel" else c for c in chems]
     with pytest.raises(ValueError, match=message):
-        run_ensemble(linear_model(), chems, bump(g), RunConfig(g, t_end=0.01))
+        run_ensemble(porous_medium_model(1.0), chems, bump(g), RunConfig(g, t_end=0.01))
 
 
 # --- the spectral workspace and the observer extrema ----------------------
