@@ -8,7 +8,6 @@ documents both.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from typing import Optional
@@ -19,7 +18,7 @@ from .domain import Field, Grid
 from .kernel import (PeriodizedKernel, adhesion_potential, gaussian_kernel,
                      greens_free_space, periodize)
 from .pde import (ChemicalSpec, InputValidationError, ModelFunctions, RunConfig,
-                  linear_saturating_g, porous_medium_model)
+                  linear_saturating_g, volume_filling_g)
 
 _DEFAULTS = {
     "grid.dim": "1",
@@ -182,12 +181,9 @@ def _initial_datum(cfg: dict, grid: Grid) -> Field:
 
 
 def _model(cfg: dict) -> ModelFunctions:
-    eta = float(cfg["model.eta"])
     gamma = 1.0 if _choice(cfg, "model.beta") == "linear" else float(cfg["model.gamma"])
-    model = porous_medium_model(gamma, eta=eta)
-    if _choice(cfg, "model.g") == "linear":
-        model = dataclasses.replace(model, g=linear_saturating_g)   # validates the new g
-    return model
+    g = linear_saturating_g if _choice(cfg, "model.g") == "linear" else volume_filling_g
+    return ModelFunctions(gamma, float(cfg["model.eta"]), g)
 
 
 @_config_values

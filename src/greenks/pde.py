@@ -17,7 +17,6 @@ accepted states.  ``Field`` objects are made for snapshots and the end states.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -37,7 +36,6 @@ _MASS_TOL = 1e-10          # relative mass drift treated as a solver failure
 _MAX_DT_HALVINGS = 20
 _MIN_DT_FRACTION = 1e-10   # a step below this fraction of t_end is a stall
 _MAX_STEPS = 50_000_000
-_BETA_PRIME_STEPS = 1024   # the beta' table samples [0, 1] at k / this, exact in binary
 _BLOCK_ELEMENTS = 2 ** 12   # elements of u per block of accepted steps that _observe sums
 # a run holds every snapshot, one state per member, until it ends and writes each
 # as a CSV file, so this bounds both; shipped and benchmark configs write at most 6
@@ -52,69 +50,6 @@ class NumericalAbortError(RuntimeError):
     """The time loop could not continue (rejected steps, non-finite values, a stall)."""
 
 
-@dataclass(frozen=True)
-class ModelFunctions:
-    """Nonlinearities of the density equation, exactly as the solver runs them.
-
-    ``beta`` must be strictly increasing with beta(0) = 0 (degenerate slope
-    at 0 is fine); ``g`` vanishes outside [0, 1] and |g(s)| <= s there.  A
-    regularization eta*s is part of ``beta`` (see
-    :func:`porous_medium_model`), so it is validated with it.  Frozen, so that
-    no function is installed after this check; ``dataclasses.replace``
-    builds a validated copy.
-    """
-
-    beta: Callable[[np.ndarray], np.ndarray]
-    beta_prime: Callable[[np.ndarray], np.ndarray]
-    phi: Callable[[np.ndarray], np.ndarray]   # antiderivative of beta
-    g: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        s = np.linspace(0.0, 1.0, 1001)
-        b = np.asarray(self.beta(s), dtype=float)
-        if abs(b[0]) > 1e-14:
-            raise ValueError("beta(0) must be 0")
-        if np.any(np.diff(b) <= 0):
-            raise ValueError("beta must be strictly increasing on [0, 1]")
-        bp = np.asarray(self.beta_prime(s[1:]), dtype=float)
-        if np.any(bp <= 0):
-            raise ValueError("beta' must be positive on (0, 1]")
-        gs = np.asarray(self.g(s), dtype=float) * np.ones_like(s)
-        if abs(gs[-1]) > 1e-14 or np.any(np.abs(gs[1:]) > s[1:] * (1 + 1e-12)):
-            raise ValueError("g must vanish at 1 and satisfy |g(s)| <= s")
-        for probe in (-0.5, 1.5):
-            if abs(float(np.asarray(self.g(np.array([probe])), dtype=float)[0])) > 1e-14:
-                raise ValueError("g must vanish outside [0, 1]")
-
-    @functools.cached_property   # a frozen dataclass's __dict__ takes it
-    def _beta_prime_maxima(self) -> tuple:
-        s = np.arange(_BETA_PRIME_STEPS + 1) / _BETA_PRIME_STEPS
-        return tuple(np.maximum.accumulate(self.beta_prime(s) * np.ones_like(s)).tolist())
-
-    def sampled_max_beta_prime(self, top: float) -> float:
-        """The largest beta' at the samples k/1024 in [0, top], top in [0, 1], from a
-        table built once per model: nondecreasing in ``top`` for any beta'."""
-        return self._beta_prime_maxima[int(top * _BETA_PRIME_STEPS)]
-
-
-def porous_medium_model(gamma: float, eta: float = 0.0) -> ModelFunctions:
-    """beta(u) = u^gamma + eta*u (linear at gamma = 1) with the volume-filling g(u) = u(1-u)."""
-    if not gamma >= 1:
-        raise ValueError("gamma must be >= 1")
-    if not math.isfinite(eta):
-        raise ValueError("eta must be finite")
-    beta = lambda u: np.abs(u) ** gamma * np.sign(u)
-    beta_prime = lambda u: gamma * np.abs(u) ** (gamma - 1.0)
-    # |u|^gamma |u|, not |u|^(gamma+1): at the shipped gamma = 2 numpy squares
-    # without its general pow; any other gamma pays one more multiply
-    phi = lambda u: np.abs(u) ** gamma * np.abs(u) / (gamma + 1.0)
-    if eta:
-        beta = lambda u, b=beta: b(u) + eta * u
-        beta_prime = lambda u, bp=beta_prime: bp(u) + eta
-        phi = lambda u, p=phi: p(u) + 0.5 * eta * u * u
-    return ModelFunctions(beta, beta_prime, phi, volume_filling_g)
-
-
 def volume_filling_g(s: np.ndarray) -> np.ndarray:
     # s(1 - s) is positive exactly on (0, 1)
     s = np.asarray(s, dtype=float)
@@ -125,6 +60,52 @@ def linear_saturating_g(s: np.ndarray) -> np.ndarray:
     """g(s) = s on [0, 1), 0 outside; keeps |g| <= s but not u <= 1 structurally."""
     s = np.asarray(s, dtype=float)
     return np.where((s > 0.0) & (s < 1.0), s, 0.0)
+
+
+@dataclass(frozen=True)
+class ModelFunctions:
+    """beta(u) = u^gamma + eta*u (linear at gamma = 1) and the saturation ``g``.
+
+    The parameters are checked exactly: 1 <= gamma < inf, eta finite, and eta >= 0,
+    or eta > -1 at gamma = 1, so that beta is strictly increasing with beta(0) = 0
+    and beta' = gamma|u|^(gamma-1) + eta is nondecreasing; ``g`` is one of the two
+    above, each vanishing outside [0, 1] with |g(s)| <= s.  Frozen, so that no
+    parameter changes after this check; ``dataclasses.replace`` builds a
+    validated copy.
+    """
+
+    gamma: float
+    eta: float = 0.0
+    g: Callable[[np.ndarray], np.ndarray] = volume_filling_g
+
+    def __post_init__(self):
+        if not 1.0 <= self.gamma < math.inf:   # also rejects NaN
+            raise ValueError("gamma must be >= 1 and finite")
+        if not math.isfinite(self.eta):
+            raise ValueError("eta must be finite")
+        if not (self.eta >= 0.0 or (self.gamma == 1.0 and self.eta > -1.0)):
+            raise ValueError("beta must be strictly increasing on [0, 1]: "
+                             "eta >= 0, or eta > -1 at gamma = 1")
+        if self.g not in (volume_filling_g, linear_saturating_g):
+            raise ValueError("g must be volume_filling_g or linear_saturating_g")
+
+    def beta(self, u: np.ndarray) -> np.ndarray:
+        b = np.abs(u) ** self.gamma * np.sign(u)
+        return b + self.eta * u if self.eta else b
+
+    def beta_prime(self, u: np.ndarray) -> np.ndarray:
+        bp = self.gamma * np.abs(u) ** (self.gamma - 1.0)
+        return bp + self.eta if self.eta else bp
+
+    def phi(self, u: np.ndarray) -> np.ndarray:
+        """The antiderivative of beta.  |u|^gamma |u|, not |u|^(gamma+1): at the
+        shipped gamma = 2 numpy squares without its general pow."""
+        a = np.abs(u)
+        p = a ** self.gamma * a / (self.gamma + 1.0)
+        return p + 0.5 * self.eta * u * u if self.eta else p
+
+
+porous_medium_model = ModelFunctions   # the name every caller builds a model by
 
 
 @dataclass
@@ -333,14 +314,13 @@ def stable_dt(plan: StepPlan, u_max: float, velocity: list, cfl_safety: float) -
     """CFL step for a state whose largest density value is ``u_max``.
 
     On a stacked plan ``u_max`` is the largest value of any member and the
-    velocities hold every member, so the step suits them all.  max beta' on
-    [0, top] is taken as the larger of the sampled maximum and beta'(top): for a
-    nondecreasing beta' that is beta'(top) exactly.
+    velocities hold every member, so the step suits them all.  beta' is
+    nondecreasing, so its maximum on [0, top] is beta'(top).
     """
-    h, N, model = plan.grid.h, plan.grid.dim, plan.model
+    h, N = plan.grid.h, plan.grid.dim
     top = min(max(u_max, 0.0), 1.0) or 1.0
     # beta' of a one-element array takes the array loops that the 64 samples took
-    max_bp = max(model.sampled_max_beta_prime(top), float(model.beta_prime(np.array([top]))[0]))
+    max_bp = float(plan.model.beta_prime(np.array([top]))[0])
     speeds = [float(np.abs(v).max()) for v in velocity]
     if not math.isfinite(sum(speeds)):   # the sum keeps a NaN that max() may drop
         finite = np.all([np.isfinite(v).all(axis=plan.grid.axes) for v in velocity], axis=0)
@@ -411,8 +391,8 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
     fixed_dt, cfl_safety, beta, g = config.dt, config.cfl_safety, model.beta, model.g
     if fixed_dt is None:   # mass is conserved, so no state's max u is below mean(u0)
         lowest = min(float(u0.values.mean()) * (1.0 - _MASS_TOL), 1.0)
-        longest = cfl_safety * grid.h ** 2 / (   # no CFL step is longer
-            2.0 * grid.dim * model.sampled_max_beta_prime(lowest) + 1e-300)
+        longest = cfl_safety * grid.h ** 2 / (   # no CFL step is longer: beta' is nondecreasing
+            2.0 * grid.dim * float(model.beta_prime(np.array([lowest]))[0]) + 1e-300)
         if t_end > _MAX_STEPS * longest:   # not t_end / longest: longest may underflow to 0
             raise InputValidationError(f"t_end = {t_end:g} needs more than {_MAX_STEPS} "
                                        f"automatic time steps (each at most {longest:.3g})")

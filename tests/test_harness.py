@@ -504,6 +504,17 @@ def test_cli_rejects_non_finite_parameter(tmp_path, setting):
     assert run_cli(tmp_path, f"grid.n = 32\nrun.t_end = 0.01\n{setting}\n") == 1
 
 
+def test_cli_small_negative_eta_is_a_config_error_and_a_large_gamma_runs(tmp_path, capsys):
+    # u^2 - 1e-4 u falls below 0 on (0, 1e-4), between the samples a check at
+    # k/1000 would read: the rule on gamma and eta refuses it exactly
+    with pytest.raises(cfgmod.ConfigError, match="strictly increasing"):
+        cfgmod.build_problem(base_cfg(**{"model.eta": "-0.0001"}))
+    assert run_cli(tmp_path, "grid.n = 32\nrun.t_end = 0.01\nmodel.eta = -0.0001\n") == 1
+    assert_one_error_line(capsys)
+    # u^150 underflows to 0 at small u, which leaves beta a valid model
+    assert run_cli(tmp_path, "grid.n = 32\nrun.t_end = 0.01\nmodel.gamma = 150\n") == 0
+
+
 @pytest.mark.parametrize("setting", [
     "init.width = -0.4", "init.width = 0", "init.width = nan", "init.width = inf",
     "init.center = nan", "init.center = -inf",

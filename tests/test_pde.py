@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greenks import pde
 from greenks.domain import (Field, Grid, GridMismatchError, gradient, norm_l1, norm_l2,
@@ -68,30 +69,58 @@ def test_eta_regularization():
     assert np.array_equal(m.phi(u), np.abs(u) ** 2.0 * np.abs(u) / 3.0 + 0.5 * 0.1 * u * u)
 
 
-@pytest.mark.parametrize("eta", [-0.5, -2.0, math.nan, math.inf])
+@pytest.mark.parametrize("eta", [-0.5, -2.0, math.nan, math.inf, -1e-4, -1e-6])
 def test_invalid_eta_is_rejected(eta):
-    # the solver runs beta + eta u, so that is what must be strictly increasing;
-    # a non-finite eta is rejected before beta is evaluated
-    with pytest.raises(ValueError):
-        porous_medium_model(2.0, eta=eta)
+    # the solver runs beta + eta u, so that is what must be strictly increasing: at
+    # gamma > 1 any eta < 0 takes u^gamma + eta u below 0 near u = 0, and at
+    # gamma = 1 (1 + eta) u needs eta > -1; a non-finite eta is rejected too
+    for gamma in (1.5, 2.0):
+        with pytest.raises(ValueError, match="strictly increasing|finite"):
+            porous_medium_model(gamma, eta=eta)
     with pytest.raises(ValueError):
         porous_medium_model(1.0, eta=eta - 1.0)
+    for gamma in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="gamma"):
+            porous_medium_model(gamma)
+    with pytest.raises(ValueError, match="^g must"):
+        porous_medium_model(2.0, g=lambda s: s)
 
 
-def test_model_validation_rejects_nonmonotone_beta():
-    with pytest.raises(ValueError):
-        ModelFunctions(beta=lambda u: -np.asarray(u, dtype=float),
-                       beta_prime=lambda u: -np.ones_like(np.asarray(u, dtype=float)),
-                       phi=lambda u: np.asarray(u, dtype=float),
-                       g=volume_filling_g)
+def test_model_is_its_parameters():
+    assert [f.name for f in dataclasses.fields(ModelFunctions)] == ["gamma", "eta", "g"]
+    assert porous_medium_model is ModelFunctions
+    # eta > -1 is enough at gamma = 1; gamma = 150 underflows u^gamma to 0 at
+    # small u, which leaves beta a valid model
+    linear = porous_medium_model(1.0, eta=-0.5)
+    u = np.linspace(0.0, 1.0, 11)
+    assert np.array_equal(linear.beta(u), u + -0.5 * u)
+    assert porous_medium_model(150.0).beta(np.array([1e-3]))[0] == 0.0
+    # dataclasses.replace builds a checked copy
+    with pytest.raises(ValueError, match="strictly increasing"):
+        dataclasses.replace(linear, gamma=2.0)
+    assert dataclasses.replace(linear, g=linear_saturating_g).g is linear_saturating_g
 
 
-def test_model_validation_rejects_unsupported_g():
-    with pytest.raises(ValueError):
-        ModelFunctions(beta=lambda u: np.asarray(u, dtype=float),
-                       beta_prime=lambda u: np.ones_like(np.asarray(u, dtype=float)),
-                       phi=lambda u: 0.5 * np.asarray(u, dtype=float) ** 2,
-                       g=lambda s: np.ones_like(np.asarray(s, dtype=float)))
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.floats(1.0, 50.0), st.floats(0.0, 10.0))
+       | st.tuples(st.just(1.0), st.floats(-1.0, 10.0, exclude_min=True)),
+       st.sampled_from([volume_filling_g, linear_saturating_g]))
+def test_every_accepted_model_has_the_sampled_invariants(params, g_fn):
+    # the properties the exact rule stands for, at 1001 samples, for every
+    # parameter it accepts
+    gamma, eta = params
+    model = porous_medium_model(gamma, eta, g_fn)
+    s = np.linspace(0.0, 1.0, 1001)
+    b, bp = model.beta(s), model.beta_prime(s)
+    assert b[0] == 0.0
+    assert np.all(bp[1:] > 0.0) and np.all(np.diff(bp) >= 0.0)
+    # strictly increasing wherever u^gamma does not underflow; at gamma = 1 with
+    # 1 + eta below about 1e-12, u + eta u cancels to rounding and is only nondecreasing
+    assert np.all(np.diff(b) >= 0.0)
+    assert np.all(np.diff(b)[(s[1:] ** gamma > 0.0) & (1.0 + eta > 1e-12)] > 0.0)
+    gs = model.g(s)
+    assert gs[-1] == 0.0 and np.all(np.abs(gs) <= s)
+    assert np.array_equal(model.g(np.array([-0.5, 1.5])), [0.0, 0.0])
 
 
 def test_model_functions_are_frozen():
@@ -298,10 +327,10 @@ def test_stable_dt_from_the_state_maximum(dim, u_max):
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.01])
-@pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0, 3.0, 3.7])
 def test_stable_dt_from_the_table_is_the_64_sample_rule(gamma, eta):
-    # beta' of every porous-medium model is monotone, so the table's maximum up
-    # to top never exceeds beta'(top), the largest of the 64 samples
+    # stable_dt reads beta'(top) alone: beta' of every model is nondecreasing, so
+    # that is the largest of the 64 samples on [0, top], bit for bit
     g = Grid(1, 1.0, 32)
     plan = plan_for(g, model=porous_medium_model(gamma, eta))
     still = [np.zeros((1, g.n))]   # no drift: the diffusive limit decides
@@ -310,24 +339,6 @@ def test_stable_dt_from_the_table_is_the_64_sample_rule(gamma, eta):
                                  np.arange(1025) / 1024, np.arange(64) / 63, [5e-324, 1e-300])):
         u = np.array([u_max])
         assert pde.stable_dt(plan, float(u_max), still, 0.4) == stable_dt_of_u(plan, u, still, 0.4)
-
-
-def test_sampled_beta_prime_maximum_is_nondecreasing_for_any_beta_prime():
-    # beta' = 1 + s + 0.5 sin(40 s) rises and falls six times on [0, 1]
-    model = ModelFunctions(beta=lambda s: s + 0.5 * s * s + (1.0 - np.cos(40 * s)) / 80,
-                           beta_prime=lambda s: 1.0 + s + 0.5 * np.sin(40 * s),
-                           phi=lambda s: 0.5 * s * s, g=volume_filling_g)
-    tops = np.linspace(0.0, 1.0, 4001)
-    table = np.array([model.sampled_max_beta_prime(t) for t in tops])
-    assert np.all(np.diff(table) >= 0.0) and np.any(np.diff(table) > 0.0)
-    samples = np.arange(1025) / 1024
-    for t, value in zip(tops[::40], table[::40]):   # the largest beta' at a sample up to t
-        assert value == model.beta_prime(samples[samples <= t]).max()
-    # stable_dt also takes beta'(top), which can exceed the samples' maximum
-    plan, top = plan_for(Grid(1, 1.0, 32), model=model), 10.5 / 1024   # beta' still rising
-    assert model.beta_prime(top) > model.sampled_max_beta_prime(top)
-    assert pde.stable_dt(plan, top, [np.zeros((1, 32))], 0.4) == pytest.approx(
-        0.4 * plan.grid.h ** 2 / (2.0 * model.beta_prime(top)), rel=1e-15)
 
 
 def test_diagnostics_csv_bytes():
@@ -361,6 +372,19 @@ def test_porous_medium_phi_matches_the_antiderivative(gamma):
     expected = np.abs(u) ** (gamma + 1.0) / (gamma + 1.0) + eta * u * u / 2.0
     got = porous_medium_model(gamma, eta).phi(u)
     assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.3])
+@pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0, 3.0, 3.7])
+def test_porous_medium_phi_takes_abs_u_once_bit_for_bit(gamma, eta):
+    # phi takes |u| once; the reference takes it twice, with the same values
+    rng = np.random.default_rng(int(10 * gamma))
+    u = np.concatenate((np.linspace(0.0, 1.0, 101), rng.random(200),
+                        [0.0, 5e-324, -1e-7, 1.0 + 1e-7]))
+    expected = np.abs(u) ** gamma * np.abs(u) / (gamma + 1.0)
+    if eta:
+        expected = expected + 0.5 * eta * u * u
+    assert np.array_equal(porous_medium_model(gamma, eta).phi(u), expected)
 
 
 def relaxed_step(v_old, u, d, xi, dt):
@@ -473,7 +497,7 @@ def test_automatic_dt_beyond_the_step_budget_is_refused_before_the_first_step(mo
     g, model, chem = Grid(1, 1.0, 32), porous_medium_model(2.0), ChemicalSpec([1.0], [1.0])
     u0 = radial_bump(g)
     lowest = u0.mean() * (1.0 - pde._MASS_TOL)
-    longest = 0.4 * g.h ** 2 / (2.0 * model.sampled_max_beta_prime(lowest))
+    longest = 0.4 * g.h ** 2 / (2.0 * model.beta_prime(lowest))
     _, state = run(model, chem, u0, RunConfig(g, t_end=0.01))
     assert 0.0 < np.diff(state.diagnostics.times).max() <= longest
 
