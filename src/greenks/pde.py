@@ -10,9 +10,10 @@ one datum in lockstep, as one array with a leading member axis; ``run`` is
 its one-member case.  It builds a :class:`StepPlan` once, with drift symbols
 and a spectral workspace, so a drift component is one product and one inverse
 transform, then steps on plain arrays.  The stepper keeps only its decisions: dt, the
-bound check on the ensemble-wide min/max and dt halving.  An observer computes
-the mass, per-member min/max, phi and energy sums later, over stacked blocks of
-accepted states.  ``Field`` objects are made for snapshots and the end states.
+bound check on the ensemble-wide min/max and dt halving.  An observer fills one
+row per state later, over stacked blocks of states: the mass, per-member min/max,
+the phi sum read off beta(u) u, and the energy sums of the step that leaves it.
+``Field`` objects are made for snapshots and the end states.
 """
 
 from __future__ import annotations
@@ -89,8 +90,9 @@ class ModelFunctions:
         if self.g not in (volume_filling_g, linear_saturating_g):
             raise ValueError("g must be volume_filling_g or linear_saturating_g")
 
-    def beta(self, u: np.ndarray) -> np.ndarray:
-        b = np.abs(u) ** self.gamma * np.sign(u)
+    def beta(self, u: np.ndarray, nonnegative: bool = False) -> np.ndarray:
+        """``nonnegative`` (no u < 0 or NaN) leaves out the product by sign(u), 1 or 0 * 0."""
+        b = np.abs(u) ** self.gamma if nonnegative else np.abs(u) ** self.gamma * np.sign(u)
         return b + self.eta * u if self.eta else b
 
     def beta_prime(self, u: np.ndarray) -> np.ndarray:
@@ -209,6 +211,7 @@ class StepPlan:
     xi: object             # relaxation time (see _per_member); 0 unless relaxed
     u_hat: np.ndarray      # (S, *half lattice) complex, rfft(u) of the state being stepped
     work: np.ndarray       # (S, *half lattice) complex, one drift component on its way back
+    relaxed: bool          # parabolic-parabolic: the chemicals are stepped, not solved
 
     @classmethod
     def build(cls, model: ModelFunctions, chems: list, grid: Grid) -> "StepPlan":
@@ -232,11 +235,7 @@ class StepPlan:
             stacked = np.stack([_symbol(c, grid) for c in chems])
             symbols, sensitivities, xi = [d * stacked for d in grid.derivative_symbols], [], 0.0
         work = np.empty(member[:1] + grid.k2.shape, complex)   # k2 has the half lattice's shape
-        return cls(grid, model, symbols, sensitivities, xi, np.empty_like(work), work)
-
-    @property
-    def relaxed(self) -> bool:
-        return bool(self.sensitivities)
+        return cls(grid, model, symbols, sensitivities, xi, np.empty_like(work), work, relaxed[0])
 
 
 def _symbol(chem, grid: Grid) -> np.ndarray:
@@ -267,8 +266,8 @@ def drift_velocity_chemo(plan: StepPlan, u_hat: np.ndarray, v_hat: Optional[list
     """
     grid = plan.grid
     if plan.relaxed:   # D_i times rfft(c)
-        symbols, spectrum = grid.derivative_symbols, sum(
-            a * vh for a, vh in zip(plan.sensitivities, v_hat))
+        terms = [a * vh for a, vh in zip(plan.sensitivities, v_hat)]
+        symbols, spectrum = grid.derivative_symbols, sum(terms[1:], terms[0])
     else:              # D_i is in the plan's symbols
         symbols, spectrum = plan.symbols, u_hat
     return [grid.irfft(np.multiply(s, spectrum, out=plan.work), overwrite=True) for s in symbols]
@@ -321,7 +320,7 @@ def stable_dt(plan: StepPlan, u_max: float, velocity: list, cfl_safety: float) -
     top = min(max(u_max, 0.0), 1.0) or 1.0
     # beta' of a one-element array takes the array loops that the 64 samples took
     max_bp = float(plan.model.beta_prime(np.array([top]))[0])
-    speeds = [float(np.abs(v).max()) for v in velocity]
+    speeds = [float(np.maximum.reduce(np.abs(v), None)) for v in velocity]
     if not math.isfinite(sum(speeds)):   # the sum keeps a NaN that max() may drop
         finite = np.all([np.isfinite(v).all(axis=plan.grid.axes) for v in velocity], axis=0)
         raise NumericalAbortError(f"non-finite drift velocity in member {np.argmax(~finite)}")
@@ -345,17 +344,23 @@ def _snapshot_times(config: RunConfig) -> np.ndarray:
 
 
 def _observe(plan: StepPlan, rows: np.ndarray, pending: list) -> None:
-    """Fill ``rows`` for the K steps (u, beta(u), g(u), *velocity) in ``pending``, stacked
-    to (K, S, *grid) arrays (a view when K = 1): sum, min, max and phi sum of the new u, and
-    before it |g(u) grad c|^2 and |grad b|^2 of b = beta(u), as sum (b[i+2] - b[i])^2 / 4h^2."""
-    u, beta_u, g_u, *velocity = [a[0][np.newaxis] if len(a) == 1 else np.array(a)
-                                 for a in zip(*pending)]
+    """Fill ``rows``, one per state (u, beta(u), g(u), *velocity) in ``pending``, stacked to
+    (K, S, *grid) arrays (a view when K = 1): sum, min, max and phi sum of u, |grad b|^2 of
+    b = beta(u), as sum (b[i+2] - b[i])^2 / 4h^2, and |g(u) grad c|^2 of the step leaving u.
+    Since phi' = beta, (gamma + 1) phi(u) = beta(u) u + eta (gamma - 1) u^2 / 2."""
+    u, beta_u, g_u, *velocity = [np.concatenate(a).reshape(-1, *a[0].shape) if a[1:] else
+                                 a[0][np.newaxis] for a in zip(*pending)]
     for col, reduce in enumerate((np.add.reduce, np.minimum.reduce, np.maximum.reduce)):
         reduce(u, plan.grid.axes, out=rows[:, col])
-    np.add.reduce(plan.model.phi(u), plan.grid.axes, out=rows[:, 3])
+    gamma, eta = plan.model.gamma, plan.model.eta
+    flat = [a.reshape(*a.shape[:2], -1) for a in (u, beta_u)]
+    rows[:, 3] = np.vecdot(*flat) / (gamma + 1.0)
+    if eta * (gamma - 1.0):
+        rows[:, 3] += eta * (gamma - 1.0) / (2.0 * (gamma + 1.0)) * np.vecdot(flat[0], flat[0])
     spans = (plan.grid.shift(beta_u, ax, 2) - beta_u for ax in range(plan.grid.dim))
     for col, arrays in ((4, spans), (5, (g_u * c for c in velocity))):
-        rows[:, col] = sum(np.vecdot(f, f) for f in (a.reshape(*a.shape[:2], -1) for a in arrays))
+        squares = [np.vecdot(f, f) for f in (a.reshape(*a.shape[:2], -1) for a in arrays)]
+        rows[:, col] = sum(squares[1:], squares[0])   # no 0 + pass
     rows[:, 4] *= 0.25 / (plan.grid.h * plan.grid.h)
 
 
@@ -409,17 +414,13 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
         v_hat = [s * u_hat for s in plan.symbols]
         velocity = drift_velocity_chemo(plan, u_hat, v_hat)
 
-    t, u_max = 0.0, float(u.max())   # u_max: the largest value of the current states
-    # per state, its time, the step that reached it and a row of one value per
-    # member each of sum(u), min(u), max(u), sum(phi(u)) and, on the state
-    # before the step, the squared norms of grad beta(u) and of the drift g(u) grad c;
-    # _observe writes the rows once per block of steps
+    t, lo, u_max = 0.0, float(u.min()), float(u.max())   # the current states' min and max
+    # per state its time, the dt that reached it and a row of one value per member each of
+    # sum, min, max and phi sum of u and |grad beta(u)|^2, |g(u) grad c|^2 (see _observe)
     times, dts = [t], [0.0]
     pending, block = [], max(1, _BLOCK_ELEMENTS // u.size)
-    record = np.zeros((1024, 6, members))   # the rows, grown by doubling
-    record[0, :4] = (u.sum(axis=axes), u.min(axis=axes), u.max(axis=axes),
-                     model.phi(u).sum(axis=axes))
-    snap_times = _snapshot_times(config).tolist()
+    record = np.empty((1024, 6, members))   # the rows, grown by doubling
+    snap_times, floor = _snapshot_times(config).tolist(), _MIN_DT_FRACTION * t_end
     snapshots = [u.copy()]
     while t < t_end:
         if len(times) > _MAX_STEPS:   # one row per step taken, plus t = 0
@@ -430,21 +431,21 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
         if not relaxed:   # the chemical layer (if any) is slaved to u
             velocity = drift_velocity_chemo(plan, u_hat)
         dt = fixed_dt or stable_dt(plan, u_max, velocity, cfl_safety)   # dt > 0 if set
-        if dt < _MIN_DT_FRACTION * t_end:
+        if dt < floor:
             raise NumericalAbortError(f"time step collapsed to {dt:.3g} at t={t:.6g}")
         # a leftover below the collapse floor is taken now; the last step ends at t_end
         remainder = t_end - t
-        if dt >= remainder - _MIN_DT_FRACTION * t_end:
+        if dt >= remainder - floor:
             dt = remainder
-        beta_u, g_u = beta(u), g(u)
+        beta_u, g_u = beta(u, lo >= 0.0), g(u)
         for _ in range(_MAX_DT_HALVINGS):
             v_hat_new, vel_new = v_hat, velocity
             if relaxed:
                 v_hat_new = step_v_parabolic(plan, v_hat, u_hat, dt)
                 vel_new = drift_velocity_chemo(plan, u_hat, v_hat_new)
             u_new = step_u(plan, u, vel_new, dt, beta_u, g_u)
-            # min() and max() keep a NaN, which fails both bounds
-            lo, u_max = float(u_new.min()), float(u_new.max())
+            lo = float(np.minimum.reduce(u_new, None))   # both keep a NaN, which fails
+            u_max = float(np.maximum.reduce(u_new, None))   # both bounds
             if lo >= -_BOUND_SLACK and u_max <= 1.0 + _BOUND_SLACK:
                 break
             finite = np.isfinite(u_new).all(axis=axes)
@@ -462,9 +463,9 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
         t = t_end if dt == remainder else t + dt
         times.append(t)
         dts.append(dt)
-        pending.append((u_new, beta_u, g_u, *vel_new))   # none of these is written again
+        pending.append((u, beta_u, g_u, *vel_new))   # none of these is written again
         if len(pending) == block:
-            _observe(plan, record[len(times) - block:len(times)], pending)
+            _observe(plan, record[len(times) - 1 - block:len(times) - 1], pending)
             pending = []
         u, v_hat, velocity = u_new, v_hat_new, vel_new
 
@@ -472,10 +473,12 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
         while len(snapshots) < len(snap_times) and snap_times[len(snapshots)] <= t + 1e-14:
             theta = min((snap_times[len(snapshots)] - prev_t) / (t - prev_t), 1.0)
             snapshots.append((1 - theta) * prev_u + theta * u)
-    if pending:
-        _observe(plan, record[len(times) - len(pending):len(times)], pending)
+    pending.append((u, beta(u, lo >= 0.0), g_u, *velocity))   # no step leaves it: unused energies
+    _observe(plan, record[len(times) - len(pending):len(times)], pending)
 
     times = np.array(times)
+    # state k and the step dt_{k+1} that leaves it go into accumulator row k + 1
+    record[1:len(times), 4:], record[0, 4:] = record[:len(times) - 1, 4:], 0.0
     sums, lows, highs, phis, grad_sq, drift_sq = record[:len(times)].transpose(1, 0, 2)
     mass, weights = sums * cv, (np.array(dts) * cv)[:, np.newaxis]
     lost = np.abs(mass - mass[0]) > _MASS_TOL * np.maximum(np.abs(mass[0]), 1.0)

@@ -256,16 +256,22 @@ def step_u_upwinding_u(plan, u, velocity, dt):
 @pytest.mark.parametrize("g_fn", [volume_filling_g, linear_saturating_g])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_step_u_with_shared_state_values_is_bit_identical(g_fn, dim):
-    # the values run() computes once per state, including slight bound excursions
+    # the values run() computes once per state, including slight bound excursions and a
+    # far field of subnormal u (configs/attract_g2_pe.cfg reaches min_u = 1.6e-317); there
+    # g(u) and beta(u)/h round to absolute steps, so a face velocity left doubled, with
+    # dt/h halved instead, would differ from the reference in the last subnormal bits
     g = Grid(dim, 1.0, 8)
     model = dataclasses.replace(porous_medium_model(2.0, eta=0.05), g=g_fn)
     plan = plan_for(g, model=model)
     rng = np.random.default_rng(10 + dim)
     u = rng.random(g.shape)
+    far = u[g.n // 2:]
+    far[...] = rng.random(far.shape) * 10.0 ** rng.uniform(-323, -308, far.shape)
     u.flat[0], u.flat[1], u.flat[2] = -1e-7, 1.0 + 1e-7, 1.0
     vel = [rng.standard_normal(g.shape) for _ in range(dim)]
-    shared = step_u(plan, u, vel, 1e-4, model.beta(u), g_fn(u))
-    assert np.array_equal(shared, step_u_upwinding_u(plan, u, vel, 1e-4))
+    for dt in (1e-4, 1e-2, 0.1):
+        shared = step_u(plan, u, vel, dt, model.beta(u), g_fn(u))
+        assert np.array_equal(shared, step_u_upwinding_u(plan, u, vel, dt))
 
 
 @pytest.mark.parametrize("half_length, n", [(0.7, 12), (math.pi, 24)])
@@ -372,6 +378,17 @@ def test_porous_medium_phi_matches_the_antiderivative(gamma):
     expected = np.abs(u) ** (gamma + 1.0) / (gamma + 1.0) + eta * u * u / 2.0
     got = porous_medium_model(gamma, eta).phi(u)
     assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
+
+
+@pytest.mark.parametrize("gamma, eta", [(1.0, 0.0), (1.0, -0.5), (1.5, 0.3), (2.0, 0.0),
+                                        (3.0, 0.01), (3.7, 0.3)])
+def test_beta_of_a_nonnegative_state_is_beta_bit_for_bit(gamma, eta):
+    # the stepper leaves out the product by sign(u) when no u is below 0; signed zeros too
+    rng = np.random.default_rng(int(10 * gamma))
+    u = np.concatenate((rng.random(300), [0.0, -0.0, 5e-324, 1e-310, 1e-160, 1.0, 1.0 + 1e-7]))
+    model = porous_medium_model(gamma, eta)
+    assert np.array_equal(model.beta(u, nonnegative=True).view(np.int64),
+                          model.beta(u).view(np.int64))
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.3])
@@ -592,6 +609,46 @@ def test_grad_beta_accum_of_one_state_is_the_centred_gradient(dim, half_length):
     grad = centred_gradient_roll(model.beta(u0.values), g.h)
     expected = sum(float((c * c).sum()) for c in grad) * dt * g.cell_volume
     assert state.diagnostics.grad_beta_accum[1] == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+PHI_MODELS = [(1.5, 0.3), (2.0, 0.0), (2.0, 0.3), (3.7, 0.01), (1.0, -0.5)]
+
+
+@pytest.mark.parametrize("blocked", [True, False])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("gamma, eta", PHI_MODELS)
+def test_phi_column_is_the_phi_sum_of_its_state(gamma, eta, dim, blocked, monkeypatch):
+    # the observer reads phi off beta(u) u plus an eta (gamma - 1) u^2 / 2 term; rows 0
+    # and last are u0 and the end state, against model.phi summed directly
+    g = Grid(dim, 1.0, 64 if dim == 1 else 16)
+    if not blocked:
+        monkeypatch.setattr(pde, "_BLOCK_ELEMENTS", 1)
+    model, u0 = porous_medium_model(gamma, eta), radial_bump(g)
+    _, state = run(model, ChemicalSpec([0.5], [1.5], 0.0), u0, RunConfig(g, t_end=0.01))
+    d = state.diagnostics
+    assert len(d.times) > 3
+    for row, u in ((0, u0.values), (-1, state.u.values)):
+        expected = float(model.phi(u).sum()) * g.cell_volume
+        assert d.phi[row] == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("blocked", [True, False])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_observer_rows_line_up_with_their_states(dim, blocked, monkeypatch):
+    # row k holds state k, and the accumulators pair it with the step dt_{k+1} that
+    # leaves it: grad_beta_accum[1] is dt_1 |grad beta(u0)|^2, not that of the state reached
+    g = Grid(dim, 1.0, 64 if dim == 1 else 16)
+    if not blocked:
+        monkeypatch.setattr(pde, "_BLOCK_ELEMENTS", 1)
+    model, u0 = porous_medium_model(2.0, 0.3), radial_bump(g)
+    _, state = run(model, ChemicalSpec([0.5], [1.5], 0.0), u0, RunConfig(g, t_end=0.01))
+    d = state.diagnostics
+    b = model.beta(u0.values)
+    grad_sq = sum(float((((np.roll(b, -2, axis=ax) - b) / (2.0 * g.h)) ** 2).sum())
+                  for ax in range(dim))
+    assert len(d.times) > 3 and d.grad_beta_accum[0] == 0.0
+    assert d.grad_beta_accum[1] == pytest.approx(d.times[1] * grad_sq * g.cell_volume,
+                                                 rel=1e-14, abs=0.0)
 
 
 # the overflow is the point; inf - inf in the drift then warns of the NaN it makes
