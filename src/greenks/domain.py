@@ -109,33 +109,27 @@ class Grid:
     # numpy 2.4, np.fft.rfft(a, out=o) takes 4.3 us and np.fft.irfft 5.6 us, their
     # gufuncs 2.6 and 2.7 us (the latter with its new output array).  The module is
     # private, but np.fft has run on it since numpy 2.0; the bit-for-bit test and
-    # the numpy 2.0 CI leg pin it.  The call plan (gufuncs, axes lists, 1/n) is built
-    # on the first transform, so importing greenks does not load numpy.fft.  A stepper
-    # reuses rfft's ``out``, and with ``overwrite`` the leading-axis passes of irfft
-    # run in place in a_hat
-    @functools.cached_property
-    def _fft_plan(self) -> tuple:
-        leading = [[(ax,), (), (ax,)] for ax in self.axes[:-1]]
-        return np.fft._pocketfft_umath, [(-1,), (), (-1,)], leading, 1.0 / self.n
-
+    # the numpy 2.0 CI leg pin it.  It is looked up at call time, so importing
+    # greenks does not load numpy.fft.  A stepper reuses rfft's ``out``, and with
+    # ``overwrite`` the leading-axis passes of irfft run in place in a_hat
     def rfft(self, a: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        pfu, last, leading, _ = self._fft_plan
+        pfu = np.fft._pocketfft_umath
         if out is None:
             out = np.empty(a.shape[:-1] + (self.n // 2 + 1,), complex)
-        a_hat = pfu.rfft_n_even(a, 1, axes=last, out=out)
-        for axes in leading[::-1]:
-            a_hat = pfu.fft(a_hat, 1, axes=axes, out=a_hat)
+        a_hat = pfu.rfft_n_even(a, 1, axes=[(-1,), (), (-1,)], out=out)
+        for ax in self.axes[-2::-1]:
+            a_hat = pfu.fft(a_hat, 1, axes=[(ax,), (), (ax,)], out=a_hat)
         return a_hat
 
     def irfft(self, a_hat: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        pfu, last, leading, fct = self._fft_plan
-        for axes in leading:
+        pfu, fct = np.fft._pocketfft_umath, 1.0 / self.n
+        for ax in self.axes[:-1]:
             # without overwrite the first pass writes a new complex array, which
             # also takes a real a_hat; the later passes run in place in it
             dest = a_hat if overwrite else np.empty(a_hat.shape, complex)
-            a_hat, overwrite = pfu.ifft(a_hat, fct, axes=axes, out=dest), True
+            a_hat, overwrite = pfu.ifft(a_hat, fct, axes=[(ax,), (), (ax,)], out=dest), True
         out = np.empty(a_hat.shape[:-1] + (self.n,))   # n cannot be read off a_hat
-        return pfu.irfft(a_hat, fct, axes=last, out=out)
+        return pfu.irfft(a_hat, fct, axes=[(-1,), (), (-1,)], out=out)
 
     @functools.cached_property
     def k2(self) -> np.ndarray:

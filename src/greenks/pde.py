@@ -24,9 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# elliptic_solve, gradient, inner_l2 and periodic_convolve are unused here but
-# stay importable from this module: perfbench/tracer.py wraps names of
-# greenks.pde by attribute.
+# elliptic_solve, gradient, inner_l2 and periodic_convolve are unused here, but
+# perfbench/tracer.py wraps them by attribute as names of greenks.pde.
 from .domain import (Field, Grid, GridMismatchError, SpaceTimeSeries, csv_table,
                      gradient, inner_l2, periodic_convolve)
 from .greens import elliptic_solve
@@ -90,9 +89,8 @@ class ModelFunctions:
         if self.g not in (volume_filling_g, linear_saturating_g):
             raise ValueError("g must be volume_filling_g or linear_saturating_g")
 
-    def beta(self, u: np.ndarray, nonnegative: bool = False) -> np.ndarray:
-        """``nonnegative`` (no u < 0 or NaN) leaves out the product by sign(u), 1 or 0 * 0."""
-        b = np.abs(u) ** self.gamma if nonnegative else np.abs(u) ** self.gamma * np.sign(u)
+    def beta(self, u: np.ndarray) -> np.ndarray:
+        b = np.abs(u) ** self.gamma * np.sign(u)
         return b + self.eta * u if self.eta else b
 
     def beta_prime(self, u: np.ndarray) -> np.ndarray:
@@ -211,7 +209,6 @@ class StepPlan:
     xi: object             # relaxation time (see _per_member); 0 unless relaxed
     u_hat: np.ndarray      # (S, *half lattice) complex, rfft(u) of the state being stepped
     work: np.ndarray       # (S, *half lattice) complex, one drift component on its way back
-    relaxed: bool          # parabolic-parabolic: the chemicals are stepped, not solved
 
     @classmethod
     def build(cls, model: ModelFunctions, chems: list, grid: Grid) -> "StepPlan":
@@ -235,7 +232,7 @@ class StepPlan:
             stacked = np.stack([_symbol(c, grid) for c in chems])
             symbols, sensitivities, xi = [d * stacked for d in grid.derivative_symbols], [], 0.0
         work = np.empty(member[:1] + grid.k2.shape, complex)   # k2 has the half lattice's shape
-        return cls(grid, model, symbols, sensitivities, xi, np.empty_like(work), work, relaxed[0])
+        return cls(grid, model, symbols, sensitivities, xi, np.empty_like(work), work)
 
 
 def _symbol(chem, grid: Grid) -> np.ndarray:
@@ -265,10 +262,10 @@ def drift_velocity_chemo(plan: StepPlan, u_hat: np.ndarray, v_hat: Optional[list
     of each component's inverse transform is a new array.
     """
     grid = plan.grid
-    if plan.relaxed:   # D_i times rfft(c)
+    if plan.sensitivities:   # relaxed: D_i times rfft(c)
         terms = [a * vh for a, vh in zip(plan.sensitivities, v_hat)]
         symbols, spectrum = grid.derivative_symbols, sum(terms[1:], terms[0])
-    else:              # D_i is in the plan's symbols
+    else:                    # D_i is in the plan's symbols
         symbols, spectrum = plan.symbols, u_hat
     return [grid.irfft(np.multiply(s, spectrum, out=plan.work), overwrite=True) for s in symbols]
 
@@ -302,7 +299,7 @@ def step_u(plan: StepPlan, u: np.ndarray, velocity: list, dt: float,
 def step_v_parabolic(plan: StepPlan, v_hat: list, u_hat: np.ndarray, dt: float) -> list:
     """Backward-Euler step of the relaxed chemicals in real-FFT space:
     (I + lam(-d_j Lap + I)) v_new = v_old + lam u with lam = dt/xi."""
-    if not plan.relaxed:
+    if not plan.sensitivities:
         raise ValueError("xi must be positive for the relaxed chemical step")
     lam = dt / plan.xi
     source = lam * u_hat
@@ -345,11 +342,11 @@ def _snapshot_times(config: RunConfig) -> np.ndarray:
 
 def _observe(plan: StepPlan, rows: np.ndarray, pending: list) -> None:
     """Fill ``rows``, one per state (u, beta(u), g(u), *velocity) in ``pending``, stacked to
-    (K, S, *grid) arrays (a view when K = 1): sum, min, max and phi sum of u, |grad b|^2 of
-    b = beta(u), as sum (b[i+2] - b[i])^2 / 4h^2, and |g(u) grad c|^2 of the step leaving u.
-    Since phi' = beta, (gamma + 1) phi(u) = beta(u) u + eta (gamma - 1) u^2 / 2."""
-    u, beta_u, g_u, *velocity = [np.concatenate(a).reshape(-1, *a[0].shape) if a[1:] else
-                                 a[0][np.newaxis] for a in zip(*pending)]
+    (K, S, *grid) arrays (a view when K = 1): sum, min, max, phi sum (phi' = beta, so (gamma+1) phi
+    = beta(u) u + eta (gamma-1) u^2/2) and, for the step leaving u, |g(u) grad c|^2 and |grad b|^2
+    of b = beta(u) as sum (b[i+2] - b[i])^2 / 4h^2; the end state's (u, beta(u)) fills 0-3 alone."""
+    u, beta_u, *drift = [np.concatenate(a).reshape(-1, *a[0].shape) if a[1:] else
+                         a[0][np.newaxis] for a in zip(*pending)]
     for col, reduce in enumerate((np.add.reduce, np.minimum.reduce, np.maximum.reduce)):
         reduce(u, plan.grid.axes, out=rows[:, col])
     gamma, eta = plan.model.gamma, plan.model.eta
@@ -357,11 +354,12 @@ def _observe(plan: StepPlan, rows: np.ndarray, pending: list) -> None:
     rows[:, 3] = np.vecdot(*flat) / (gamma + 1.0)
     if eta * (gamma - 1.0):
         rows[:, 3] += eta * (gamma - 1.0) / (2.0 * (gamma + 1.0)) * np.vecdot(flat[0], flat[0])
-    spans = (plan.grid.shift(beta_u, ax, 2) - beta_u for ax in range(plan.grid.dim))
-    for col, arrays in ((4, spans), (5, (g_u * c for c in velocity))):
-        squares = [np.vecdot(f, f) for f in (a.reshape(*a.shape[:2], -1) for a in arrays)]
-        rows[:, col] = sum(squares[1:], squares[0])   # no 0 + pass
-    rows[:, 4] *= 0.25 / (plan.grid.h * plan.grid.h)
+    if drift:   # g(u) and the velocity of the step leaving u
+        spans = (plan.grid.shift(beta_u, ax, 2) - beta_u for ax in range(plan.grid.dim))
+        for col, arrays in ((4, spans), (5, (drift[0] * c for c in drift[1:]))):
+            squares = [np.vecdot(f, f) for f in (a.reshape(*a.shape[:2], -1) for a in arrays)]
+            rows[:, col] = sum(squares[1:], squares[0])   # no 0 + pass
+        rows[:, 4] *= 0.25 / (plan.grid.h * plan.grid.h)
 
 
 def run(model: ModelFunctions, chem, u0: Field, config: RunConfig):
@@ -406,7 +404,7 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
         raise InputValidationError(f"half_length = {grid.half_length:g} is too small: "
                                    f"|k|^2 overflows on cells of width {grid.h:.3g}")
     plan = StepPlan.build(model, list(chems), grid)
-    axes, members, relaxed = grid.axes, len(chems), plan.relaxed
+    axes, members, relaxed = grid.axes, len(chems), bool(plan.sensitivities)
     u = np.repeat(u0.values[np.newaxis], members, axis=0)
     v_hat = velocity = None
     if relaxed:   # the chemicals start in equilibrium, w_j * u_0
@@ -414,9 +412,8 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
         v_hat = [s * u_hat for s in plan.symbols]
         velocity = drift_velocity_chemo(plan, u_hat, v_hat)
 
-    t, lo, u_max = 0.0, float(u.min()), float(u.max())   # the current states' min and max
-    # per state its time, the dt that reached it and a row of one value per member each of
-    # sum, min, max and phi sum of u and |grad beta(u)|^2, |g(u) grad c|^2 (see _observe)
+    t, u_max = 0.0, float(u.max())   # u_max: the largest value of the current states
+    # per state its time, the dt that reached it and a row of diagnostics (see _observe)
     times, dts = [t], [0.0]
     pending, block = [], max(1, _BLOCK_ELEMENTS // u.size)
     record = np.empty((1024, 6, members))   # the rows, grown by doubling
@@ -437,7 +434,7 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
         remainder = t_end - t
         if dt >= remainder - floor:
             dt = remainder
-        beta_u, g_u = beta(u, lo >= 0.0), g(u)
+        beta_u, g_u = beta(u), g(u)
         for _ in range(_MAX_DT_HALVINGS):
             v_hat_new, vel_new = v_hat, velocity
             if relaxed:
@@ -464,7 +461,7 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
         times.append(t)
         dts.append(dt)
         pending.append((u, beta_u, g_u, *vel_new))   # none of these is written again
-        if len(pending) == block:
+        if len(pending) == block and t < t_end:   # the last step's block is observed below
             _observe(plan, record[len(times) - 1 - block:len(times) - 1], pending)
             pending = []
         u, v_hat, velocity = u_new, v_hat_new, vel_new
@@ -473,8 +470,8 @@ def run_ensemble(model: ModelFunctions, chems: list, u0: Field, config: RunConfi
         while len(snapshots) < len(snap_times) and snap_times[len(snapshots)] <= t + 1e-14:
             theta = min((snap_times[len(snapshots)] - prev_t) / (t - prev_t), 1.0)
             snapshots.append((1 - theta) * prev_u + theta * u)
-    pending.append((u, beta(u, lo >= 0.0), g_u, *velocity))   # no step leaves it: unused energies
-    _observe(plan, record[len(times) - len(pending):len(times)], pending)
+    _observe(plan, record[len(times) - 1 - len(pending):len(times) - 1], pending)
+    _observe(plan, record[len(times) - 1:len(times)], [(u, beta(u))])
 
     times = np.array(times)
     # state k and the step dt_{k+1} that leaves it go into accumulator row k + 1

@@ -380,17 +380,6 @@ def test_porous_medium_phi_matches_the_antiderivative(gamma):
     assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
 
 
-@pytest.mark.parametrize("gamma, eta", [(1.0, 0.0), (1.0, -0.5), (1.5, 0.3), (2.0, 0.0),
-                                        (3.0, 0.01), (3.7, 0.3)])
-def test_beta_of_a_nonnegative_state_is_beta_bit_for_bit(gamma, eta):
-    # the stepper leaves out the product by sign(u) when no u is below 0; signed zeros too
-    rng = np.random.default_rng(int(10 * gamma))
-    u = np.concatenate((rng.random(300), [0.0, -0.0, 5e-324, 1e-310, 1e-160, 1.0, 1.0 + 1e-7]))
-    model = porous_medium_model(gamma, eta)
-    assert np.array_equal(model.beta(u, nonnegative=True).view(np.int64),
-                          model.beta(u).view(np.int64))
-
-
 @pytest.mark.parametrize("eta", [0.0, 0.3])
 @pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0, 3.0, 3.7])
 def test_porous_medium_phi_takes_abs_u_once_bit_for_bit(gamma, eta):
