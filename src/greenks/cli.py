@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: fit-kernel, run, study-xi, study-kernel, compare, selftest.
+Subcommands: fit-kernel, run, study-xi, study-kernel, compare.
 Exit codes: 0 success, 1 validation error, 2 numerical abort.
 """
 
@@ -13,10 +13,8 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from .domain import (Field, Grid, SpaceTimeSeries, csv_table, gradient, norm_w11,
-                     periodic_convolve, read_field_csv, write_field_csv)
+from .domain import SpaceTimeSeries, csv_table, norm_w11, read_field_csv, write_field_csv
 from .fit import fit_to_tolerance
-from .greens import elliptic_solve, greens_periodic_spectral, lattice_sum_green
 from .harness import ComparisonError, basis_fits, compare_runs, study_kernel, study_xi
 from .pde import InputValidationError, NumericalAbortError, run as run_solver
 from .svgplot import line_chart
@@ -115,45 +113,6 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _cmd_selftest(args) -> int:
-    failures = []
-
-    def check(name, ok):
-        print(f"  [{'ok' if ok else 'FAIL'}] {name}")
-        if not ok:
-            failures.append(name)
-
-    grid = Grid(1, 1.0, 64)
-    rng = np.random.default_rng(7)
-    u = Field(grid, rng.random(grid.shape))
-    v = Field(grid, rng.random(grid.shape))
-
-    conv_ab = periodic_convolve(u, v)
-    conv_ba = periodic_convolve(v, u)
-    check("convolution commutes",
-          float(np.abs(conv_ab.values - conv_ba.values).max()) < 1e-12)
-
-    w = greens_periodic_spectral(1.0, grid)
-    sol = elliptic_solve(1.0, u)
-    check("elliptic solve = Green convolution",
-          float(np.abs(sol.values - periodic_convolve(w, u).values).max()) < 1e-12)
-    check("elliptic solve preserves the mean",
-          abs(sol.mean() - u.mean()) < 1e-13)
-
-    lat = lattice_sum_green(1.0, grid)
-    check("Green field integrates to 1", abs(lat.field.integral() - 1.0) < 2e-4)
-
-    g = gradient(Field.constant(grid, 3.7))
-    check("gradient annihilates constants",
-          all(float(np.abs(c.values).max()) == 0.0 for c in g))
-
-    if failures:
-        print(f"selftest: {len(failures)} failure(s)")
-        return EXIT_NUMERICAL
-    print("selftest: all checks passed")
-    return EXIT_OK
-
-
 def _positive_float(text: str) -> float:
     value = float(text)
     if not value > 0:   # also rejects NaN
@@ -185,9 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("run_a")
     sp.add_argument("run_b")
     sp.set_defaults(func=_cmd_compare)
-
-    sp = sub.add_parser("selftest", help="small-grid invariant checks")
-    sp.set_defaults(func=_cmd_selftest)
     return p
 
 

@@ -143,9 +143,9 @@ def build_kernel(cfg: dict, grid: Grid) -> Optional[PeriodizedKernel]:
     else:
         base = gaussian_kernel(float(cfg["kernel.sigma"]), grid.dim)
     pk = periodize(base, grid)
-    if scale != 1.0:
-        pk.field = scale * pk.field
-    return pk
+    # the certificate bounds the scaled tail, so it scales by |scale| with the field
+    return PeriodizedKernel(scale * pk.field, pk.truncation_radius_cells,
+                            abs(scale) * pk.tail_bound)
 
 
 def _initial_datum(cfg: dict, grid: Grid) -> Field:

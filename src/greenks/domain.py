@@ -201,9 +201,6 @@ class Field:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return Field(self.grid, -self.values)
-
     def mean(self) -> float:
         return float(self.values.mean())
 

@@ -247,7 +247,8 @@ def _symbol(chem, grid: Grid) -> np.ndarray:
 
 def _per_member(values, member: tuple):
     """One value per member, shaped ``member`` to broadcast over stacked
-    arrays, or a float when every member has the same value."""
+    arrays, or a float when every member has the same value (an array in
+    that case too read ``coincidence-1d`` 1.8 % slower, 4 of 5 pairs)."""
     values = np.asarray(values, dtype=float)
     return float(values[0]) if np.all(values == values[0]) else values.reshape(member)
 

@@ -180,9 +180,12 @@ def test_grid_derivative_symbols_reproduce_the_gradient(dim):
 # --- gradient -------------------------------------------------------------
 
 def test_gradient_annihilates_constants():
-    g = Grid(2, 1.0, 8)
-    for comp in gradient(Field.constant(g, 3.7)):
-        assert np.abs(comp.values).max() == 0.0
+    for dim in (1, 2, 3):
+        g = Grid(dim, 1.0, 8)
+        comps = gradient(Field.constant(g, 3.7))
+        assert len(comps) == dim
+        for comp in comps:
+            assert np.abs(comp.values).max() == 0.0
 
 
 def test_gradient_convergence_order():

@@ -297,14 +297,31 @@ def test_every_enumerated_value_builds(key):
         build("no_such_value")
 
 
+@pytest.mark.parametrize("scale", [-50.0, 1.0])
+def test_build_kernel_scales_the_field_and_its_tail_bound(scale):
+    # the certificate bounds the tail of the field the run uses: |scale| times
+    # the unscaled sum's bound; at scale 1 field and certificate are unchanged
+    from greenks.kernel import greens_free_space, periodize
+    cfg = base_cfg(**{"grid.n": "64", "kernel.type": "greens", "kernel.scale": scale})
+    grid = cfgmod.build_grid(cfg)
+    base = periodize(greens_free_space(1.0, 1), grid)
+    W = cfgmod.build_kernel(cfg, grid)
+    assert W.field.values.tobytes() == (scale * base.field.values).tobytes()
+    assert W.truncation_radius_cells == base.truncation_radius_cells
+    assert W.tail_bound == abs(scale) * base.tail_bound > 0.0
+
+
 # --- CLI ------------------------------------------------------------------
 
-def test_cli_selftest_passes():
-    assert main(["selftest"]) == 0
+def test_cli_unknown_subcommand(capsys):
+    for command in ("frobnicate", "selftest"):
+        assert main([command]) == 1
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
-def test_cli_unknown_subcommand():
-    assert main(["frobnicate"]) == 1
+def test_cli_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: greenks ")
 
 
 def test_cli_run_and_compare(tmp_path):
